@@ -42,10 +42,8 @@ from .states import (
     psi_squeezed_number_evolved,
 )
 from .fock import (
-    BchFactors,
     FockOperator,
     FockState,
-    bch_factors,
     displaced_number_coeffs,
     displacement_bch,
     ladder_matrices,

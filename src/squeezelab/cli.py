@@ -9,17 +9,15 @@ Subcommands
     figure K     density surface for built-in preset K (1..4)
 
 Configuration precedence: command-line flags > config file (--config,
-flat key=value lines) > built-in preset.  SQUEEZELAB_THREADS caps the
-worker count for surface evaluation (0 or unset = automatic).
+flat key=value lines) > built-in preset.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical guard
-violation, 4 verification failure.
+violation or other numerical error, 4 verification failure.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
 
 from .equivalence import compare_formalisms
@@ -53,22 +51,7 @@ _DEFAULTS = {
     "format": "csv",
 }
 
-_TYPES = {
-    "n": int,
-    "x0": float,
-    "p0": float,
-    "r": float,
-    "phi": float,
-    "t0": float,
-    "t1": float,
-    "nt": int,
-    "xmin": float,
-    "xmax": float,
-    "nx": int,
-    "N": int,
-    "out": str,
-    "format": str,
-}
+_TYPES = {key: type(value) for key, value in _DEFAULTS.items()}
 
 
 class ConfigError(Exception):
@@ -135,19 +118,6 @@ def _preset_values(args):
     return FIGURE_PRESETS[index]
 
 
-def _worker_cap():
-    raw = os.environ.get("SQUEEZELAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SQUEEZELAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ConfigError(f"SQUEEZELAB_THREADS must be >= 0, got {cap}")
-    return cap
-
-
 def _spec_from(settings) -> StateSpec:
     try:
         return StateSpec(
@@ -206,7 +176,7 @@ def _cmd_state(args):
 
 
 def _surface_rows(spec, grid):
-    surface = density_surface(spec, grid, max_workers=_worker_cap())
+    surface = density_surface(spec, grid)
     xs = grid.x_values()
     ts = grid.t_values()
     for i, t in enumerate(ts):
@@ -350,6 +320,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except GuardViolation as exc:
         print(f"squeezelab: guard violation: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except ValueError as exc:
+        print(f"squeezelab: numerical error: {exc}", file=sys.stderr)
         return EXIT_GUARD
 
 

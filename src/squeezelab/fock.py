@@ -26,7 +26,6 @@ from .special import log_factorial, oscillator_eigenfunctions
 __all__ = [
     "FockState",
     "FockOperator",
-    "BchFactors",
     "MATRIX_EXP_NORM_CAP",
     "number_state",
     "ladder_matrices",
@@ -35,7 +34,6 @@ __all__ = [
     "squeeze_bch",
     "displaced_number_coeffs",
     "squeezed_number_coeffs",
-    "bch_factors",
     "synthesize",
     "time_evolve",
 ]
@@ -109,34 +107,6 @@ class FockOperator:
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(n))))
 
 
-@dataclass(frozen=True)
-class BchFactors:
-    """Scalars of the normal-ordered squeeze factorization.
-
-    d = (1/2) e^{i phi} tanh r drives the two-boson exponentials;
-    tau = -e^{-i phi} sinh r (cosh r + e^{i phi} sinh r) and
-    y = cosh r / sqrt(cosh r + e^{i phi} sinh r) appear when the squeezed
-    coefficient sum is resummed into a single Hermite polynomial.
-    """
-
-    d: complex
-    tau: complex
-    y: complex
-
-    def __post_init__(self):
-        if not abs(2.0 * self.d) < 1.0:
-            raise ValueError(f"|2d| = tanh r must be < 1, got {abs(2 * self.d)}")
-
-
-def bch_factors(sq: SqueezeParam) -> BchFactors:
-    eip = cmath.exp(1j * sq.phi)
-    d = 0.5 * eip * math.tanh(sq.r)
-    f1 = math.cosh(sq.r) + eip * math.sinh(sq.r)
-    tau = -math.sinh(sq.r) * f1 / eip
-    y = math.cosh(sq.r) / cmath.sqrt(f1)
-    return BchFactors(d, tau, y)
-
-
 def number_state(n: int, truncation: int) -> FockState:
     if not 0 <= n <= truncation:
         raise ValueError(f"need 0 <= n <= truncation, got n={n}, truncation={truncation}")
@@ -169,39 +139,38 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     return FockOperator(expm(m))
 
 
-def _exp_raising_series(alpha: complex, truncation: int, scale) -> np.ndarray:
-    """exp(alpha a_dag) * scale in extended precision.
+def _exp_ladder_series(c: complex, step: int, truncation: int, scale) -> np.ndarray:
+    """exp(c a_dag^step) @ diag(scale) in extended precision, step 1 or 2.
 
     The series terminates exactly in the truncated space (a_dag is
     nilpotent), so entries are generated diagonal-by-diagonal from the
-    recurrence entry(k+j, k) = entry(k+j-1, k) * alpha sqrt(k+j) / j.
-    Pure multiplications keep the relative error near the clongdouble
-    epsilon; the later factor contraction is what needs the headroom.
+    recurrence entry(k + step j, k) = entry(k + step (j-1), k) * c / j
+    * sqrt((k + step j)! / (k + step (j-1))!).  Pure multiplications keep
+    the relative error near the clongdouble epsilon; the later factor
+    contraction is what needs the headroom.
     """
     n1 = truncation + 1
     out = np.zeros((n1, n1), dtype=np.clongdouble)
-    diag = np.full(n1, np.clongdouble(scale))
+    diag = np.full(n1, scale, dtype=np.clongdouble)
     np.fill_diagonal(out, diag)
-    al = np.clongdouble(alpha.real) + 1j * np.clongdouble(alpha.imag)
-    for j in range(1, n1):
-        k = np.arange(n1 - j)
-        diag = diag[: n1 - j] * (al / j) * np.sqrt((k + j).astype(np.longdouble))
-        out[k + j, k] = diag
+    cl = np.clongdouble(c.real) + 1j * np.clongdouble(c.imag)
+    for j in range(1, truncation // step + 1):
+        k = np.arange(n1 - step * j)
+        top = k + step * j
+        ratio = top if step == 1 else top * (top - 1)
+        diag = diag[: n1 - step * j] * (cl / j) * np.sqrt(ratio.astype(np.longdouble))
+        out[top, k] = diag
     return out
 
 
-def _exp_two_boson_series(d: complex, truncation: int, scale_vec) -> np.ndarray:
-    """exp(d a_dag a_dag) @ diag(scale_vec) in extended precision."""
-    n1 = truncation + 1
-    out = np.zeros((n1, n1), dtype=np.clongdouble)
-    diag = np.asarray(scale_vec, dtype=np.clongdouble)
-    np.fill_diagonal(out, diag)
-    dl = np.clongdouble(d.real) + 1j * np.clongdouble(d.imag)
-    for j in range(1, truncation // 2 + 1):
-        k = np.arange(n1 - 2 * j)
-        diag = diag[: n1 - 2 * j] * (dl / j) * np.sqrt(((k + 2 * j) * (k + 2 * j - 1)).astype(np.longdouble))
-        out[k + 2 * j, k] = diag
-    return out
+def _doubled_product(left: np.ndarray, right: np.ndarray, halvings: int) -> np.ndarray:
+    """(left @ right) squared `halvings` times, as a read-only complex array."""
+    mat = left @ right
+    for _ in range(halvings):
+        mat = mat @ mat
+    result = mat.astype(complex)
+    result.flags.writeable = False  # cached and shared between operators
+    return result
 
 
 @lru_cache(maxsize=8)
@@ -216,14 +185,9 @@ def _displacement_matrix(alpha_re: float, alpha_im: float, truncation: int) -> n
         base /= 2.0
         halvings += 1
     scale = np.exp(np.longdouble(-abs(base) ** 2 / 4.0))
-    lower = _exp_raising_series(base, truncation, scale)
-    upper = _exp_raising_series(-base.conjugate(), truncation, scale).T
-    mat = lower @ upper
-    for _ in range(halvings):
-        mat = mat @ mat
-    result = mat.astype(complex)
-    result.flags.writeable = False  # cached and shared between operators
-    return result
+    lower = _exp_ladder_series(base, 1, truncation, scale)
+    upper = _exp_ladder_series(-base.conjugate(), 1, truncation, scale).T
+    return _doubled_product(lower, upper, halvings)
 
 
 def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
@@ -254,14 +218,9 @@ def _squeeze_matrix(r: float, phi: float, truncation: int) -> np.ndarray:
     d = 0.5 * cmath.exp(1j * phi) * math.tanh(base_r)
     m = np.arange(truncation + 1, dtype=np.longdouble)
     mid = np.exp(-(m + 0.5) * np.log(np.longdouble(math.cosh(base_r))))
-    raising = _exp_two_boson_series(d, truncation, np.ones(truncation + 1))
-    lowering = _exp_two_boson_series(-d.conjugate(), truncation, mid).T
-    mat = raising @ lowering
-    for _ in range(halvings):
-        mat = mat @ mat
-    result = mat.astype(complex)
-    result.flags.writeable = False  # cached and shared between operators
-    return result
+    raising = _exp_ladder_series(d, 2, truncation, 1)
+    lowering = _exp_ladder_series(-d.conjugate(), 2, truncation, mid).T
+    return _doubled_product(raising, lowering, halvings)
 
 
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:

@@ -22,7 +22,7 @@ and, for evolution to time t,
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateEvolutionError
+from .errors import DegenerateEvolutionError, GuardViolation
 
 __all__ = [
     "DisplacementParam",
@@ -124,7 +124,8 @@ class StructureFactors:
             raise ValueError(f"F3 is not a phase: |F3| = {abs(self.f3)!r}")
         if abs(self.f1.conjugate() * self.f1 - self.f4 ** 2) > _IDENTITY_TOL * scale:
             raise ValueError("conj(F1) F1 = F4^2 violated")
-        if abs(self.f2 + self.f2.conjugate() - 2.0 / self.f4 ** 2) > _IDENTITY_TOL:
+        twice_re_f2 = 2.0 / self.f4 ** 2
+        if abs(self.f2 + self.f2.conjugate() - twice_re_f2) > _IDENTITY_TOL * max(1.0, twice_re_f2):
             raise ValueError("F2 + conj(F2) = 2/F4^2 violated")
         if abs(self.f4 - self.script_s * math.sqrt(1.0 + 4.0 * self.kappa ** 2)) > _IDENTITY_TOL * scale:
             raise ValueError("F4 = S sqrt(1 + 4 kappa^2) violated")
@@ -140,6 +141,11 @@ def structure_factors(sq: SqueezeParam) -> StructureFactors:
     ch = math.cosh(sq.r)
     sh = math.sinh(sq.r)
     script_s = ch + math.cos(sq.phi) * sh
+    if not script_s > 0.0:
+        # cosh r and sinh r cancel near phi = pi; past r ~ 18 nothing is left
+        raise GuardViolation(
+            f"S = cosh r + cos(phi) sinh r = {script_s:.3g} is not positive at r = {sq.r:g}, phi = {sq.phi:g}"
+        )
     kappa = math.sin(sq.phi) * sh / (2.0 * script_s)
     one_p = 1.0 + 2j * kappa
     f1 = ch + complex(math.cos(sq.phi), math.sin(sq.phi)) * sh

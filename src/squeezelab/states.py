@@ -9,8 +9,6 @@ just in modulus.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,35 +257,10 @@ def density(spec: StateSpec, x, t: float = 0.0):
     )
 
 
-def _worker_count(max_workers):
-    if max_workers is None or max_workers == 0:
-        cpus = os.cpu_count() or 1
-        return min(4, cpus)
-    return max(1, int(max_workers))
-
-
-def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID, max_workers=None) -> DensitySurface:
-    """Sample rho over a (t, x) grid and validate per-row normalization.
-
-    Rows are independent and may be evaluated by a small thread pool
-    (max_workers; 0 or None picks automatically); assembly is ordered by
-    row index so results do not depend on scheduling.
-    """
+def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> DensitySurface:
+    """Sample rho over a (t, x) grid and validate per-row normalization."""
     xs = grid.x_values()
-    ts = grid.t_values()
-    values = np.empty((grid.nt, grid.nx))
-
-    def fill(i):
-        values[i] = density(spec, xs, ts[i])
-
-    workers = _worker_count(max_workers)
-    if workers > 1 and grid.nt > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(grid.nt)))
-    else:
-        for i in range(grid.nt):
-            fill(i)
-
+    values = np.array([density(spec, xs, t) for t in grid.t_values()])
     surface = DensitySurface(grid, values)
     norms = surface.row_norms()
     worst = float(np.max(np.abs(norms - 1.0)))

@@ -46,15 +46,6 @@ class TestFigureCommand:
         assert run(["figure", "2", "--nt", "5", "--nx", "101", "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_cap_does_not_change_bytes(self, tmp_path, monkeypatch):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        monkeypatch.setenv("SQUEEZELAB_THREADS", "1")
-        assert run(["figure", "4", "--nt", "5", "--nx", "101", "--out", str(a)]) == EXIT_OK
-        monkeypatch.setenv("SQUEEZELAB_THREADS", "3")
-        assert run(["figure", "4", "--nt", "5", "--nx", "101", "--out", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["figure", "3", "--nt", "3", "--nx", "51"]) == EXIT_OK
@@ -189,10 +180,6 @@ class TestConfigAndErrors:
     def test_negative_squeeze_is_config_error(self, tmp_path):
         assert run(["state", "--r", "-1", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SQUEEZELAB_THREADS", "many")
-        assert run(["density", "--nt", "2", "--nx", "51", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
-
     def test_guard_violation_exit_three(self, tmp_path):
         # x window far too small for the x0 = 8 packet
         code = run(
@@ -205,6 +192,25 @@ class TestConfigAndErrors:
         # |alpha| = 5.66 exceeds N/8 at N = 24
         code = run(["verify", "--preset", "1", "--N", "24", "--out", str(tmp_path / "x")])
         assert code == EXIT_GUARD
+
+    def test_squeeze_near_cancellation_runs(self, tmp_path):
+        # S = cosh r - sinh r ~ 7e-5 here: F2 + conj(F2) = 2/F4^2 holds only relatively
+        code = run(["state", "--r", "9.5", "--phi", repr(math.pi), "--out", str(tmp_path / "x")])
+        assert code == EXIT_OK
+
+    def test_vanishing_script_s_exit_three(self, tmp_path, capsys):
+        code = run(["state", "--r", "20", "--phi", repr(math.pi), "--out", str(tmp_path / "x")])
+        assert code == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "S = cosh r" in err and "Traceback" not in err
+
+    def test_library_value_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise ValueError("synthetic library failure")
+
+        monkeypatch.setattr("squeezelab.cli.psi_squeezed_number_evolved", fail)
+        assert run(["state", "--out", str(tmp_path / "x")]) == EXIT_GUARD
+        assert capsys.readouterr().err == "squeezelab: numerical error: synthetic library failure\n"
 
     def test_stdout_output(self, capsys):
         assert run(["uncertainty", "--nt", "3"]) == EXIT_OK

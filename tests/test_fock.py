@@ -13,7 +13,6 @@ from squeezelab import (
     FockOperator,
     FockState,
     GuardViolation,
-    bch_factors,
     displaced_number_coeffs,
     displacement_bch,
     ladder_matrices,
@@ -330,17 +329,3 @@ class TestAlgebraicProperties:
         half = N // 2
         dev = np.max(np.abs(applied.coeffs[:half] - alpha * state.coeffs[:half]))
         assert dev < 1e-8
-
-    def test_bch_factors(self):
-        sq = make_squeeze(0.9, 0.6)
-        f = bch_factors(sq)
-        assert abs(2.0 * f.d) == pytest.approx(math.tanh(0.9), rel=1e-14)
-        f1 = math.cosh(0.9) + np.exp(0.6j) * math.sinh(0.9)
-        assert f.tau == pytest.approx(-np.exp(-0.6j) * math.sinh(0.9) * f1, rel=1e-13)
-        assert f.y == pytest.approx(math.cosh(0.9) / np.sqrt(f1), rel=1e-13)
-
-    def test_bch_factors_reject_unphysical(self):
-        from squeezelab import BchFactors
-
-        with pytest.raises(ValueError):
-            BchFactors(d=0.6, tau=0.0, y=1.0)

@@ -8,6 +8,7 @@ import pytest
 
 from squeezelab import (
     DegenerateEvolutionError,
+    GuardViolation,
     evolution_factors,
     make_displacement,
     make_squeeze,
@@ -107,6 +108,19 @@ class TestStructureFactors:
         assert abs(sf.f2 + sf.f2.conjugate() - 2.0 / sf.f4**2) <= 1e-12
         assert abs(sf.f4 - sf.script_s * math.sqrt(1 + 4 * sf.kappa**2)) <= 1e-12
         assert sf.f4 > 0.0 and sf.script_s > 0.0
+
+    # phi = pi grid points where S = cosh r - sinh r is tiny and 2/F4^2 is large
+    @pytest.mark.parametrize("r", [9.5, 9.75, 12.25, 15.0, 17.75])
+    def test_f2_identity_is_relative(self, r):
+        sf = structure_factors(make_squeeze(r, math.pi))
+        twice_re_f2 = 2.0 / sf.f4**2
+        assert twice_re_f2 > 1e8
+        assert abs(sf.f2 + sf.f2.conjugate() - twice_re_f2) <= 1e-12 * twice_re_f2
+
+    @pytest.mark.parametrize("r", [18.75, 19.0, 20.0])
+    def test_vanishing_script_s_is_guarded(self, r):
+        with pytest.raises(GuardViolation, match="S = cosh r"):
+            structure_factors(make_squeeze(r, math.pi))
 
     @pytest.mark.parametrize("r", R_SWEEP)
     @pytest.mark.parametrize("phi", PHI_SWEEP)

@@ -228,13 +228,6 @@ class TestDensitySurface:
         with pytest.raises(GuardViolation):
             density_surface(sp, grid)
 
-    def test_deterministic_across_worker_counts(self):
-        sp = spec(n=1, x0=2.0, r=LN2)
-        grid = GridSpec(-10.0, 10.0, 301, 0.0, 3.0, 13)
-        serial = density_surface(sp, grid, max_workers=1)
-        threaded = density_surface(sp, grid, max_workers=4)
-        assert np.array_equal(serial.values, threaded.values)
-
 
 class TestValidation:
     def test_negative_quantum_number(self):
