@@ -8,8 +8,10 @@ Subcommands
     verify       cross-formalism verification sweep (JSON reports)
     figure K     density surface for built-in preset K (1..4)
 
-Configuration precedence: command-line flags > config file (--config,
-flat key=value lines) > built-in preset.
+The data commands (state, density, moments, uncertainty, figure) resolve
+their settings as command-line flags > config file (--config, flat
+key=value lines) > built-in preset; verify takes only --preset, --N and
+--out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical guard
 violation or other numerical error, 4 verification failure.
@@ -19,6 +21,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from .equivalence import compare_formalisms
 from .errors import GuardViolation
@@ -56,11 +60,6 @@ _TYPES = {key: type(value) for key, value in _DEFAULTS.items()}
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(value) -> str:
-    """17 significant digits: round-trips double precision exactly."""
-    return format(float(value), ".17g")
 
 
 def _parse_config_file(path):
@@ -118,22 +117,41 @@ def _preset_values(args):
     return FIGURE_PRESETS[index]
 
 
-def _spec_from(settings) -> StateSpec:
+def _write_text(out, text):
+    if out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+
+
+def _emit_table(settings, header, columns):
+    """Write equal-length float columns as a CSV or JSON table.
+
+    CSV values carry 17 significant digits, which round-trips double
+    precision exactly.
+    """
+    table = np.column_stack(columns)
+    if settings["format"] == "json":
+        payload = {"header": header, "rows": table.tolist()}
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        row = ",".join(["%.17g"] * len(header)) + "\n"
+        text = ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+    _write_text(settings["out"], text)
+    return EXIT_OK
+
+
+def _data_inputs(args, preset_values):
+    """Settings plus the state and grid they describe, for a data command."""
+    settings = _settings_from(args, preset_values)
     try:
-        return StateSpec(
+        spec = StateSpec(
             n=settings["n"],
             disp=make_displacement(settings["x0"], settings["p0"]),
             sq=make_squeeze(settings["r"], settings["phi"]),
         )
-    except GuardViolation:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _grid_from(settings) -> GridSpec:
-    try:
-        return GridSpec(
+        grid = GridSpec(
             x_min=settings["xmin"],
             x_max=settings["xmax"],
             nx=settings["nx"],
@@ -143,83 +161,46 @@ def _grid_from(settings) -> GridSpec:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _write_text(out, text):
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _emit_table(settings, header, rows):
-    if settings["format"] == "json":
-        payload = {"header": header, "rows": [[float(v) for v in row] for row in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    _write_text(settings["out"], text)
+    return settings, spec, grid
 
 
 def _cmd_state(args):
-    settings = _settings_from(args, preset_values=_preset_values(args))
-    spec = _spec_from(settings)
-    grid = _grid_from(settings)
+    settings, spec, grid = _data_inputs(args, _preset_values(args))
     xs = grid.x_values()
     values = psi_squeezed_number_evolved(spec, xs, settings["t0"])
-    rows = [(x, v.real, v.imag) for x, v in zip(xs, values)]
-    _emit_table(settings, ["x", "re", "im"], rows)
-    return EXIT_OK
+    return _emit_table(settings, ["x", "re", "im"], (xs, values.real, values.imag))
 
 
-def _surface_rows(spec, grid):
+def _emit_surface(settings, spec, grid):
     surface = density_surface(spec, grid)
-    xs = grid.x_values()
-    ts = grid.t_values()
-    for i, t in enumerate(ts):
-        for j, x in enumerate(xs):
-            yield (t, x, surface.values[i, j])
+    ts, xs = np.meshgrid(grid.t_values(), grid.x_values(), indexing="ij")
+    return _emit_table(settings, ["t", "x", "rho"], (ts.ravel(), xs.ravel(), surface.values.ravel()))
 
 
 def _cmd_density(args):
-    settings = _settings_from(args, preset_values=_preset_values(args))
-    spec = _spec_from(settings)
-    grid = _grid_from(settings)
-    _emit_table(settings, ["t", "x", "rho"], list(_surface_rows(spec, grid)))
-    return EXIT_OK
+    return _emit_surface(*_data_inputs(args, _preset_values(args)))
 
 
 def _cmd_figure(args):
-    preset = dict(FIGURE_PRESETS[args.index], out=f"figure{args.index}.csv")
-    settings = _settings_from(args, preset_values=preset)
-    spec = _spec_from(settings)
-    grid = _grid_from(settings)
-    _emit_table(settings, ["t", "x", "rho"], list(_surface_rows(spec, grid)))
-    return EXIT_OK
+    settings, spec, grid = _data_inputs(args, dict(FIGURE_PRESETS[args.index], out=None))
+    if settings["out"] is None:
+        settings["out"] = f"figure{args.index}.{settings['format']}"
+    return _emit_surface(settings, spec, grid)
 
 
 def _cmd_moments(args):
-    settings = _settings_from(args, preset_values=_preset_values(args))
-    spec = _spec_from(settings)
-    grid = _grid_from(settings)
-    rows = []
-    for t in grid.t_values():
-        m = moments_closed(spec, t)
-        rows.append((t, m.mean_x, m.mean_p, m.var_x, m.var_p, m.product))
-    _emit_table(settings, ["t", "mean_x", "mean_p", "var_x", "var_p", "product"], rows)
-    return EXIT_OK
+    settings, spec, grid = _data_inputs(args, _preset_values(args))
+    ts = grid.t_values()
+    moments = [moments_closed(spec, t) for t in ts]
+    values = [(m.mean_x, m.mean_p, m.var_x, m.var_p, m.product) for m in moments]
+    return _emit_table(settings, ["t", "mean_x", "mean_p", "var_x", "var_p", "product"], (ts, values))
 
 
 def _cmd_uncertainty(args):
-    settings = _settings_from(args, preset_values=_preset_values(args))
-    spec = _spec_from(settings)
-    grid = _grid_from(settings)
-    rows = [(t, uncertainty_product(spec.n, spec.sq, t)) for t in grid.t_values()]
-    _emit_table(settings, ["t", "product"], rows)
-    return EXIT_OK
+    settings, spec, grid = _data_inputs(args, _preset_values(args))
+    ts = grid.t_values()
+    values = [uncertainty_product(spec.n, spec.sq, t) for t in ts]
+    return _emit_table(settings, ["t", "product"], (ts, values))
 
 
 VERIFY_TIMES = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -254,6 +235,12 @@ def _cmd_verify(args):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
+def _add_verify_flags(sub):
+    """The flags verify reads; the data commands take them too."""
+    sub.add_argument("--N", type=int, help="Fock-space truncation")
+    sub.add_argument("--out", type=str, help="output path ('-' = stdout)")
+
+
 def _add_common_flags(sub):
     sub.add_argument("--n", type=int, help="quantum number")
     sub.add_argument("--x0", type=float, help="initial position displacement")
@@ -266,8 +253,7 @@ def _add_common_flags(sub):
     sub.add_argument("--xmin", type=float, help="left edge of the x window")
     sub.add_argument("--xmax", type=float, help="right edge of the x window")
     sub.add_argument("--nx", type=int, help="number of x samples")
-    sub.add_argument("--N", type=int, help="Fock-space truncation")
-    sub.add_argument("--out", type=str, help="output path ('-' = stdout)")
+    _add_verify_flags(sub)
     sub.add_argument("--format", type=str, help="csv or json")
     sub.add_argument("--config", type=str, help="key=value configuration file")
 
@@ -280,41 +266,34 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in [
-        ("state", "evaluate the wavefunction at time t0 on the x grid"),
-        ("density", "evaluate the probability-density surface on the (t, x) grid"),
-        ("moments", "closed-form moments along the time grid"),
-        ("uncertainty", "uncertainty product along the time grid"),
+    for name, command, helptext in [
+        ("state", _cmd_state, "evaluate the wavefunction at time t0 on the x grid"),
+        ("density", _cmd_density, "evaluate the probability-density surface on the (t, x) grid"),
+        ("moments", _cmd_moments, "closed-form moments along the time grid"),
+        ("uncertainty", _cmd_uncertainty, "uncertainty product along the time grid"),
     ]:
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=command)
         _add_common_flags(p)
         p.add_argument("--preset", type=str, help="load caption parameters of preset 1..4")
 
     p_verify = sub.add_parser("verify", help="run the cross-formalism verification sweep")
-    _add_common_flags(p_verify)
+    p_verify.set_defaults(run=_cmd_verify)
+    _add_verify_flags(p_verify)
     p_verify.add_argument("--preset", type=str, default="all", help="preset index 1..4 or 'all'")
 
     p_fig = sub.add_parser("figure", help="density surface for a built-in preset")
+    p_fig.set_defaults(run=_cmd_figure)
     p_fig.add_argument("index", type=int, choices=sorted(FIGURE_PRESETS), help="preset index")
     _add_common_flags(p_fig)
     return parser
-
-
-_COMMANDS = {
-    "state": _cmd_state,
-    "density": _cmd_density,
-    "moments": _cmd_moments,
-    "uncertainty": _cmd_uncertainty,
-    "verify": _cmd_verify,
-    "figure": _cmd_figure,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"squeezelab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -173,6 +173,18 @@ def _doubled_product(left: np.ndarray, right: np.ndarray, halvings: int) -> np.n
     return result
 
 
+def _check_alpha_guard(alpha: complex, truncation: int) -> None:
+    if abs(alpha) > truncation / 8.0:
+        raise GuardViolation(
+            f"|alpha| = {abs(alpha):.3g} exceeds truncation guard {truncation / 8.0:g} at N = {truncation}"
+        )
+
+
+def _check_squeeze_guard(sq: SqueezeParam) -> None:
+    if sq.r > 3.0:
+        raise GuardViolation(f"squeeze magnitude r = {sq.r:.3g} exceeds truncation guard 3")
+
+
 @lru_cache(maxsize=8)
 def _displacement_matrix(alpha_re: float, alpha_im: float, truncation: int) -> np.ndarray:
     alpha = complex(alpha_re, alpha_im)
@@ -199,10 +211,7 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     truncation edge.
     """
     alpha = complex(alpha)
-    if abs(alpha) > truncation / 8.0:
-        raise GuardViolation(
-            f"|alpha| = {abs(alpha):.3g} exceeds truncation guard {truncation / 8.0:g} at N = {truncation}"
-        )
+    _check_alpha_guard(alpha, truncation)
     return FockOperator(_displacement_matrix(alpha.real, alpha.imag, truncation))
 
 
@@ -230,8 +239,7 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
     (cosh r)^{-(m + 1/2)}.
     """
-    if sq.r > 3.0:
-        raise GuardViolation(f"squeeze magnitude r = {sq.r:.3g} exceeds truncation guard 3")
+    _check_squeeze_guard(sq)
     return FockOperator(_squeeze_matrix(sq.r, sq.phi, truncation))
 
 
@@ -247,10 +255,7 @@ def displaced_number_coeffs(n: int, alpha: complex, truncation: int) -> FockStat
     if n > truncation // 2:
         raise GuardViolation(f"need n <= truncation/2, got n = {n} at N = {truncation}")
     alpha = complex(alpha)
-    if abs(alpha) > truncation / 8.0:
-        raise GuardViolation(
-            f"|alpha| = {abs(alpha):.3g} exceeds truncation guard {truncation / 8.0:g} at N = {truncation}"
-        )
+    _check_alpha_guard(alpha, truncation)
     if alpha == 0:
         return number_state(n, truncation)
     log_abs = math.log(abs(alpha))
@@ -282,8 +287,7 @@ def squeezed_number_coeffs(n: int, sq: SqueezeParam, truncation: int) -> FockSta
     """
     if n > truncation // 4:
         raise GuardViolation(f"need n <= truncation/4, got n = {n} at N = {truncation}")
-    if sq.r > 3.0:
-        raise GuardViolation(f"squeeze magnitude r = {sq.r:.3g} exceeds truncation guard 3")
+    _check_squeeze_guard(sq)
     if sq.r == 0.0:
         return number_state(n, truncation)
     d = 0.5 * cmath.exp(1j * sq.phi) * math.tanh(sq.r)

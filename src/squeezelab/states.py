@@ -79,8 +79,6 @@ class GridSpec:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
     def t_values(self):
-        if self.nt == 1:
-            return np.array([self.t_min])
         return np.linspace(self.t_min, self.t_max, self.nt)
 
 

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from squeezelab import StateSpec, make_displacement, make_squeeze, psi_squeezed_number_evolved
+from squeezelab import (
+    GridSpec,
+    StateSpec,
+    density_surface,
+    figure_spec,
+    make_displacement,
+    make_squeeze,
+    psi_squeezed_number_evolved,
+)
 from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
 
 LN2 = math.log(2.0)
@@ -14,6 +22,38 @@ LN2 = math.log(2.0)
 
 def run(args):
     return main(args)
+
+
+def expected_csv(header, rows):
+    """CSV text written independently of the CLI: 17 significant digits, LF."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format(float(v), ".17g") for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def state_rows():
+    # displaced in both quadratures so x, re and im all take negative values
+    spec = StateSpec(1, make_displacement(2.0, -1.0), make_squeeze(LN2, 0.4))
+    xs = np.linspace(-6.0, 6.0, 101)
+    values = psi_squeezed_number_evolved(spec, xs, 0.5)
+    return [(x, v.real, v.imag) for x, v in zip(xs, values)]
+
+
+STATE_ARGS = ["state", "--n", "1", "--x0", "2", "--p0", "-1", "--r", repr(LN2), "--phi", "0.4",
+              "--t0", "0.5", "--xmin", "-6", "--xmax", "6", "--nx", "101", "--out", "-"]
+
+
+def figure_one_rows():
+    grid = GridSpec(-16.0, 16.0, 51, 0.0, 2.0 * math.pi, 3)
+    surface = density_surface(figure_spec(1), grid)
+    return [
+        (t, x, surface.values[i, j])
+        for i, t in enumerate(grid.t_values())
+        for j, x in enumerate(grid.x_values())
+    ]
+
+
+FIGURE_ONE_ARGS = ["figure", "1", "--nt", "3", "--nx", "51", "--out", "-"]
 
 
 def read_csv(path):
@@ -51,6 +91,13 @@ class TestFigureCommand:
         assert run(["figure", "3", "--nt", "3", "--nx", "51"]) == EXIT_OK
         assert (tmp_path / "figure3.csv").exists()
 
+    def test_default_output_name_follows_format(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["figure", "3", "--nt", "3", "--nx", "51", "--format", "json"]) == EXIT_OK
+        assert not (tmp_path / "figure3.csv").exists()
+        payload = json.loads((tmp_path / "figure3.json").read_text())
+        assert payload["header"] == ["t", "x", "rho"]
+
     def test_roundtrip_seventeen_digits(self, tmp_path):
         out = tmp_path / "fig.csv"
         assert run(["figure", "1", "--nt", "3", "--nx", "51", "--out", str(out)]) == EXIT_OK
@@ -66,6 +113,24 @@ class TestFigureCommand:
         with pytest.raises(SystemExit) as exc:
             run(["figure", "7"])
         assert exc.value.code == 2
+
+
+class TestEmittedTables:
+    def test_state_csv_bytes(self, capsys):
+        assert run(STATE_ARGS) == EXIT_OK
+        assert capsys.readouterr().out == expected_csv(["x", "re", "im"], state_rows())
+
+    def test_figure_csv_bytes(self, capsys):
+        assert run(FIGURE_ONE_ARGS) == EXIT_OK
+        assert capsys.readouterr().out == expected_csv(["t", "x", "rho"], figure_one_rows())
+
+    @pytest.mark.parametrize(
+        "argv, rows", [(STATE_ARGS, state_rows), (FIGURE_ONE_ARGS, figure_one_rows)]
+    )
+    def test_json_rows_are_library_floats(self, capsys, argv, rows):
+        assert run(argv + ["--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rows"] == [[float(v) for v in row] for row in rows()]
 
 
 class TestStateCommand:
@@ -130,6 +195,14 @@ class TestVerifyCommand:
 
     def test_bad_preset_is_config_error(self):
         assert run(["verify", "--preset", "9"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "flag", [["--r", "0.1"], ["--n", "7"], ["--x0", "1"], ["--format", "csv"], ["--config", "x"]]
+    )
+    def test_unread_flags_are_usage_errors(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--preset", "4", *flag, "--out", "-"])
+        assert exc.value.code == 2
 
 
 class TestConfigAndErrors:

@@ -234,6 +234,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             spec(n=-1)
 
+    def test_single_time_sample_is_t_min(self):
+        grid = GridSpec(-1.0, 1.0, 10, 0.25, 2.0, 1)
+        assert grid.t_values().tolist() == [0.25]
+
     def test_bad_grid(self):
         with pytest.raises(ValueError):
             GridSpec(1.0, -1.0, 10, 0.0, 1.0, 2)
