@@ -50,7 +50,6 @@ _DEFAULTS = {
     "xmin": -16.0,
     "xmax": 16.0,
     "nx": 801,
-    "N": 256,
     "out": "-",
     "format": "csv",
 }
@@ -92,10 +91,10 @@ def _settings_from(args, preset_values=None):
     settings = dict(_DEFAULTS)
     if preset_values:
         settings.update(preset_values)
-    if getattr(args, "config", None):
+    if args.config:
         settings.update(_parse_config_file(args.config))
     for key in _TYPES:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     if settings["format"] not in ("csv", "json"):
@@ -208,7 +207,6 @@ VERIFY_ORDERS = (0, 1, 2, 3)
 
 
 def _cmd_verify(args):
-    settings = _settings_from(args)
     if args.preset == "all":
         indices = sorted(FIGURE_PRESETS)
     else:
@@ -228,17 +226,11 @@ def _cmd_verify(args):
                 spec = StateSpec(n=n, disp=disp, sq=sq)
                 tolerance = 1e-8 if t == 0.0 else 1e-7
                 reports.append(
-                    compare_formalisms(spec, t, truncation=settings["N"], tolerance=tolerance)
+                    compare_formalisms(spec, t, truncation=args.N, tolerance=tolerance)
                 )
     text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    _write_text(settings["out"], text)
+    _write_text(args.out, text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
-
-
-def _add_verify_flags(sub):
-    """The flags verify reads; the data commands take them too."""
-    sub.add_argument("--N", type=int, help="Fock-space truncation")
-    sub.add_argument("--out", type=str, help="output path ('-' = stdout)")
 
 
 def _add_common_flags(sub):
@@ -253,7 +245,7 @@ def _add_common_flags(sub):
     sub.add_argument("--xmin", type=float, help="left edge of the x window")
     sub.add_argument("--xmax", type=float, help="right edge of the x window")
     sub.add_argument("--nx", type=int, help="number of x samples")
-    _add_verify_flags(sub)
+    sub.add_argument("--out", type=str, help="output path ('-' = stdout)")
     sub.add_argument("--format", type=str, help="csv or json")
     sub.add_argument("--config", type=str, help="key=value configuration file")
 
@@ -279,7 +271,8 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run the cross-formalism verification sweep")
     p_verify.set_defaults(run=_cmd_verify)
-    _add_verify_flags(p_verify)
+    p_verify.add_argument("--N", type=int, default=256, help="Fock-space truncation")
+    p_verify.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
     p_verify.add_argument("--preset", type=str, default="all", help="preset index 1..4 or 'all'")
 
     p_fig = sub.add_parser("figure", help="density surface for a built-in preset")

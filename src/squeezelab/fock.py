@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GuardViolation
 from .parameters import SqueezeParam
@@ -136,6 +135,9 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
             f"generator 1-norm {norm:.3g} exceeds cap {MATRIX_EXP_NORM_CAP:g}; "
             "accuracy is not guaranteed this far out"
         )
+    # Only this oracle uses scipy; a module-level import would slow every process start.
+    from scipy.linalg import expm
+
     return FockOperator(expm(m))
 
 

@@ -259,10 +259,15 @@ def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> DensitySu
     """Sample rho over a (t, x) grid and validate per-row normalization."""
     xs = grid.x_values()
     values = np.array([density(spec, xs, t) for t in grid.t_values()])
+    if not np.all(np.isfinite(values)):
+        raise GuardViolation(
+            f"non-finite density values at quantum number n = {spec.n}: "
+            "the closed form overflows at this n"
+        )
     surface = DensitySurface(grid, values)
     norms = surface.row_norms()
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > ROW_NORMALIZATION_TOL:
+    if not worst <= ROW_NORMALIZATION_TOL:
         raise GuardViolation(
             f"density rows integrate to 1 +/- {worst:.2e} over [{grid.x_min}, {grid.x_max}]; "
             "widen the x window or refine nx"

@@ -242,6 +242,16 @@ class TestConfigAndErrors:
         cfg.write_text("bogus = 1\n")
         assert run(["state", "--config", str(cfg)]) == EXIT_CONFIG
 
+    def test_truncation_flag_only_on_verify(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["state", "--nx", "11", "--N", "3", "--out", "-"])
+        assert exc.value.code == 2
+
+    def test_truncation_config_key_unknown(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 11\nN = 7\n")
+        assert run(["state", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+
     def test_malformed_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just nonsense\n")
@@ -260,6 +270,15 @@ class TestConfigAndErrors:
              "--xmin", "-4", "--xmax", "4", "--nt", "2", "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_GUARD
+
+    def test_non_finite_density_exit_three(self, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(
+                ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
+                 "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001", "--out", str(tmp_path / "x")]
+            )
+        assert code == EXIT_GUARD
+        assert "non-finite density values at quantum number n = 400" in capsys.readouterr().err
 
     def test_fock_guard_exit_three(self, tmp_path):
         # |alpha| = 5.66 exceeds N/8 at N = 24

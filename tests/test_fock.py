@@ -5,10 +5,14 @@ constructions and the coefficient expansions are held against it.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import squeezelab
 from squeezelab import (
     FockOperator,
     FockState,
@@ -118,6 +122,23 @@ class TestMatrixExponential:
     def test_norm_cap(self):
         with pytest.raises(GuardViolation):
             matrix_exponential(FockOperator(np.diag([2000.0, 0.0, 0.0])))
+
+    def test_import_loads_no_scipy(self):
+        # scipy costs ~0.5 s per process; only this oracle may load it, on first call
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import squeezelab\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+            "theta = np.array([0.0, 0.3, -1.2])\n"
+            "out = squeezelab.matrix_exponential(squeezelab.FockOperator(np.diag(1j * theta)))\n"
+            "assert np.allclose(out.matrix, np.diag(np.exp(1j * theta)), atol=1e-14)\n"
+        )
+        src = os.path.dirname(os.path.dirname(squeezelab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
     def test_unitarity_defect_reported(self):
         op = displacement_exact(1.0, 32)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from squeezelab import (
+    GuardViolation,
     QuadratureSpec,
     hermite,
     integrate,
@@ -165,10 +167,38 @@ class TestIntegrate:
         value = integrate(lambda x: oscillator_eigenfunction(3, x) ** 2, spec)
         assert value == pytest.approx(1.0, abs=1e-10)
 
-    def test_scalar_only_callable(self):
+    def test_quadratic_is_exact(self):
         spec = QuadratureSpec(0.0, 1.0, 501)
-        value = integrate(lambda x: float(x) ** 2, spec)
+        value = integrate(lambda x: x ** 2, spec)
         assert value == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("points", [*range(2, 14), 4000, 4001])
+    @pytest.mark.parametrize(
+        "f",
+        [np.exp, lambda x: np.exp(-((x - 0.3) ** 2)) * (1.0 + x), lambda x: np.cos(3.0 * x) + x ** 3 + 2.0],
+        ids=["exp", "shifted-gaussian", "cubic-plus-cosine"],
+    )
+    def test_matches_scipy_simpson(self, points, f):
+        # odd counts, even counts (Cartwright's last interval) and the
+        # two-point trapezoid all follow scipy's composite rule
+        spec = QuadratureSpec(-1.3, 2.1, points)
+        xs = spec.grid()
+        assert integrate(f, spec) == pytest.approx(simpson(f(xs), x=xs), rel=1e-14, abs=0.0)
+
+    def test_integrand_called_once_and_guard_propagates(self):
+        calls = []
+
+        def guarded(x):
+            calls.append(x.shape)
+            raise GuardViolation("integrand refused the window")
+
+        with pytest.raises(GuardViolation, match="refused the window"):
+            integrate(guarded, QuadratureSpec(-1.0, 1.0, 101))
+        assert calls == [(101,)]
+
+    def test_scalar_valued_integrand_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate(lambda x: 1.0, QuadratureSpec(-1.0, 1.0, 101))
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):

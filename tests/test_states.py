@@ -228,6 +228,14 @@ class TestDensitySurface:
         with pytest.raises(GuardViolation):
             density_surface(sp, grid)
 
+    def test_non_finite_density_rejected(self):
+        # |A|^n, |H_n|^2 and the Gaussian overflow separately at n = 400
+        sp = spec(n=400, r=0.5, phi=0.3)
+        grid = GridSpec(-60.0, 60.0, 2001, 0.7, 0.7, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(GuardViolation, match="non-finite density.*n = 400"):
+                density_surface(sp, grid)
+
 
 class TestValidation:
     def test_negative_quantum_number(self):
