@@ -1,7 +1,7 @@
 """Cross-formalism verification.
 
-The operator route (normal-ordered displacement and squeeze matrices
-acting on a number basis vector, evolved by pure phases, synthesized
+The operator route (normal-ordered displacement and squeeze factors
+applied to a number basis vector, evolved by pure phases, synthesized
 through the oscillator eigenfunctions) and the closed-form wavefunction
 route must produce the same complex amplitudes.  The comparison is done
 at amplitude level with no phase alignment: a convention mismatch
@@ -18,7 +18,7 @@ from .errors import GuardViolation
 from .parameters import evolution_factors, structure_factors
 from .special import QuadratureSpec, integrate
 from .states import DEFAULT_GRID, GridSpec, StateSpec, density, psi_squeezed_number_evolved
-from .fock import displacement_bch, squeeze_bch, synthesize, time_evolve
+from .fock import displaced_squeezed_number, synthesize, time_evolve
 
 __all__ = [
     "VerificationReport",
@@ -56,10 +56,8 @@ def _describe(spec: StateSpec, t: float) -> str:
 
 
 def operator_state(spec: StateSpec, truncation: int):
-    """D(alpha) S(z) |n> as a truncated coefficient vector."""
-    disp_op = displacement_bch(spec.disp.alpha, truncation)
-    squeeze_op = squeeze_bch(spec.sq, truncation)
-    return (disp_op @ squeeze_op).column_state(spec.n)
+    """D(alpha) S(z) |n> as a truncated coefficient vector (read-only, cached)."""
+    return displaced_squeezed_number(spec.n, spec.disp.alpha, spec.sq, truncation)
 
 
 def compare_formalisms(

@@ -3,7 +3,8 @@
 Displacement and squeeze operators are built two independent ways: as a
 matrix exponential of the generator (the oracle) and as normal-ordered
 products of exponential factors (the construction under test), plus
-direct coefficient expansions of D(alpha)|n> and S(z)|n>.  States are
+direct coefficient expansions of D(alpha)|n> and S(z)|n>.  The same
+factors also act on |n> directly, for D(alpha) S(z)|n>.  States are
 mapped back to position space through the oscillator eigenfunctions.
 
 Truncation to the basis {|0>, ..., |N>} is never hidden: states report
@@ -31,6 +32,7 @@ __all__ = [
     "matrix_exponential",
     "displacement_bch",
     "squeeze_bch",
+    "displaced_squeezed_number",
     "displaced_number_coeffs",
     "squeezed_number_coeffs",
     "synthesize",
@@ -141,21 +143,21 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     return FockOperator(expm(m))
 
 
-def _exp_ladder_series(c: complex, step: int, truncation: int, scale) -> np.ndarray:
-    """exp(c a_dag^step) @ diag(scale) in extended precision, step 1 or 2.
+def _exp_ladder_series(c: float, step: int, truncation: int, scale) -> np.ndarray:
+    """exp(c a_dag^step) @ diag(scale) for real c in extended precision, step 1 or 2.
 
     The series terminates exactly in the truncated space (a_dag is
     nilpotent), so entries are generated diagonal-by-diagonal from the
     recurrence entry(k + step j, k) = entry(k + step (j-1), k) * c / j
     * sqrt((k + step j)! / (k + step (j-1))!).  Pure multiplications keep
-    the relative error near the clongdouble epsilon; the later factor
+    the relative error near the longdouble epsilon; the later factor
     contraction is what needs the headroom.
     """
     n1 = truncation + 1
-    out = np.zeros((n1, n1), dtype=np.clongdouble)
-    diag = np.full(n1, scale, dtype=np.clongdouble)
+    out = np.zeros((n1, n1), dtype=np.longdouble)
+    diag = np.full(n1, scale, dtype=np.longdouble)
     np.fill_diagonal(out, diag)
-    cl = np.clongdouble(c.real) + 1j * np.clongdouble(c.imag)
+    cl = np.longdouble(c)
     for j in range(1, truncation // step + 1):
         k = np.arange(n1 - step * j)
         top = k + step * j
@@ -165,14 +167,87 @@ def _exp_ladder_series(c: complex, step: int, truncation: int, scale) -> np.ndar
     return out
 
 
-def _doubled_product(left: np.ndarray, right: np.ndarray, halvings: int) -> np.ndarray:
-    """(left @ right) squared `halvings` times, as a read-only complex array."""
-    mat = left @ right
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False  # cached and shared between callers
+    return array
+
+
+def _halved(magnitude: float):
+    """(magnitude / 2^h, h) for the smallest h that brings it to <= 1."""
+    halvings = 0
+    while magnitude > 1.0:
+        magnitude /= 2.0
+        halvings += 1
+    return magnitude, halvings
+
+
+# The gate phase enters only through R(theta) = diag(e^{i m theta}):
+# D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
+# S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors below are
+# real, every product is a real longdouble product, and one entry per
+# kind is kept: the matrices and the columns built from them have caches
+# of their own.
+
+
+@lru_cache(maxsize=1)
+def _displacement_factors(magnitude: float, truncation: int):
+    """Real (left, right, h) with D(magnitude) = (left @ right)^(2^h).
+
+    The raw two-factor product cancels catastrophically once |alpha|
+    sqrt(N) is large, so the factors are built at b = |alpha| / 2^h <= 1
+    and the exact group doubling D(alpha)^2 = D(2 alpha) restores |alpha|.
+    """
+    b, halvings = _halved(magnitude)
+    scale = np.exp(np.longdouble(-b**2 / 4.0))
+    left = _exp_ladder_series(b, 1, truncation, scale)
+    right = _exp_ladder_series(-b, 1, truncation, scale).T
+    return _read_only(left), _read_only(right), halvings
+
+
+@lru_cache(maxsize=1)
+def _squeeze_factors(r: float, truncation: int):
+    """Real (left, right, h) with S(r) = (left @ right)^(2^h).
+
+    Built at r / 2^h <= 1; squeezes of equal phase compose by adding
+    magnitudes, S(r/2)^2 = S(r).
+    """
+    base_r, halvings = _halved(r)
+    d = 0.5 * math.tanh(base_r)
+    m = np.arange(truncation + 1, dtype=np.longdouble)
+    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(math.cosh(base_r))))
+    left = _exp_ladder_series(d, 2, truncation, 1)
+    right = _exp_ladder_series(-d, 2, truncation, mid).T
+    return _read_only(left), _read_only(right), halvings
+
+
+def _alpha_angle(alpha: complex):
+    return np.arctan2(np.longdouble(alpha.imag), np.longdouble(alpha.real))
+
+
+def _phases(theta, size: int) -> np.ndarray:
+    """Diagonal of R(theta) = diag(e^{i m theta}), m < size, in extended precision."""
+    return np.exp(1j * np.longdouble(theta) * np.arange(size))
+
+
+def _rotated_power(factors, theta) -> np.ndarray:
+    """R(theta) (left @ right)^(2^h) R(theta)^dag as a read-only complex matrix."""
+    left, right, halvings = factors
+    mat = np.dot(left, right)  # np.dot runs about twice as fast as @ on longdouble
     for _ in range(halvings):
-        mat = mat @ mat
-    result = mat.astype(complex)
-    result.flags.writeable = False  # cached and shared between operators
-    return result
+        mat = np.dot(mat, mat)
+    phase = _phases(theta, mat.shape[0])
+    return _read_only((phase[:, None] * mat * phase.conj()).astype(complex))
+
+
+def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
+    """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector."""
+    left, right, halvings = factors
+    phase = _phases(theta, coeffs.size)
+    # (re, im) as two real columns, so the real factors apply to both at once
+    pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
+    for _ in range(2**halvings):
+        pair = np.dot(left, np.dot(right, pair))
+    return pair.view(np.clongdouble)[:, 0] * phase
 
 
 def _check_alpha_guard(alpha: complex, truncation: int) -> None:
@@ -190,25 +265,15 @@ def _check_squeeze_guard(sq: SqueezeParam) -> None:
 @lru_cache(maxsize=8)
 def _displacement_matrix(alpha_re: float, alpha_im: float, truncation: int) -> np.ndarray:
     alpha = complex(alpha_re, alpha_im)
-    # The raw two-factor product cancels catastrophically once |alpha|
-    # sqrt(N) is large, so build at |alpha| <= 1 and use the exact group
-    # doubling D(alpha)^2 = D(2 alpha).
-    halvings = 0
-    base = alpha
-    while abs(base) > 1.0:
-        base /= 2.0
-        halvings += 1
-    scale = np.exp(np.longdouble(-abs(base) ** 2 / 4.0))
-    lower = _exp_ladder_series(base, 1, truncation, scale)
-    upper = _exp_ladder_series(-base.conjugate(), 1, truncation, scale).T
-    return _doubled_product(lower, upper, halvings)
+    return _rotated_power(_displacement_factors(abs(alpha), truncation), _alpha_angle(alpha))
 
 
 def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     """Displacement operator from its normal-ordered factorization.
 
     D(alpha) = e^{-|alpha|^2/2} exp(alpha a_dag) exp(-conj(alpha) a),
-    each factor expanded as its (terminating) truncated series.  Requires
+    each factor expanded as its (terminating) truncated series, built at
+    the real |alpha| and rotated by the phase of alpha.  Requires
     |alpha| <= truncation/8 so the occupied block sits well below the
     truncation edge.
     """
@@ -219,19 +284,7 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
 
 @lru_cache(maxsize=8)
 def _squeeze_matrix(r: float, phi: float, truncation: int) -> np.ndarray:
-    # Same doubling idea as for displacement: squeezes of equal phase
-    # compose by adding magnitudes, S(r/2 e^{i phi})^2 = S(r e^{i phi}).
-    halvings = 0
-    base_r = r
-    while base_r > 1.0:
-        base_r /= 2.0
-        halvings += 1
-    d = 0.5 * cmath.exp(1j * phi) * math.tanh(base_r)
-    m = np.arange(truncation + 1, dtype=np.longdouble)
-    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(math.cosh(base_r))))
-    raising = _exp_ladder_series(d, 2, truncation, 1)
-    lowering = _exp_ladder_series(-d.conjugate(), 2, truncation, mid).T
-    return _doubled_product(raising, lowering, halvings)
+    return _rotated_power(_squeeze_factors(r, truncation), np.longdouble(phi) / 2)
 
 
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
@@ -239,10 +292,34 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
 
     S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
-    (cosh r)^{-(m + 1/2)}.
+    (cosh r)^{-(m + 1/2)}.  Built at the real r and rotated by phi/2.
     """
     _check_squeeze_guard(sq)
     return FockOperator(_squeeze_matrix(sq.r, sq.phi, truncation))
+
+
+@lru_cache(maxsize=8)
+def _displaced_squeezed_column(
+    n: int, alpha_re: float, alpha_im: float, r: float, phi: float, truncation: int
+) -> np.ndarray:
+    coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
+    coeffs = _rotated_apply(_squeeze_factors(r, truncation), np.longdouble(phi) / 2, coeffs)
+    alpha = complex(alpha_re, alpha_im)
+    coeffs = _rotated_apply(_displacement_factors(abs(alpha), truncation), _alpha_angle(alpha), coeffs)
+    return _read_only(coeffs.astype(complex))
+
+
+def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncation: int) -> FockState:
+    """D(alpha) S(z)|n> with the factors of squeeze_bch and displacement_bch
+    applied to |n> in turn, never multiplied into matrices.
+
+    Same guards and group doubling as the matrices, but each doubling is
+    a pair of matrix-vector products: O(2^h N^2) instead of O(h N^3).
+    """
+    alpha = complex(alpha)
+    _check_alpha_guard(alpha, truncation)
+    _check_squeeze_guard(sq)
+    return FockState(_displaced_squeezed_column(n, alpha.real, alpha.imag, sq.r, sq.phi, truncation))
 
 
 def displaced_number_coeffs(n: int, alpha: complex, truncation: int) -> FockState:

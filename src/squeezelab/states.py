@@ -258,7 +258,9 @@ def density(spec: StateSpec, x, t: float = 0.0):
 def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> DensitySurface:
     """Sample rho over a (t, x) grid and validate per-row normalization."""
     xs = grid.x_values()
-    values = np.array([density(spec, xs, t) for t in grid.t_values()])
+    # An overflow here shows up as a non-finite value, which the guard names.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.array([density(spec, xs, t) for t in grid.t_values()])
     if not np.all(np.isfinite(values)):
         raise GuardViolation(
             f"non-finite density values at quantum number n = {spec.n}: "

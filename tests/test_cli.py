@@ -1,11 +1,16 @@
 """Command-line interface tests: formats, determinism, exit codes, precedence."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import squeezelab
 from squeezelab import (
     GridSpec,
     StateSpec,
@@ -22,6 +27,17 @@ LN2 = math.log(2.0)
 
 def run(args):
     return main(args)
+
+
+def run_process(args, **env):
+    """`python -m squeezelab ARGS` in a child process with extra environment."""
+    src = os.path.dirname(os.path.dirname(squeezelab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "squeezelab", *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        capture_output=True,
+    )
 
 
 def expected_csv(header, rows):
@@ -196,6 +212,14 @@ class TestVerifyCommand:
     def test_bad_preset_is_config_error(self):
         assert run(["verify", "--preset", "9"]) == EXIT_CONFIG
 
+    def test_stdout_independent_of_blas_threads(self):
+        # the operator route runs in numpy long double, which BLAS never touches
+        outputs = [run_process(["verify", "--preset", "1", "--out", "-"], OPENBLAS_NUM_THREADS=threads)
+                   for threads in ("1", "2")]
+        assert [p.returncode for p in outputs] == [EXIT_OK, EXIT_OK]
+        digests = {hashlib.sha256(p.stdout).hexdigest() for p in outputs}
+        assert len(digests) == 1
+
     @pytest.mark.parametrize(
         "flag", [["--r", "0.1"], ["--n", "7"], ["--x0", "1"], ["--format", "csv"], ["--config", "x"]]
     )
@@ -272,13 +296,21 @@ class TestConfigAndErrors:
         assert code == EXIT_GUARD
 
     def test_non_finite_density_exit_three(self, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(
-                ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
-                 "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001", "--out", str(tmp_path / "x")]
-            )
+        code = run(
+            ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
+             "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001", "--out", str(tmp_path / "x")]
+        )
         assert code == EXIT_GUARD
         assert "non-finite density values at quantum number n = 400" in capsys.readouterr().err
+
+    def test_non_finite_density_stderr_is_one_line(self, tmp_path):
+        result = run_process(
+            ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
+             "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001", "--out", str(tmp_path / "x")]
+        )
+        assert result.returncode == EXIT_GUARD
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("squeezelab: guard violation: "), lines
 
     def test_fock_guard_exit_three(self, tmp_path):
         # |alpha| = 5.66 exceeds N/8 at N = 24

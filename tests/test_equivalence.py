@@ -15,10 +15,12 @@ from squeezelab import (
     check_classical_motion,
     check_normalization,
     compare_formalisms,
+    displacement_bch,
     evolved_amplitude,
     figure_spec,
     make_displacement,
     make_squeeze,
+    squeeze_bch,
     structure_factors,
     synthesize,
     time_evolve,
@@ -84,6 +86,72 @@ class TestCompareFormalisms:
         decoded = json.loads(line)
         assert decoded["max_abs_deviation"] == report.max_abs_deviation
         assert decoded["passed"] is True
+
+
+def alpha_spec(n, alpha, r, phi):
+    return StateSpec(n=n, disp=make_displacement(math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag),
+                     sq=make_squeeze(r, phi))
+
+
+def seeded_column_keys(count, seed=2024):
+    """(n, alpha, r, phi, N) with |Re alpha|, |Im alpha| <= 4 and r <= 1.
+
+    Past that range the matrix and column routes stop agreeing to 1e-14
+    without either being at fault: near b = |alpha| / 2^h = 1 at N ~ 256
+    both carry ~2e-14 rounding against the expm oracle, and at r > 1 with
+    N >= 128 both carry the squeeze corruption of ROADMAP item 2, which
+    differs between them by up to 1e-9."""
+    rng = np.random.default_rng(seed)
+    keys = []
+    for _ in range(count):
+        truncation = int(rng.choice([64, 128, 257]))
+        alpha = complex(*rng.uniform(-1.0, 1.0, 2)) * min(4.0, truncation / 16.0)
+        keys.append((int(rng.integers(0, 5)), alpha, float(rng.uniform(0.0, 1.0)),
+                     float(rng.uniform(-math.pi, math.pi)), truncation))
+    return keys
+
+
+COLUMN_KEYS = [
+    (0, 0j, 0.0, 0.0, 64),  # alpha = 0, r = 0: |n> itself
+    (4, 0.7j, 0.0, math.pi / 2, 64),  # r = 0 at a nonzero phase
+    (1, 0.5 + 0j, LN2, 0.0, 64),  # no halving
+    (2, -1.5 + 0j, 0.3, math.pi, 128),  # negative real alpha, 1 halving
+    (3, -3j, 0.5, -math.pi / 4, 128),  # imaginary alpha, 2 halvings
+    (1, 5.0 - 2j, 0.7, math.pi / 2, 257),  # 3 halvings
+    (2, 8.5 + 0.5j, 0.2, -math.pi / 4, 257),  # 4 halvings
+    (2, 1.0 - 0.5j, 1.2, 0.3, 64),  # r > 1: one squeeze halving
+    *seeded_column_keys(6),
+]
+
+
+class TestOperatorState:
+    @pytest.mark.parametrize("n, alpha, r, phi, truncation", COLUMN_KEYS)
+    def test_matches_matrix_product(self, n, alpha, r, phi, truncation):
+        sp = alpha_spec(n, alpha, r, phi)
+        column = operator_state(sp, truncation).coeffs
+        product = displacement_bch(sp.disp.alpha, truncation) @ squeeze_bch(sp.sq, truncation)
+        assert np.max(np.abs(column - product.column_state(n).coeffs)) <= 1e-14
+
+    def test_cached_column_is_read_only(self):
+        sp = alpha_spec(2, 1.0 + 0.5j, LN2, 0.4)
+        state = operator_state(sp, 64)
+        assert operator_state(sp, 64).coeffs is state.coeffs
+        with pytest.raises(ValueError):
+            state.coeffs[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "sp, truncation, matrix_route",
+        [
+            (alpha_spec(1, 8.5 + 0j, LN2, 0.0), 64, lambda sp, N: displacement_bch(sp.disp.alpha, N)),
+            (alpha_spec(1, 1.0 + 0j, 3.5, 0.0), 256, lambda sp, N: squeeze_bch(sp.sq, N)),
+        ],
+    )
+    def test_guards_match_matrix_route(self, sp, truncation, matrix_route):
+        with pytest.raises(GuardViolation) as column_error:
+            operator_state(sp, truncation)
+        with pytest.raises(GuardViolation) as matrix_error:
+            matrix_route(sp, truncation)
+        assert str(column_error.value) == str(matrix_error.value)
 
 
 class TestMutationSensitivity:

@@ -4,6 +4,7 @@ The matrix exponential serves as the oracle; the normal-ordered product
 constructions and the coefficient expansions are held against it.
 """
 
+import cmath
 import math
 import os
 import subprocess
@@ -176,6 +177,38 @@ class TestDisplacementBch:
         op = displacement_bch(1.5 - 0.5j, 96)
         for n in (0, 2, 7):
             assert op.column_state(n).norm_sq == pytest.approx(1.0, abs=1e-8)
+
+
+def rotation(theta, truncation):
+    """R(theta) = diag(e^{i m theta})."""
+    return np.diag(np.exp(1j * theta * np.arange(truncation + 1)))
+
+
+class TestPhaseRotation:
+    """The gate phase enters only through R: the builds rest on
+    D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
+    S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag."""
+
+    @pytest.mark.parametrize("alpha", [2.0j, -1.5, 1.4 + 1.4j, -0.3 - 3.1j])
+    def test_displacement(self, alpha):
+        N = 96
+        rot = rotation(cmath.phase(alpha), N)
+        for build in (displacement_bch, displacement_exact):
+            rotated = rot @ build(abs(alpha), N).matrix @ rot.conj().T
+            assert np.max(np.abs(build(alpha, N).matrix - rotated)) < 1e-13
+
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi / 4, math.pi / 2, 2.5])
+    def test_squeeze(self, phi):
+        N = 64
+        rot = rotation(phi / 2.0, N)
+        for build in (squeeze_bch, squeeze_exact):
+            rotated = rot @ build(make_squeeze(LN2, 0.0), N).matrix @ rot.conj().T
+            assert np.max(np.abs(build(make_squeeze(LN2, phi), N).matrix - rotated)) < 1e-13
+
+    def test_cached_matrices_are_read_only(self):
+        for op in (displacement_bch(1.0 - 2.0j, 64), squeeze_bch(make_squeeze(LN2, 0.5), 64)):
+            with pytest.raises(ValueError):
+                op.matrix[0, 0] = 1.0
 
 
 class TestSqueezeBch:

@@ -1,6 +1,7 @@
 """Closed-form wavefunction and density tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -232,7 +233,8 @@ class TestDensitySurface:
         # |A|^n, |H_n|^2 and the Gaussian overflow separately at n = 400
         sp = spec(n=400, r=0.5, phi=0.3)
         grid = GridSpec(-60.0, 60.0, 2001, 0.7, 0.7, 1)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the guard names the overflow; numpy stays quiet
             with pytest.raises(GuardViolation, match="non-finite density.*n = 400"):
                 density_surface(sp, grid)
 
