@@ -18,7 +18,6 @@ from .parameters import (
     structure_factors,
 )
 from .special import (
-    DEFAULT_QUADRATURE,
     QuadratureSpec,
     hermite,
     integrate,
@@ -29,7 +28,6 @@ from .special import (
 )
 from .states import (
     DEFAULT_GRID,
-    DensitySurface,
     GridSpec,
     StateSpec,
     density,

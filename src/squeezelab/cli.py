@@ -21,13 +21,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .equivalence import compare_formalisms
 from .errors import GuardViolation
 from .parameters import make_displacement, make_squeeze
-from .presets import FIGURE_PRESETS
+from .presets import FIGURE_PRESETS, figure_spec
 from .states import GridSpec, StateSpec, density_surface, psi_squeezed_number_evolved
 from .observables import moments_closed, uncertainty_product
 
@@ -173,7 +174,7 @@ def _cmd_state(args):
 def _emit_surface(settings, spec, grid):
     surface = density_surface(spec, grid)
     ts, xs = np.meshgrid(grid.t_values(), grid.x_values(), indexing="ij")
-    return _emit_table(settings, ["t", "x", "rho"], (ts.ravel(), xs.ravel(), surface.values.ravel()))
+    return _emit_table(settings, ["t", "x", "rho"], (ts.ravel(), xs.ravel(), surface.ravel()))
 
 
 def _cmd_density(args):
@@ -218,15 +219,12 @@ def _cmd_verify(args):
             raise ConfigError(f"--preset must be 1..4 or 'all', got {args.preset!r}")
     reports = []
     for index in indices:
-        preset = FIGURE_PRESETS[index]
-        disp = make_displacement(preset["x0"], preset["p0"])
-        sq = make_squeeze(preset["r"], preset["phi"])
+        spec = figure_spec(index)
         for n in VERIFY_ORDERS:
             for t in VERIFY_TIMES:
-                spec = StateSpec(n=n, disp=disp, sq=sq)
                 tolerance = 1e-8 if t == 0.0 else 1e-7
                 reports.append(
-                    compare_formalisms(spec, t, truncation=args.N, tolerance=tolerance)
+                    compare_formalisms(replace(spec, n=n), t, truncation=args.N, tolerance=tolerance)
                 )
     text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
     _write_text(args.out, text)

@@ -8,7 +8,6 @@ at amplitude level with no phase alignment: a convention mismatch
 anywhere fails loudly.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
@@ -43,10 +42,6 @@ class VerificationReport:
     def to_dict(self):
         return asdict(self)
 
-    def to_json_line(self) -> str:
-        """Compact single-line record, suitable for log streams."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _describe(spec: StateSpec, t: float) -> str:
     return (
@@ -66,18 +61,12 @@ def compare_formalisms(
     truncation: int = 256,
     grid: GridSpec = DEFAULT_GRID,
     tolerance: float = 1e-8,
-    injected_phase: complex = 1.0,
 ) -> VerificationReport:
-    """Compare the operator and closed-form amplitudes on the x grid.
-
-    injected_phase multiplies the operator-side amplitudes; it exists so
-    mutation tests can prove the comparator is sensitive to a pure global
-    phase, and must be left at 1 for genuine verification runs.
-    """
+    """Compare the operator and closed-form amplitudes on the x grid."""
     state = operator_state(spec, truncation)
     evolved = time_evolve(state, t)
     xs = grid.x_values()
-    fock_values = synthesize(evolved, xs) * injected_phase
+    fock_values = synthesize(evolved, xs)
     closed_values = psi_squeezed_number_evolved(spec, xs, t)
     deviation = np.abs(fock_values - closed_values)
     worst = int(np.argmax(deviation))

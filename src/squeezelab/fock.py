@@ -99,9 +99,6 @@ class FockOperator:
         """The image of basis state |n>, i.e. column n."""
         return FockState(self.matrix[:, n].copy())
 
-    def dagger(self):
-        return FockOperator(self.matrix.conj().T)
-
     def unitarity_defect(self) -> float:
         """max-entry norm of U^dag U - I; truncation makes this nonzero."""
         n = self.matrix.shape[0]
@@ -185,8 +182,8 @@ def _halved(magnitude: float):
 # D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
 # S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors below are
 # real, every product is a real longdouble product, and one entry per
-# kind is kept: the matrices and the columns built from them have caches
-# of their own.
+# kind is kept: the public builders below (matrices and columns) cache
+# their own results.
 
 
 @lru_cache(maxsize=1)
@@ -263,11 +260,6 @@ def _check_squeeze_guard(sq: SqueezeParam) -> None:
 
 
 @lru_cache(maxsize=8)
-def _displacement_matrix(alpha_re: float, alpha_im: float, truncation: int) -> np.ndarray:
-    alpha = complex(alpha_re, alpha_im)
-    return _rotated_power(_displacement_factors(abs(alpha), truncation), _alpha_angle(alpha))
-
-
 def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     """Displacement operator from its normal-ordered factorization.
 
@@ -275,51 +267,42 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     each factor expanded as its (terminating) truncated series, built at
     the real |alpha| and rotated by the phase of alpha.  Requires
     |alpha| <= truncation/8 so the occupied block sits well below the
-    truncation edge.
+    truncation edge.  Cached: the matrix is read-only and shared.
     """
     alpha = complex(alpha)
     _check_alpha_guard(alpha, truncation)
-    return FockOperator(_displacement_matrix(alpha.real, alpha.imag, truncation))
+    return FockOperator(_rotated_power(_displacement_factors(abs(alpha), truncation), _alpha_angle(alpha)))
 
 
 @lru_cache(maxsize=8)
-def _squeeze_matrix(r: float, phi: float, truncation: int) -> np.ndarray:
-    return _rotated_power(_squeeze_factors(r, truncation), np.longdouble(phi) / 2)
-
-
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     """Squeeze operator from its normal-ordered factorization.
 
     S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
     (cosh r)^{-(m + 1/2)}.  Built at the real r and rotated by phi/2.
+    Cached: the matrix is read-only and shared.
     """
     _check_squeeze_guard(sq)
-    return FockOperator(_squeeze_matrix(sq.r, sq.phi, truncation))
+    return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), np.longdouble(sq.phi) / 2))
 
 
 @lru_cache(maxsize=8)
-def _displaced_squeezed_column(
-    n: int, alpha_re: float, alpha_im: float, r: float, phi: float, truncation: int
-) -> np.ndarray:
-    coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
-    coeffs = _rotated_apply(_squeeze_factors(r, truncation), np.longdouble(phi) / 2, coeffs)
-    alpha = complex(alpha_re, alpha_im)
-    coeffs = _rotated_apply(_displacement_factors(abs(alpha), truncation), _alpha_angle(alpha), coeffs)
-    return _read_only(coeffs.astype(complex))
-
-
 def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncation: int) -> FockState:
     """D(alpha) S(z)|n> with the factors of squeeze_bch and displacement_bch
     applied to |n> in turn, never multiplied into matrices.
 
     Same guards and group doubling as the matrices, but each doubling is
     a pair of matrix-vector products: O(2^h N^2) instead of O(h N^3).
+    Cached: the coefficients are read-only and shared.
     """
     alpha = complex(alpha)
     _check_alpha_guard(alpha, truncation)
     _check_squeeze_guard(sq)
-    return FockState(_displaced_squeezed_column(n, alpha.real, alpha.imag, sq.r, sq.phi, truncation))
+    coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
+    coeffs = _rotated_apply(_squeeze_factors(sq.r, truncation), np.longdouble(sq.phi) / 2, coeffs)
+    coeffs = _rotated_apply(_displacement_factors(abs(alpha), truncation), _alpha_angle(alpha), coeffs)
+    return FockState(_read_only(coeffs.astype(complex)))
 
 
 def displaced_number_coeffs(n: int, alpha: complex, truncation: int) -> FockState:

@@ -56,22 +56,26 @@ def moments_closed(spec: StateSpec, t: float) -> MomentSet:
 
     mean_x = x0 cos t + p0 sin t
     mean_p = p0 cos t - x0 sin t
-    var_x  = (n + 1/2)[cosh^2 r + sinh^2 r + 2 cosh r sinh r cos(2t - phi)]
-    var_p  = same with the cosine negated
+    var_x  = (n + 1/2)[cosh 2r + sinh 2r cos(2t - phi)]
+           = (n + 1/2)[e^{-2r} + 2 sinh 2r cos^2(theta/2)],  theta = 2t - phi
+    var_p  = (n + 1/2)[e^{-2r} + 2 sinh 2r sin^2(theta/2)]
 
-    At r = 0 both variances collapse to n + 1/2; the variances do not
-    depend on the displacement.
+    The second forms add positive terms only; the first loses every digit
+    at large r when cosh 2r and sinh 2r cos(theta) nearly cancel.  Halving
+    the theta of uncertainty_product keeps var_x var_p equal to it to a
+    few ulps.  At r = 0 both variances are exactly n + 1/2; the variances
+    do not depend on the displacement.
     """
     x0, p0 = spec.disp.x0, spec.disp.p0
-    ch, sh = math.cosh(spec.sq.r), math.sinh(spec.sq.r)
-    base = ch * ch + sh * sh
-    osc = 2.0 * ch * sh * math.cos(2.0 * t - spec.sq.phi)
+    floor = math.exp(-2.0 * spec.sq.r)
+    swing = 2.0 * math.sinh(2.0 * spec.sq.r)
+    half = 0.5 * (2.0 * t - spec.sq.phi)
     scale = spec.n + 0.5
     return MomentSet(
         mean_x=x0 * math.cos(t) + p0 * math.sin(t),
         mean_p=p0 * math.cos(t) - x0 * math.sin(t),
-        var_x=scale * (base + osc),
-        var_p=scale * (base - osc),
+        var_x=scale * (floor + swing * math.cos(half) ** 2),
+        var_p=scale * (floor + swing * math.sin(half) ** 2),
         t=t,
     )
 

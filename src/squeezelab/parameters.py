@@ -57,19 +57,6 @@ class SqueezeParam:
     r: float
     phi: float
 
-    @property
-    def z1(self) -> float:
-        return self.r * math.cos(self.phi)
-
-    @property
-    def z2(self) -> float:
-        return self.r * math.sin(self.phi)
-
-    @property
-    def s(self) -> float:
-        """Width factor e^r."""
-        return math.exp(self.r)
-
 
 def make_displacement(x0, p0):
     """Build a DisplacementParam, rejecting non-finite input."""
@@ -167,7 +154,6 @@ class EvolutionFactors:
     a_factor: complex
     b_factor: complex
     x_shift: float
-    t: float
 
 
 def evolution_factors(sf: StructureFactors, disp: DisplacementParam, t: float) -> EvolutionFactors:
@@ -180,4 +166,4 @@ def evolution_factors(sf: StructureFactors, disp: DisplacementParam, t: float) -
         raise DegenerateEvolutionError(f"evolution factor B vanished at t = {t}")
     a = (b - 2j * sin_t / sf.f4 ** 2) / b
     center = disp.x0 * cos_t + disp.p0 * sin_t
-    return EvolutionFactors(a, b, center, t)
+    return EvolutionFactors(a, b, center)

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "hermite",
     "normalized_hermite",
     "log_factorial",
@@ -115,9 +114,6 @@ class QuadratureSpec:
         return np.linspace(self.lower, self.upper, self.points)
 
 
-DEFAULT_QUADRATURE = QuadratureSpec(-12.0, 12.0, 4001)
-
-
 def _simpson(ys, h):
     """Composite Simpson rule for samples ys spaced h apart.
 
@@ -134,7 +130,7 @@ def _simpson(ys, h):
     return total
 
 
-def integrate(f, spec=DEFAULT_QUADRATURE):
+def integrate(f, spec):
     """Composite Simpson integration of f over the window in spec.
 
     f must be vectorized: it is called once with the whole sampling grid

@@ -8,6 +8,7 @@ compared against the Fock-operator construction at amplitude level, not
 just in modulus.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from .special import PI_FOURTH_ROOT_INV, normalized_hermite
 __all__ = [
     "StateSpec",
     "GridSpec",
-    "DensitySurface",
     "DEFAULT_GRID",
     "psi_displaced_number",
     "psi_squeezed",
@@ -85,23 +85,6 @@ class GridSpec:
 # Wide enough that the x0 = 8 presets keep their Gaussian tails below 1e-20
 # at the window edge; 129 time samples hit t = 0, pi/2, pi, ... exactly.
 DEFAULT_GRID = GridSpec(-16.0, 16.0, 801, 0.0, 2.0 * math.pi, 129)
-
-
-@dataclass(frozen=True)
-class DensitySurface:
-    """Probability density sampled on a (t, x) grid, row-major in t."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.grid.nt, self.grid.nx)
-        if self.values.shape != expected:
-            raise ValueError(f"surface shape {self.values.shape} does not match grid {expected}")
-
-    def row_norms(self):
-        """Trapezoid integral of each fixed-t row over the grid window."""
-        return np.trapezoid(self.values, self.grid.x_values(), axis=1)
 
 
 def psi_displaced_number(spec: StateSpec, x):
@@ -174,7 +157,12 @@ def evolved_amplitude(n: int, disp: DisplacementParam, sf: StructureFactors, x, 
                          - i x0 p0 cos t / B + i x0 p0 / 2 ]
 
     The combination A^{n/2} H_n(. / sqrt(A)) only involves integer powers
-    of A, so the principal square root used here is branch-safe.
+    of A, so the principal square root is branch-safe there.  (B F1)^{1/2}
+    is not: B traces an ellipse counter-clockwise around the origin, so
+    its principal root flips sign each time B crosses the negative real
+    axis.  Its argument equals t at every multiple of pi and stays within
+    pi of t in between, so the continuous root has the direction of
+    sqrt(F1) e^{i theta/2} with theta = t + arg(B e^{-it}).
     """
     ef = evolution_factors(sf, disp, t)
     a, b, c = ef.a_factor, ef.b_factor, ef.x_shift
@@ -185,7 +173,11 @@ def evolved_amplitude(n: int, disp: DisplacementParam, sf: StructureFactors, x, 
 
     sqrt_a = np.sqrt(a)
     poly = (np.sqrt(sf.f3) * sqrt_a) ** n * normalized_hermite(n, big_x / (sf.f4 * b * sqrt_a))
-    pref = PI_FOURTH_ROOT_INV / np.sqrt(b * sf.f1)
+    root = np.sqrt(b * sf.f1)
+    branch = np.sqrt(sf.f1) * cmath.exp(0.5j * (t + cmath.phase(b * cmath.exp(-1j * t))))
+    if (root * branch.conjugate()).real < 0:
+        root = -root
+    pref = PI_FOURTH_ROOT_INV / root
     expo = (
         -(x * x / 2.0) * (sf.f2 * cos_t + 1j * sin_t) / b
         + x * (x0 * sf.f2 + 1j * p0) / b
@@ -255,8 +247,13 @@ def density(spec: StateSpec, x, t: float = 0.0):
     )
 
 
-def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> DensitySurface:
-    """Sample rho over a (t, x) grid and validate per-row normalization."""
+def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
+    """rho sampled on the (t, x) grid as an (nt, nx) array, row-major in t.
+
+    Each fixed-t row must integrate to 1 (trapezoid rule over the x
+    window) within ROW_NORMALIZATION_TOL, and every value must be finite
+    and non-negative.
+    """
     xs = grid.x_values()
     # An overflow here shows up as a non-finite value, which the guard names.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,8 +263,7 @@ def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> DensitySu
             f"non-finite density values at quantum number n = {spec.n}: "
             "the closed form overflows at this n"
         )
-    surface = DensitySurface(grid, values)
-    norms = surface.row_norms()
+    norms = np.trapezoid(values, xs, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if not worst <= ROW_NORMALIZATION_TOL:
         raise GuardViolation(
@@ -276,4 +272,4 @@ def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> DensitySu
         )
     if np.any(values < 0.0):
         raise GuardViolation("negative density encountered")
-    return surface
+    return values

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import squeezelab.equivalence
 from squeezelab import (
     DEFAULT_GRID,
     QuadratureSpec,
@@ -271,14 +272,19 @@ def test_criterion_7_figure_structure(tmp_path):
     assert timing_ok
 
 
-def test_criterion_8_mutation_sensitivity():
+def test_criterion_8_mutation_sensitivity(monkeypatch):
     spec = figure_spec(1)
     t = math.pi / 4
 
     clean = compare_formalisms(spec, t=t, truncation=256, tolerance=1e-7)
-    phased = compare_formalisms(
-        spec, t=t, truncation=256, tolerance=1e-7, injected_phase=cmath.exp(1j * math.pi / 7)
+    # a pure global phase on one side must not pass
+    closed_form = squeezelab.equivalence.psi_squeezed_number_evolved
+    monkeypatch.setattr(
+        squeezelab.equivalence,
+        "psi_squeezed_number_evolved",
+        lambda spec, x, t: closed_form(spec, x, t) * cmath.exp(1j * math.pi / 7),
     )
+    phased = compare_formalisms(spec, t=t, truncation=256, tolerance=1e-7)
 
     # conjugating F2 corrupts the closed form; the operator route must disagree
     spec3 = figure_spec(3)
@@ -300,3 +306,23 @@ def test_criterion_8_mutation_sensitivity():
     assert not phased.passed
     assert phased.max_abs_deviation > 1e-7
     assert conj_dev > 1e-7
+
+
+def test_criterion_9_evolution_past_half_period():
+    # B(t) = cos t + i F2 sin t winds around the origin once per period and
+    # crosses the branch cut of the principal root; at r = 0, B(pi) = -1
+    times = (math.pi, 3.3, 4.0, 6.0, 7.0, 4.0 * math.pi)
+    states = PARAMETER_SETS + [
+        StateSpec(1, make_displacement(1.0, 0.5), make_squeeze(0.0, 0.0)),
+        StateSpec(0, make_displacement(0.0, 0.0), make_squeeze(0.0, 0.0)),
+        StateSpec(2, make_displacement(1.0, -0.5), make_squeeze(LN2, 0.5)),
+        StateSpec(3, make_displacement(-2.0, 1.0), make_squeeze(0.6, -2.0)),
+    ]
+    worst = max(
+        compare_formalisms(spec, t, truncation=256, tolerance=1e-7).max_abs_deviation
+        for spec in states
+        for t in times
+    )
+    ok = worst <= 1e-7
+    report(9, "evolution past half a period", ok, f"worst={worst:.2e}")
+    assert ok

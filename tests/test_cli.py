@@ -19,8 +19,11 @@ from squeezelab import (
     make_displacement,
     make_squeeze,
     psi_squeezed_number_evolved,
+    synthesize,
+    time_evolve,
 )
 from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
+from squeezelab.equivalence import operator_state
 
 LN2 = math.log(2.0)
 
@@ -63,7 +66,7 @@ def figure_one_rows():
     grid = GridSpec(-16.0, 16.0, 51, 0.0, 2.0 * math.pi, 3)
     surface = density_surface(figure_spec(1), grid)
     return [
-        (t, x, surface.values[i, j])
+        (t, x, surface[i, j])
         for i, t in enumerate(grid.t_values())
         for j, x in enumerate(grid.x_values())
     ]
@@ -165,6 +168,16 @@ class TestStateCommand:
         assert np.array_equal(rows[:, 1], expected.real)
         assert np.array_equal(rows[:, 2], expected.imag)
 
+    def test_past_half_period_matches_operator_route(self, capsys):
+        # B(t) has crossed the negative real axis by t = 4; the principal
+        # root of B F1 would print -Psi there
+        assert run(["state", "--preset", "1", "--t0", "4", "--out", "-"]) == EXIT_OK
+        rows = np.array([[float(v) for v in line.split(",")] for line in capsys.readouterr().out.splitlines()[1:]])
+        xs = np.linspace(-16.0, 16.0, 801)
+        fock = synthesize(time_evolve(operator_state(figure_spec(1), 256), 4.0), xs)
+        assert np.array_equal(rows[:, 0], xs)
+        assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - fock)) < 1e-7
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "state.json"
         code = run(["state", "--nx", "11", "--xmin", "-2", "--xmax", "2",
@@ -182,6 +195,14 @@ class TestUncertaintyCommand:
         assert code == EXIT_OK
         _, rows = read_csv(out)
         assert np.all(rows[:, 1] == 0.25)
+
+    @pytest.mark.parametrize("r", ["5", "9", "12"])
+    def test_moments_at_large_squeeze(self, tmp_path, r):
+        # var_p used to cancel below the quantum bound here (exit 3)
+        out = tmp_path / "m.csv"
+        assert run(["moments", "--r", r, "--nt", "65", "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        assert np.all(rows[:, 3:5] > 0.0)
 
     def test_moments_header(self, tmp_path):
         out = tmp_path / "m.csv"

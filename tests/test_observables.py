@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezelab import (
     GuardViolation,
@@ -55,6 +57,21 @@ class TestClosedForm:
         a = moments_closed(spec(n=2, x0=8.0, r=LN2, phi=0.5), 1.1)
         b = moments_closed(spec(n=2, x0=0.0, p0=3.0, r=LN2, phi=0.5), 1.1)
         assert a.var_x == b.var_x and a.var_p == b.var_p
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 20),
+        r=st.floats(0.0, 15.0),
+        phi=st.floats(-math.pi, math.pi),
+        t=st.floats(-50.0, 50.0),
+    )
+    def test_variances_stay_positive_at_large_squeeze(self, n, r, phi, t):
+        # var_p = (n + 1/2)(cosh 2r - sinh 2r cos(2t - phi)) cancels to nothing at large r
+        sp = spec(n=n, r=r, phi=phi)
+        m = moments_closed(sp, t)
+        assert m.var_x > 0.0 and m.var_p > 0.0
+        assert m.var_x * m.var_p == pytest.approx(uncertainty_product(n, sp.sq, t), rel=1e-12, abs=0.0)
 
 
 class TestUncertaintyProduct:

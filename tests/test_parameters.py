@@ -48,19 +48,13 @@ class TestDisplacement:
 
 
 class TestSqueeze:
-    def test_width_factor(self):
-        assert make_squeeze(LN2, 0.0).s == pytest.approx(2.0, rel=1e-15)
-
     def test_negative_real_axis(self):
         sq = make_squeeze(LN2, math.pi)
-        assert sq.z1 == pytest.approx(-LN2, rel=1e-14)
-        assert sq.z2 == pytest.approx(0.0, abs=1e-15)
         assert sq.phi == math.pi
 
     def test_imaginary_axis(self):
         sq = make_squeeze(LN2, math.pi / 2)
-        assert sq.z2 == pytest.approx(LN2, rel=1e-14)
-        assert sq.z1 == pytest.approx(0.0, abs=1e-15)
+        assert sq.phi == math.pi / 2
 
     def test_negative_magnitude_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +67,7 @@ class TestSqueeze:
 
     def test_zero_squeeze_cartesian_parts_vanish(self):
         sq = make_squeeze(0.0, 2.0)
-        assert sq.z1 == 0.0 and sq.z2 == 0.0
+        assert sq.r == 0.0 and sq.phi == 0.0
 
 
 class TestStructureFactors:
@@ -147,7 +141,7 @@ class TestStructureFactors:
         assert abs(sf.script_s - form2) <= 1e-12 * max(1.0, form2)
         assert abs(sf.script_s - form3) <= 1e-12 * max(1.0, form3)
         if r > 0:
-            form1 = ch + (sq.z1 / r) * sh
+            form1 = ch + math.cos(sq.phi) * sh
             assert abs(sf.script_s - form1) <= 1e-12 * max(1.0, form1)
 
 

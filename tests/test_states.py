@@ -200,27 +200,27 @@ class TestDensitySurface:
     def test_stationary_ground_state(self):
         grid = GridSpec(-8.0, 8.0, 401, 0.0, 2.0 * math.pi, 9)
         surface = density_surface(spec(), grid)
-        spread = np.max(np.abs(surface.values - surface.values[0]))
+        spread = np.max(np.abs(surface - surface[0]))
         assert spread < 1e-13
-        assert np.allclose(surface.row_norms(), 1.0, atol=1e-8)
+        assert np.allclose(np.trapezoid(surface, grid.x_values(), axis=1), 1.0, atol=1e-8)
 
     def test_rows_normalized_and_nonnegative(self):
         sp = spec(n=1, x0=8.0, r=LN2)
         surface = density_surface(sp, DEFAULT_GRID)
-        assert np.all(surface.values >= 0.0)
-        assert np.max(np.abs(surface.row_norms() - 1.0)) < 1e-6
+        assert np.all(surface >= 0.0)
+        assert np.max(np.abs(np.trapezoid(surface, DEFAULT_GRID.x_values(), axis=1) - 1.0)) < 1e-6
 
     def test_two_humps_all_rows(self):
         sp = spec(n=1, x0=8.0, r=LN2)
         surface = density_surface(sp, DEFAULT_GRID)
-        counts = {count_strict_maxima(row) for row in surface.values}
+        counts = {count_strict_maxima(row) for row in surface}
         assert counts == {2}
 
     def test_three_humps_n2(self):
         sp = spec(n=2, r=LN2)
         grid = GridSpec(-12.0, 12.0, 801, 0.0, 2.0 * math.pi, 17)
         surface = density_surface(sp, grid)
-        counts = {count_strict_maxima(row) for row in surface.values}
+        counts = {count_strict_maxima(row) for row in surface}
         assert counts == {3}
 
     def test_window_too_small_rejected(self):
