@@ -129,9 +129,13 @@ def _emit_table(settings, header, columns):
     """Write equal-length float columns as a CSV or JSON table.
 
     CSV values carry 17 significant digits, which round-trips double
-    precision exactly.
+    precision exactly.  A non-finite value anywhere is a guard violation
+    naming its column, and nothing is written.
     """
     table = np.column_stack(columns)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise GuardViolation(f"non-finite values in output column {header[int(np.argmin(finite))]!r}")
     if settings["format"] == "json":
         payload = {"header": header, "rows": table.tolist()}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -284,14 +288,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args)
+        # numpy overflow shows up as a non-finite output value, which _emit_table names
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except ConfigError as exc:
         print(f"squeezelab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardViolation as exc:
         print(f"squeezelab: guard violation: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"squeezelab: numerical error: {exc}", file=sys.stderr)
         return EXIT_GUARD
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GuardViolation
 from .fock import FockState, ladder_matrices, time_evolve
-from .parameters import DisplacementParam, SqueezeParam
+from .parameters import DisplacementParam, SqueezeParam, cosh_sinh
 from .states import StateSpec
 
 __all__ = [
@@ -68,7 +68,7 @@ def moments_closed(spec: StateSpec, t: float) -> MomentSet:
     """
     x0, p0 = spec.disp.x0, spec.disp.p0
     floor = math.exp(-2.0 * spec.sq.r)
-    swing = 2.0 * math.sinh(2.0 * spec.sq.r)
+    swing = 2.0 * cosh_sinh(2.0 * spec.sq.r, spec.sq.r)[1]
     half = 0.5 * (2.0 * t - spec.sq.phi)
     scale = spec.n + 0.5
     return MomentSet(
@@ -86,7 +86,7 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
     Independent of the displacement; equals (n + 1/2)^2 exactly whenever
     sin(2t - phi) = 0 and is pi-periodic in t.
     """
-    ch, sh = math.cosh(sq.r), math.sinh(sq.r)
+    ch, sh = cosh_sinh(sq.r, sq.r)
     s = math.sin(2.0 * t - sq.phi)
     return (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
 
@@ -112,7 +112,8 @@ def moments_numeric(state: FockState, t: float) -> MomentSet:
     """Moments from matrix algebra on a truncated coefficient vector.
 
     Evolves the coefficients to time t and evaluates <A> = c^dag A c for
-    A in {x, x^2, p, p^2} built from the ladder matrices.  Refuses states
+    A in {x, p} built from the ladder matrices, and <A^2> = |A c|^2 (both
+    are Hermitian), with matrix-vector products only.  Refuses states
     whose truncation leakage exceeds 1e-10, since the missing weight
     would silently bias the second moments.
     """
@@ -127,12 +128,9 @@ def moments_numeric(state: FockState, t: float) -> MomentSet:
     a, adag = a_op.matrix, adag_op.matrix
     x = (a + adag) / math.sqrt(2.0)
     p = (a - adag) / (1j * math.sqrt(2.0))
-
-    def expectation(m):
-        return float(np.real(np.vdot(c, m @ c)))
-
-    mean_x = expectation(x)
-    mean_p = expectation(p)
-    var_x = expectation(x @ x) - mean_x ** 2
-    var_p = expectation(p @ p) - mean_p ** 2
+    xc, pc = x @ c, p @ c
+    mean_x = float(np.real(np.vdot(c, xc)))
+    mean_p = float(np.real(np.vdot(c, pc)))
+    var_x = float(np.real(np.vdot(xc, xc))) - mean_x ** 2
+    var_p = float(np.real(np.vdot(pc, pc))) - mean_p ** 2
     return MomentSet(mean_x, mean_p, var_x, var_p, t)

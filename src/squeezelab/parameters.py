@@ -31,6 +31,7 @@ __all__ = [
     "EvolutionFactors",
     "make_displacement",
     "make_squeeze",
+    "cosh_sinh",
     "structure_factors",
     "evolution_factors",
 ]
@@ -118,6 +119,17 @@ class StructureFactors:
             raise ValueError("F4 = S sqrt(1 + 4 kappa^2) violated")
 
 
+def cosh_sinh(x: float, r: float):
+    """(cosh x, sinh x) for an x scaled from the squeeze magnitude r.
+
+    Raises a GuardViolation naming r where they overflow a double.
+    """
+    try:
+        return math.cosh(x), math.sinh(x)
+    except OverflowError:
+        raise GuardViolation(f"cosh and sinh overflow at squeeze magnitude r = {r:g}") from None
+
+
 def structure_factors(sq: SqueezeParam) -> StructureFactors:
     """Compute S, kappa and F1..F4 for a squeeze parameter.
 
@@ -125,8 +137,7 @@ def structure_factors(sq: SqueezeParam) -> StructureFactors:
     cancels the 1/r analytically, so r = 0 gives kappa = 0 with no special
     casing.
     """
-    ch = math.cosh(sq.r)
-    sh = math.sinh(sq.r)
+    ch, sh = cosh_sinh(sq.r, sq.r)
     script_s = ch + math.cos(sq.phi) * sh
     if not script_s > 0.0:
         # cosh r and sinh r cancel near phi = pi; past r ~ 18 nothing is left

@@ -1,14 +1,19 @@
 """Command-line interface tests: formats, determinism, exit codes, precedence."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squeezelab
 from squeezelab import (
@@ -357,6 +362,32 @@ class TestConfigAndErrors:
         assert run(["state", "--out", str(tmp_path / "x")]) == EXIT_GUARD
         assert capsys.readouterr().err == "squeezelab: numerical error: synthetic library failure\n"
 
+    def test_library_arithmetic_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise OverflowError("synthetic overflow")
+
+        monkeypatch.setattr("squeezelab.cli.psi_squeezed_number_evolved", fail)
+        assert run(["state", "--out", str(tmp_path / "x")]) == EXIT_GUARD
+        assert capsys.readouterr().err == "squeezelab: numerical error: synthetic overflow\n"
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["state", "--r", "1e3"], "overflow at squeeze magnitude r = 1000"),
+            (["moments", "--r", "400"], "overflow at squeeze magnitude r = 400"),
+            (["uncertainty", "--r", "1e8"], "overflow at squeeze magnitude r = 1e+08"),
+            (["density", "--x0", "1e150", "--r", "800"], "overflow at squeeze magnitude r = 800"),
+            (["state", "--x0", "1e308", "--nx", "3"], "non-finite values in output column 're'"),
+        ],
+    )
+    def test_overflow_exit_three_in_one_line(self, capsys, argv, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--out", "-"]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and reason in captured.err
+
     def test_stdout_output(self, capsys):
         assert run(["uncertainty", "--nt", "3"]) == EXIT_OK
         captured = capsys.readouterr()
@@ -384,3 +415,57 @@ class TestPresetFlag:
     def test_invalid_preset_value(self):
         assert run(["state", "--preset", "nope"]) == EXIT_CONFIG
         assert run(["state", "--preset", "6"]) == EXIT_CONFIG
+
+
+def number_text(values):
+    """Floats written either as repr (1e+308) or in fixed notation."""
+    return st.tuples(values, st.booleans()).map(lambda p: repr(p[0]) if p[1] else f"{p[0]:f}")
+
+
+MAGNITUDE = number_text(st.one_of(st.floats(-1e308, 1e308), st.floats(-20.0, 20.0)))
+
+# The documented flags of the data commands, with grids kept small.
+FUZZ_FLAGS = st.fixed_dictionaries(
+    {
+        "nt": st.integers(0, 17).map(str),
+        "nx": st.integers(0, 51).map(str),
+        "format": st.sampled_from(["csv", "json"]),
+    },
+    optional={
+        "n": st.integers(-1, 500).map(str),
+        "x0": MAGNITUDE,
+        "p0": MAGNITUDE,
+        "r": number_text(st.floats(-1.0, 1e3)),
+        "phi": MAGNITUDE,
+        "t0": MAGNITUDE,
+        "t1": MAGNITUDE,
+        "xmin": MAGNITUDE,
+        "xmax": MAGNITUDE,
+        "preset": st.integers(0, 5).map(str),
+    },
+)
+
+
+class TestFlagFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["state", "density", "moments", "uncertainty"]), flags=FUZZ_FLAGS)
+    def test_documented_flags_exit_cleanly(self, command, flags):
+        # --key=value, since argparse reads a bare -1e5 as an option
+        argv = [command, "--out=-", *(f"--{key}={value}" for key, value in flags.items())]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_GUARD, EXIT_VERIFY)
+        if code == EXIT_OK:
+            text = out.getvalue()
+            if flags["format"] == "json":
+                rows = json.loads(text)["rows"]
+            else:
+                rows = [line.split(",") for line in text.splitlines()[1:]]
+            assert np.all(np.isfinite(np.array(rows, dtype=float)))
+            assert err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("squeezelab: "), lines

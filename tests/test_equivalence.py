@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import squeezelab.equivalence
+from squeezelab import fock
 from squeezelab import (
     DEFAULT_GRID,
     GuardViolation,
@@ -21,12 +23,14 @@ from squeezelab import (
     figure_spec,
     make_displacement,
     make_squeeze,
+    oscillator_eigenfunctions,
     squeeze_bch,
     structure_factors,
     synthesize,
     time_evolve,
 )
-from squeezelab.equivalence import operator_state
+from squeezelab.cli import EXIT_OK, main
+from squeezelab.equivalence import _eigenfunction_table, operator_state
 
 LN2 = math.log(2.0)
 WIDE_QUAD = QuadratureSpec(-24.0, 24.0, 8001)
@@ -143,6 +147,31 @@ class TestOperatorState:
         with pytest.raises(GuardViolation) as matrix_error:
             matrix_route(sp, truncation)
         assert str(column_error.value) == str(matrix_error.value)
+
+
+class TestCacheRule:
+    """One entry per cache, kept only where a workload repeats its key."""
+
+    def test_fock_caches_hold_one_entry(self):
+        caches = [f for f in vars(fock).values() if hasattr(f, "cache_parameters")]
+        assert len(caches) == 5
+        assert all(f.cache_parameters()["maxsize"] == 1 for f in caches)
+
+    def test_verify_builds_one_table_and_sixteen_columns(self, monkeypatch):
+        tables = []
+
+        def counted(*args):
+            tables.append(args[0])
+            return oscillator_eigenfunctions(*args)
+
+        for module in (squeezelab.equivalence, fock):
+            monkeypatch.setattr(module, "oscillator_eigenfunctions", counted, raising=False)
+        _eigenfunction_table.cache_clear()
+        fock.displaced_squeezed_number.cache_clear()
+        assert main(["verify", "--preset", "all", "--out", os.devnull]) == EXIT_OK
+        assert tables == [256]  # 48 reports on one (N, grid)
+        assert fock.displaced_squeezed_number.cache_info().misses == 16  # 4 presets x 4 orders
+        assert not _eigenfunction_table(256, DEFAULT_GRID).flags.writeable
 
 
 class TestMutationSensitivity:

@@ -12,16 +12,15 @@ from squeezelab import (
     StateSpec,
     displaced_energy,
     displaced_number_coeffs,
-    displacement_bch,
     make_displacement,
     make_squeeze,
     moments_closed,
     moments_numeric,
     number_state,
-    squeeze_bch,
     uncertainty_product,
     uncertainty_product_width_form,
 )
+from squeezelab.equivalence import operator_state
 
 LN2 = math.log(2.0)
 
@@ -31,9 +30,8 @@ def spec(n=0, x0=0.0, p0=0.0, r=0.0, phi=0.0):
 
 
 def operator_coeffs(sp, truncation=256):
-    disp_op = displacement_bch(sp.disp.alpha, truncation)
-    sq_op = squeeze_bch(sp.sq, truncation)
-    return (disp_op @ sq_op).column_state(sp.n)
+    # the column route; tests in test_equivalence hold it to the D @ S matrix product
+    return operator_state(sp, truncation)
 
 
 class TestClosedForm:
