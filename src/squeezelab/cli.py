@@ -27,9 +27,8 @@ import numpy as np
 
 from .equivalence import compare_formalisms
 from .errors import GuardViolation
-from .parameters import make_displacement, make_squeeze
-from .presets import FIGURE_PRESETS, figure_spec
-from .states import GridSpec, StateSpec, density_surface, psi_squeezed_number_evolved
+from .presets import FIGURE_PRESETS, figure_spec, state_spec
+from .states import DEFAULT_GRID, GridSpec, density_surface, psi_squeezed_number_evolved
 from .observables import moments_closed, uncertainty_product
 
 __all__ = ["main"]
@@ -39,23 +38,25 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 EXIT_VERIFY = 4
 
-_DEFAULTS = {
-    "n": 0,
-    "x0": 0.0,
-    "p0": 0.0,
-    "r": 0.0,
-    "phi": 0.0,
-    "t0": 0.0,
-    "t1": 2.0 * math.pi,
-    "nt": 129,
-    "xmin": -16.0,
-    "xmax": 16.0,
-    "nx": 801,
-    "out": "-",
-    "format": "csv",
-}
+# Each data-command setting once: (name, default, help).  A flag, and a
+# config-file value, is parsed with the type of its default.
+_SETTINGS = (
+    ("n", 0, "quantum number"),
+    ("x0", 0.0, "initial position displacement"),
+    ("p0", 0.0, "initial momentum displacement"),
+    ("r", 0.0, "squeeze magnitude (>= 0)"),
+    ("phi", 0.0, "squeeze phase"),
+    ("t0", DEFAULT_GRID.t_min, "start time"),
+    ("t1", DEFAULT_GRID.t_max, "end time"),
+    ("nt", DEFAULT_GRID.nt, "number of time samples"),
+    ("xmin", DEFAULT_GRID.x_min, "left edge of the x window"),
+    ("xmax", DEFAULT_GRID.x_max, "right edge of the x window"),
+    ("nx", DEFAULT_GRID.nx, "number of x samples"),
+    ("out", "-", "output path ('-' = stdout)"),
+    ("format", "csv", "csv or json"),
+)
 
-_TYPES = {key: type(value) for key, value in _DEFAULTS.items()}
+_DEFAULTS = {name: default for name, default, _ in _SETTINGS}
 
 
 class ConfigError(Exception):
@@ -78,10 +79,10 @@ def _parse_config_file(path):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _TYPES:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _TYPES[key](text)
+            values[key] = type(_DEFAULTS[key])(text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
     return values
@@ -94,7 +95,7 @@ def _settings_from(args, preset_values=None):
         settings.update(preset_values)
     if args.config:
         settings.update(_parse_config_file(args.config))
-    for key in _TYPES:
+    for key in _DEFAULTS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
@@ -103,18 +104,20 @@ def _settings_from(args, preset_values=None):
     return settings
 
 
-def _preset_values(args):
-    """Caption parameters selected by --preset on the data commands."""
-    raw = getattr(args, "preset", None)
-    if raw is None:
-        return None
+def _preset_index(raw):
+    """The figure preset that a --preset value names."""
     try:
         index = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--preset must be an integer 1..4, got {raw!r}")
+    except ValueError:
+        index = None
     if index not in FIGURE_PRESETS:
-        raise ConfigError(f"--preset must be 1..4, got {index}")
-    return FIGURE_PRESETS[index]
+        raise ConfigError(f"--preset must be 1..4, got {raw!r}")
+    return index
+
+
+def _preset_values(args):
+    """Caption parameters selected by --preset on the data commands."""
+    return None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
 
 
 def _write_text(out, text):
@@ -123,6 +126,10 @@ def _write_text(out, text):
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _write_json(out, payload):
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _emit_table(settings, header, columns):
@@ -137,12 +144,11 @@ def _emit_table(settings, header, columns):
     if not finite.all():
         raise GuardViolation(f"non-finite values in output column {header[int(np.argmin(finite))]!r}")
     if settings["format"] == "json":
-        payload = {"header": header, "rows": table.tolist()}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        _write_json(settings["out"], {"header": header, "rows": table.tolist()})
     else:
         row = ",".join(["%.17g"] * len(header)) + "\n"
         text = ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
-    _write_text(settings["out"], text)
+        _write_text(settings["out"], text)
     return EXIT_OK
 
 
@@ -150,11 +156,7 @@ def _data_inputs(args, preset_values):
     """Settings plus the state and grid they describe, for a data command."""
     settings = _settings_from(args, preset_values)
     try:
-        spec = StateSpec(
-            n=settings["n"],
-            disp=make_displacement(settings["x0"], settings["p0"]),
-            sq=make_squeeze(settings["r"], settings["phi"]),
-        )
+        spec = state_spec(settings)
         grid = GridSpec(
             x_min=settings["xmin"],
             x_max=settings["xmax"],
@@ -212,15 +214,7 @@ VERIFY_ORDERS = (0, 1, 2, 3)
 
 
 def _cmd_verify(args):
-    if args.preset == "all":
-        indices = sorted(FIGURE_PRESETS)
-    else:
-        try:
-            indices = [int(args.preset)]
-        except ValueError:
-            raise ConfigError(f"--preset must be 1..4 or 'all', got {args.preset!r}")
-        if indices[0] not in FIGURE_PRESETS:
-            raise ConfigError(f"--preset must be 1..4 or 'all', got {args.preset!r}")
+    indices = sorted(FIGURE_PRESETS) if args.preset == "all" else [_preset_index(args.preset)]
     reports = []
     for index in indices:
         spec = figure_spec(index)
@@ -230,25 +224,13 @@ def _cmd_verify(args):
                 reports.append(
                     compare_formalisms(replace(spec, n=n), t, truncation=args.N, tolerance=tolerance)
                 )
-    text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n"
-    _write_text(args.out, text)
+    _write_json(args.out, [r.to_dict() for r in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--n", type=int, help="quantum number")
-    sub.add_argument("--x0", type=float, help="initial position displacement")
-    sub.add_argument("--p0", type=float, help="initial momentum displacement")
-    sub.add_argument("--r", type=float, help="squeeze magnitude (>= 0)")
-    sub.add_argument("--phi", type=float, help="squeeze phase")
-    sub.add_argument("--t0", type=float, help="start time")
-    sub.add_argument("--t1", type=float, help="end time")
-    sub.add_argument("--nt", type=int, help="number of time samples")
-    sub.add_argument("--xmin", type=float, help="left edge of the x window")
-    sub.add_argument("--xmax", type=float, help="right edge of the x window")
-    sub.add_argument("--nx", type=int, help="number of x samples")
-    sub.add_argument("--out", type=str, help="output path ('-' = stdout)")
-    sub.add_argument("--format", type=str, help="csv or json")
+    for name, default, helptext in _SETTINGS:
+        sub.add_argument(f"--{name}", type=type(default), help=helptext)
     sub.add_argument("--config", type=str, help="key=value configuration file")
 
 

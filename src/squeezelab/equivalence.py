@@ -2,23 +2,23 @@
 
 The operator route (normal-ordered displacement and squeeze factors
 applied to a number basis vector, evolved by pure phases, synthesized
-through the oscillator eigenfunctions) and the closed-form wavefunction
-route must produce the same complex amplitudes.  The comparison is done
+through the oscillator eigenfunctions by `fock.synthesize`, which owns
+the eigenfunction table) and the closed-form wavefunction route must
+produce the same complex amplitudes.  The comparison is done
 at amplitude level with no phase alignment: a convention mismatch
 anywhere fails loudly.
 """
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import GuardViolation
 from .parameters import evolution_factors, structure_factors
-from .special import QuadratureSpec, integrate, oscillator_eigenfunctions
+from .special import QuadratureSpec, integrate
 from .states import DEFAULT_GRID, GridSpec, StateSpec, density, psi_squeezed_number_evolved
-from .fock import displaced_squeezed_number, time_evolve
+from .fock import displaced_squeezed_number, synthesize, time_evolve
 
 __all__ = [
     "VerificationReport",
@@ -62,15 +62,6 @@ def operator_state(spec: StateSpec, truncation: int):
     return displaced_squeezed_number(spec.n, spec.disp.alpha, spec.sq, truncation)
 
 
-@lru_cache(maxsize=1)
-def _eigenfunction_table(truncation: int, grid: GridSpec) -> np.ndarray:
-    """psi_0 .. psi_N on the x grid, read-only: every report of a `verify`
-    run synthesizes on the same (N, grid)."""
-    table = oscillator_eigenfunctions(truncation, grid.x_values())
-    table.flags.writeable = False
-    return table
-
-
 def compare_formalisms(
     spec: StateSpec,
     t: float = 0.0,
@@ -80,9 +71,8 @@ def compare_formalisms(
 ) -> VerificationReport:
     """Compare the operator and closed-form amplitudes on the x grid."""
     state = operator_state(spec, truncation)
-    evolved = time_evolve(state, t)
     xs = grid.x_values()
-    fock_values = evolved.coeffs @ _eigenfunction_table(truncation, grid)
+    fock_values = synthesize(time_evolve(state, t), xs)
     closed_values = psi_squeezed_number_evolved(spec, xs, t)
     deviation = np.abs(fock_values - closed_values)
     worst = int(np.argmax(deviation))

@@ -13,9 +13,10 @@ instead of assuming unitarity.
 
 Caching follows one rule: a cache holds one entry, exists only where a
 workload asks for the same key again, and returns read-only arrays.
-`verify` asks for each D(alpha) S(z)|n> column at three times in a row,
-and the benchmark's sweep builds each D and S once per state; a second
-entry would save no build on either and costs memory.
+`verify` asks for each D(alpha) S(z)|n> column at three times in a row
+and synthesizes every report through one eigenfunction table, and the
+benchmark's sweep builds each D and S once per state; a second entry
+would save no build on either and costs memory.
 """
 
 import cmath
@@ -384,11 +385,20 @@ def squeezed_number_coeffs(n: int, sq: SqueezeParam, truncation: int) -> FockSta
     return FockState(coeffs)
 
 
+@lru_cache(maxsize=1)
+def _eigenfunction_table(truncation: int, samples: bytes) -> np.ndarray:
+    """psi_0 .. psi_N at the float64 x samples packed in `samples`, read-only."""
+    return _read_only(oscillator_eigenfunctions(truncation, np.frombuffer(samples)))
+
+
 def synthesize(state: FockState, x):
-    """Position-space amplitude sum_m c_m psi_m(x)."""
+    """Position-space amplitude sum_m c_m psi_m(x).
+
+    The eigenfunction table is cached for one (N, x samples) key: all 48
+    `verify` reports synthesize on the same N and grid.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    table = oscillator_eigenfunctions(state.truncation, xs)
-    values = state.coeffs @ table
+    values = state.coeffs @ _eigenfunction_table(state.truncation, xs.tobytes())
     return values[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else values
 
 

@@ -36,7 +36,6 @@ class MomentSet:
     mean_p: float
     var_x: float
     var_p: float
-    t: float
 
     def __post_init__(self):
         if not (self.var_x > 0.0 and self.var_p > 0.0):
@@ -76,7 +75,6 @@ def moments_closed(spec: StateSpec, t: float) -> MomentSet:
         mean_p=p0 * math.cos(t) - x0 * math.sin(t),
         var_x=scale * (floor + swing * math.cos(half) ** 2),
         var_p=scale * (floor + swing * math.sin(half) ** 2),
-        t=t,
     )
 
 
@@ -88,7 +86,10 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
     """
     ch, sh = cosh_sinh(sq.r, sq.r)
     s = math.sin(2.0 * t - sq.phi)
-    return (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
+    product = (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
+    if not math.isfinite(product):
+        raise GuardViolation(f"uncertainty product overflows at n = {n}, squeeze magnitude r = {sq.r:g}")
+    return product
 
 
 def uncertainty_product_width_form(n: int, s: float, phi: float, t: float) -> float:
@@ -133,4 +134,4 @@ def moments_numeric(state: FockState, t: float) -> MomentSet:
     mean_p = float(np.real(np.vdot(c, pc)))
     var_x = float(np.real(np.vdot(xc, xc))) - mean_x ** 2
     var_p = float(np.real(np.vdot(pc, pc))) - mean_p ** 2
-    return MomentSet(mean_x, mean_p, var_x, var_p, t)
+    return MomentSet(mean_x, mean_p, var_x, var_p)

@@ -150,6 +150,8 @@ def structure_factors(sq: SqueezeParam) -> StructureFactors:
     f2 = 1.0 / (script_s * script_s * one_p) - 2j * kappa
     f3 = (1.0 - 2j * kappa) / one_p
     f4 = script_s * math.sqrt(1.0 + 4.0 * kappa * kappa)
+    if not math.isfinite(f4 * f4):
+        raise GuardViolation(f"F4^2 = |F1|^2 overflows at squeeze magnitude r = {sq.r:g}")
     return StructureFactors(script_s, kappa, f1, f2, f3, f4)
 
 

@@ -13,7 +13,7 @@ import math
 from .parameters import make_displacement, make_squeeze
 from .states import StateSpec
 
-__all__ = ["FIGURE_PRESETS", "figure_spec"]
+__all__ = ["FIGURE_PRESETS", "figure_spec", "state_spec"]
 
 _LN2 = math.log(2.0)
 
@@ -25,12 +25,16 @@ FIGURE_PRESETS = {
 }
 
 
+def state_spec(params) -> StateSpec:
+    """The state that the n, x0, p0, r and phi entries of a mapping describe."""
+    return StateSpec(
+        n=params["n"],
+        disp=make_displacement(params["x0"], params["p0"]),
+        sq=make_squeeze(params["r"], params["phi"]),
+    )
+
+
 def figure_spec(index: int) -> StateSpec:
     if index not in FIGURE_PRESETS:
         raise ValueError(f"figure preset must be 1..4, got {index}")
-    p = FIGURE_PRESETS[index]
-    return StateSpec(
-        n=p["n"],
-        disp=make_displacement(p["x0"], p["p0"]),
-        sq=make_squeeze(p["r"], p["phi"]),
-    )
+    return state_spec(FIGURE_PRESETS[index])

@@ -139,7 +139,20 @@ class TestFigureCommand:
         assert exc.value.code == 2
 
 
+# Recorded by the benchmark; read here, never rewritten.
+FIGURE_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "figure_digests.json")
+
+
 class TestEmittedTables:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_figure_bytes_match_recorded_digests(self, capsys, index, fmt):
+        with open(FIGURE_DIGESTS, encoding="utf-8") as fh:
+            recorded = json.load(fh)[f"figure {index} {fmt}"]
+        assert run(["figure", str(index), "--out", "-", "--format", fmt]) == EXIT_OK
+        out = capsys.readouterr().out.encode()
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == (recorded["sha256"], recorded["bytes"])
+
     def test_state_csv_bytes(self, capsys):
         assert run(STATE_ARGS) == EXIT_OK
         assert capsys.readouterr().out == expected_csv(["x", "re", "im"], state_rows())
@@ -378,6 +391,9 @@ class TestConfigAndErrors:
             (["uncertainty", "--r", "1e8"], "overflow at squeeze magnitude r = 1e+08"),
             (["density", "--x0", "1e150", "--r", "800"], "overflow at squeeze magnitude r = 800"),
             (["state", "--x0", "1e308", "--nx", "3"], "non-finite values in output column 're'"),
+            (["state", "--r", "400"], "F4^2 = |F1|^2 overflows at squeeze magnitude r = 400"),
+            (["density", "--r", "400"], "F4^2 = |F1|^2 overflows at squeeze magnitude r = 400"),
+            (["uncertainty", "--r", "400"], "uncertainty product overflows at n = 0, squeeze magnitude r = 400"),
         ],
     )
     def test_overflow_exit_three_in_one_line(self, capsys, argv, reason):

@@ -30,7 +30,7 @@ from squeezelab import (
     time_evolve,
 )
 from squeezelab.cli import EXIT_OK, main
-from squeezelab.equivalence import _eigenfunction_table, operator_state
+from squeezelab.equivalence import operator_state
 
 LN2 = math.log(2.0)
 WIDE_QUAD = QuadratureSpec(-24.0, 24.0, 8001)
@@ -153,25 +153,36 @@ class TestCacheRule:
     """One entry per cache, kept only where a workload repeats its key."""
 
     def test_fock_caches_hold_one_entry(self):
-        caches = [f for f in vars(fock).values() if hasattr(f, "cache_parameters")]
-        assert len(caches) == 5
-        assert all(f.cache_parameters()["maxsize"] == 1 for f in caches)
+        def caches(module):
+            defined = [f for f in vars(module).values() if getattr(f, "__module__", None) == module.__name__]
+            return [f for f in defined if hasattr(f, "cache_parameters")]
+
+        assert len(caches(fock)) == 6
+        assert all(f.cache_parameters()["maxsize"] == 1 for f in caches(fock))
+        assert caches(squeezelab.equivalence) == []
 
     def test_verify_builds_one_table_and_sixteen_columns(self, monkeypatch):
         tables = []
+        syntheses = []
 
-        def counted(*args):
+        def counted_table(*args):
             tables.append(args[0])
             return oscillator_eigenfunctions(*args)
 
-        for module in (squeezelab.equivalence, fock):
-            monkeypatch.setattr(module, "oscillator_eigenfunctions", counted, raising=False)
-        _eigenfunction_table.cache_clear()
+        def counted_synthesize(*args):
+            syntheses.append(args[0].truncation)
+            return synthesize(*args)
+
+        monkeypatch.setattr(fock, "oscillator_eigenfunctions", counted_table)
+        monkeypatch.setattr(squeezelab.equivalence, "synthesize", counted_synthesize)
+        fock._eigenfunction_table.cache_clear()
         fock.displaced_squeezed_number.cache_clear()
         assert main(["verify", "--preset", "all", "--out", os.devnull]) == EXIT_OK
-        assert tables == [256]  # 48 reports on one (N, grid)
+        assert syntheses == [256] * 48  # 4 presets x 4 orders x 3 times
+        assert tables == [256]  # all 48 on one (N, grid)
         assert fock.displaced_squeezed_number.cache_info().misses == 16  # 4 presets x 4 orders
-        assert not _eigenfunction_table(256, DEFAULT_GRID).flags.writeable
+        table = fock._eigenfunction_table(256, DEFAULT_GRID.x_values().tobytes())
+        assert not table.flags.writeable
 
 
 class TestMutationSensitivity:
