@@ -23,7 +23,6 @@ from .special import (
     integrate,
     log_factorial,
     normalized_hermite,
-    oscillator_eigenfunction,
     oscillator_eigenfunctions,
 )
 from .states import (
@@ -54,7 +53,6 @@ from .fock import (
 )
 from .observables import (
     MomentSet,
-    displaced_energy,
     moments_closed,
     moments_numeric,
     uncertainty_product,

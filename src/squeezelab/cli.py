@@ -21,11 +21,11 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .equivalence import compare_formalisms
+from .equivalence import DEFAULT_TRUNCATION, compare_formalisms
 from .errors import GuardViolation
 from .presets import FIGURE_PRESETS, figure_spec, state_spec
 from .states import DEFAULT_GRID, GridSpec, density_surface, psi_squeezed_number_evolved
@@ -214,6 +214,8 @@ VERIFY_ORDERS = (0, 1, 2, 3)
 
 
 def _cmd_verify(args):
+    if args.N < 1:
+        raise ConfigError(f"--N must be >= 1, got {args.N}")
     indices = sorted(FIGURE_PRESETS) if args.preset == "all" else [_preset_index(args.preset)]
     reports = []
     for index in indices:
@@ -224,7 +226,7 @@ def _cmd_verify(args):
                 reports.append(
                     compare_formalisms(replace(spec, n=n), t, truncation=args.N, tolerance=tolerance)
                 )
-    _write_json(args.out, [r.to_dict() for r in reports])
+    _write_json(args.out, [asdict(r) for r in reports])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
@@ -255,7 +257,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run the cross-formalism verification sweep")
     p_verify.set_defaults(run=_cmd_verify)
-    p_verify.add_argument("--N", type=int, default=256, help="Fock-space truncation")
+    p_verify.add_argument("--N", type=int, default=DEFAULT_TRUNCATION, help="Fock-space truncation")
     p_verify.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
     p_verify.add_argument("--preset", type=str, default="all", help="preset index 1..4 or 'all'")
 

@@ -4,28 +4,32 @@ The operator route (normal-ordered displacement and squeeze factors
 applied to a number basis vector, evolved by pure phases, synthesized
 through the oscillator eigenfunctions by `fock.synthesize`, which owns
 the eigenfunction table) and the closed-form wavefunction route must
-produce the same complex amplitudes.  The comparison is done
-at amplitude level with no phase alignment: a convention mismatch
-anywhere fails loudly.
+produce the same complex amplitudes on the x samples of DEFAULT_GRID.
+The comparison is done at amplitude level with no phase alignment: a
+convention mismatch anywhere fails loudly.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GuardViolation
 from .parameters import evolution_factors, structure_factors
 from .special import QuadratureSpec, integrate
-from .states import DEFAULT_GRID, GridSpec, StateSpec, density, psi_squeezed_number_evolved
+from .states import DEFAULT_GRID, StateSpec, density, psi_squeezed_number_evolved
 from .fock import displaced_squeezed_number, synthesize, time_evolve
 
 __all__ = [
+    "DEFAULT_TRUNCATION",
     "VerificationReport",
     "compare_formalisms",
     "check_normalization",
     "check_classical_motion",
 ]
+
+# Fock-space truncation N of compare_formalisms and `squeezelab verify`.
+DEFAULT_TRUNCATION = 256
 
 
 @dataclass(frozen=True)
@@ -46,9 +50,6 @@ class VerificationReport:
     tolerance: float
     passed: bool
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def _describe(spec: StateSpec, t: float) -> str:
     return (
@@ -65,13 +66,12 @@ def operator_state(spec: StateSpec, truncation: int):
 def compare_formalisms(
     spec: StateSpec,
     t: float = 0.0,
-    truncation: int = 256,
-    grid: GridSpec = DEFAULT_GRID,
+    truncation: int = DEFAULT_TRUNCATION,
     tolerance: float = 1e-8,
 ) -> VerificationReport:
-    """Compare the operator and closed-form amplitudes on the x grid."""
+    """Compare the operator and closed-form amplitudes on the DEFAULT_GRID x samples."""
     state = operator_state(spec, truncation)
-    xs = grid.x_values()
+    xs = DEFAULT_GRID.x_values()
     fock_values = synthesize(time_evolve(state, t), xs)
     closed_values = psi_squeezed_number_evolved(spec, xs, t)
     deviation = np.abs(fock_values - closed_values)

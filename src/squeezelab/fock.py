@@ -80,7 +80,7 @@ class FockState:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Dense operator on the truncated number basis."""
+    """Dense operator on the truncated number basis; products and columns act on `matrix`."""
 
     matrix: np.ndarray
 
@@ -93,18 +93,6 @@ class FockOperator:
     @property
     def truncation(self) -> int:
         return self.matrix.shape[0] - 1
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            return FockOperator(self.matrix @ other.matrix)
-        return NotImplemented
-
-    def apply(self, state: FockState) -> FockState:
-        return FockState(self.matrix @ state.coeffs)
-
-    def column_state(self, n: int) -> FockState:
-        """The image of basis state |n>, i.e. column n."""
-        return FockState(self.matrix[:, n].copy())
 
     def unitarity_defect(self) -> float:
         """max-entry norm of U^dag U - I; truncation makes this nonzero."""

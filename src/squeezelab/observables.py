@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GuardViolation
 from .fock import FockState, ladder_matrices, time_evolve
-from .parameters import DisplacementParam, SqueezeParam, cosh_sinh
+from .parameters import SqueezeParam, cosh_sinh
 from .states import StateSpec
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "moments_closed",
     "uncertainty_product",
     "uncertainty_product_width_form",
-    "displaced_energy",
     "moments_numeric",
 ]
 
@@ -63,19 +62,26 @@ def moments_closed(spec: StateSpec, t: float) -> MomentSet:
     at large r when cosh 2r and sinh 2r cos(theta) nearly cancel.  Halving
     the theta of uncertainty_product keeps var_x var_p equal to it to a
     few ulps.  At r = 0 both variances are exactly n + 1/2; the variances
-    do not depend on the displacement.
+    do not depend on the displacement.  A product beyond the float range
+    is a guard violation naming n and r.
     """
     x0, p0 = spec.disp.x0, spec.disp.p0
     floor = math.exp(-2.0 * spec.sq.r)
     swing = 2.0 * cosh_sinh(2.0 * spec.sq.r, spec.sq.r)[1]
     half = 0.5 * (2.0 * t - spec.sq.phi)
-    scale = spec.n + 0.5
-    return MomentSet(
+    try:
+        scale = spec.n + 0.5
+    except OverflowError:  # an integer n beyond the float range
+        scale = math.inf
+    moments = MomentSet(
         mean_x=x0 * math.cos(t) + p0 * math.sin(t),
         mean_p=p0 * math.cos(t) - x0 * math.sin(t),
         var_x=scale * (floor + swing * math.cos(half) ** 2),
         var_p=scale * (floor + swing * math.sin(half) ** 2),
     )
+    if not math.isfinite(moments.product):
+        raise GuardViolation(f"moments overflow at n = {spec.n}, squeeze magnitude r = {spec.sq.r:g}")
+    return moments
 
 
 def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
@@ -86,7 +92,10 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
     """
     ch, sh = cosh_sinh(sq.r, sq.r)
     s = math.sin(2.0 * t - sq.phi)
-    product = (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
+    try:
+        product = (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
+    except OverflowError:  # n + 1/2, or its square, beyond the float range
+        product = math.inf
     if not math.isfinite(product):
         raise GuardViolation(f"uncertainty product overflows at n = {n}, squeeze magnitude r = {sq.r:g}")
     return product
@@ -102,11 +111,6 @@ def uncertainty_product_width_form(n: int, s: float, phi: float, t: float) -> fl
     w = s * s - 1.0 / (s * s)
     sn = math.sin(2.0 * t - phi)
     return (n + 0.5) ** 2 * (1.0 + 0.25 * w * w * sn * sn)
-
-
-def displaced_energy(n: int, disp: DisplacementParam) -> float:
-    """<H> = (n + 1/2) + |alpha|^2 for a displaced number state."""
-    return (n + 0.5) + abs(disp.alpha) ** 2
 
 
 def moments_numeric(state: FockState, t: float) -> MomentSet:

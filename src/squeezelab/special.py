@@ -2,8 +2,9 @@
 
 Everything here is oscillator-unit (hbar = m = omega = 1) and works on
 scalars or numpy arrays; Hermite evaluation accepts complex arguments.
-Quadrature takes vectorized integrands only: each is called once on the
-whole sampling grid.
+normalized_hermite and oscillator_eigenfunctions share one recurrence;
+hermite keeps its own as the independent reference.  Quadrature takes
+vectorized integrands only: each is called once on the whole grid.
 """
 
 import math
@@ -16,7 +17,6 @@ __all__ = [
     "hermite",
     "normalized_hermite",
     "log_factorial",
-    "oscillator_eigenfunction",
     "oscillator_eigenfunctions",
     "integrate",
 ]
@@ -43,6 +43,23 @@ def hermite(n, w):
     return h1
 
 
+def _normalized_hermite_rows(n, w, seed=None):
+    """seed H_k(w) / sqrt(2^k k!) for k = 0 .. n, one row at a time.
+
+    A seed of None stands for 1 and is never multiplied in: a complex
+    multiply by 1 flips signed zeros and turns inf into nan.
+    """
+    prev = 1.0 + 0.0 * w if seed is None else seed  # promotes to the dtype/shape of w
+    yield prev
+    if n == 0:
+        return
+    row = math.sqrt(2.0) * w if seed is None else math.sqrt(2.0) * w * seed
+    yield row
+    for k in range(1, n):
+        prev, row = row, math.sqrt(2.0 / (k + 1)) * w * row - math.sqrt(k / (k + 1)) * prev
+        yield row
+
+
 def normalized_hermite(n, w):
     """H_n(w) / sqrt(2^n n!), by a recurrence that never forms 2^n n!.
 
@@ -51,13 +68,9 @@ def normalized_hermite(n, w):
     """
     if n < 0:
         raise ValueError(f"Hermite order must be non-negative, got {n}")
-    h0 = 1.0 + 0.0 * w
-    if n == 0:
-        return h0
-    h1 = math.sqrt(2.0) * w
-    for k in range(1, n):
-        h0, h1 = h1, math.sqrt(2.0 / (k + 1)) * w * h1 - math.sqrt(k / (k + 1)) * h0
-    return h1
+    for row in _normalized_hermite_rows(n, w):
+        pass
+    return row
 
 
 def log_factorial(n):
@@ -67,32 +80,18 @@ def log_factorial(n):
     return math.lgamma(n + 1.0)
 
 
-def oscillator_eigenfunction(n, x):
-    """Harmonic-oscillator eigenfunction psi_n(x) = e^{-x^2/2} H_n(x) / (pi^{1/4} sqrt(2^n n!)).
-
-    Computed by the three-term recurrence on the normalized functions
-    themselves, so intermediate values stay of order one and large n does
-    not overflow.
-    """
-    table = oscillator_eigenfunctions(n, np.atleast_1d(np.asarray(x, dtype=float)))
-    row = table[n]
-    return row[0] if np.isscalar(x) or np.asarray(x).ndim == 0 else row
-
-
 def oscillator_eigenfunctions(n_max, x):
-    """All eigenfunctions psi_0 .. psi_{n_max} sampled on x.
+    """psi_n(x) = e^{-x^2/2} H_n(x) / (pi^{1/4} sqrt(2^n n!)) for n = 0 .. n_max, shape (n_max + 1, len(x)).
 
-    Returns an array of shape (n_max + 1, len(x)).
+    The normalized_hermite recurrence seeded with psi_0 keeps every row of
+    order one, so large n does not overflow.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be non-negative, got {n_max}")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
-    out[0] = PI_FOURTH_ROOT_INV * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
-    for m in range(1, n_max):
-        out[m + 1] = math.sqrt(2.0 / (m + 1)) * x * out[m] - math.sqrt(m / (m + 1)) * out[m - 1]
+    for k, row in enumerate(_normalized_hermite_rows(n_max, x, PI_FOURTH_ROOT_INV * np.exp(-0.5 * x * x))):
+        out[k] = row
     return out
 
 

@@ -10,6 +10,7 @@ just in modulus.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class StateSpec:
     sq: SqueezeParam
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"quantum number n must be an integer, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"quantum number must be non-negative, got {self.n}")
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -27,8 +28,8 @@ from squeezelab import (
     synthesize,
     time_evolve,
 )
-from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, main
-from squeezelab.equivalence import operator_state
+from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, build_parser, main
+from squeezelab.equivalence import DEFAULT_TRUNCATION, compare_formalisms, operator_state
 
 LN2 = math.log(2.0)
 
@@ -251,6 +252,17 @@ class TestVerifyCommand:
     def test_bad_preset_is_config_error(self):
         assert run(["verify", "--preset", "9"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_truncation_below_one_is_config_error(self, capsys, value):
+        assert run(["verify", "--preset", "1", "--N", value, "--out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"squeezelab: configuration error: --N must be >= 1, got {value}\n"
+
+    def test_default_truncation_is_the_library_default(self):
+        default = inspect.signature(compare_formalisms).parameters["truncation"].default
+        assert build_parser().parse_args(["verify"]).N == default == DEFAULT_TRUNCATION == 256
+
     def test_stdout_independent_of_blas_threads(self):
         # the operator route runs in numpy long double, which BLAS never touches
         outputs = [run_process(["verify", "--preset", "1", "--out", "-"], OPENBLAS_NUM_THREADS=threads)
@@ -394,6 +406,10 @@ class TestConfigAndErrors:
             (["state", "--r", "400"], "F4^2 = |F1|^2 overflows at squeeze magnitude r = 400"),
             (["density", "--r", "400"], "F4^2 = |F1|^2 overflows at squeeze magnitude r = 400"),
             (["uncertainty", "--r", "400"], "uncertainty product overflows at n = 0, squeeze magnitude r = 400"),
+            (["uncertainty", "--n", str(10**160), "--nt", "2"], f"uncertainty product overflows at n = {10**160},"),
+            (["uncertainty", "--n", str(10**400), "--nt", "2"], f"uncertainty product overflows at n = {10**400},"),
+            (["moments", "--n", str(10**160), "--nt", "2"], f"moments overflow at n = {10**160},"),
+            (["moments", "--n", str(10**400), "--nt", "2"], f"moments overflow at n = {10**400},"),
         ],
     )
     def test_overflow_exit_three_in_one_line(self, capsys, argv, reason):

@@ -24,7 +24,7 @@ from squeezelab import (
     make_squeeze,
     matrix_exponential,
     number_state,
-    oscillator_eigenfunction,
+    oscillator_eigenfunctions,
     psi_squeezed_number,
     squeeze_bch,
     squeezed_number_coeffs,
@@ -108,11 +108,11 @@ class TestMatrixExponential:
     @pytest.mark.parametrize("alpha", [0.5, 1.5j, 2.0, -1.0 + 1.0j])
     def test_coherent_state_coefficients(self, alpha):
         N = 64
-        column = displacement_exact(alpha, N).column_state(0)
+        column = displacement_exact(alpha, N).matrix[:, 0]
         k = np.arange(N + 1)
         log_mag = k * np.log(abs(alpha)) - 0.5 * np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, N + 1))]))
         expected = np.exp(-abs(alpha) ** 2 / 2.0) * np.exp(log_mag) * np.exp(1j * k * np.angle(alpha))
-        assert np.max(np.abs(column.coeffs - expected)) < 1e-10
+        assert np.max(np.abs(column - expected)) < 1e-10
 
     def test_non_finite_rejected(self):
         bad = np.zeros((3, 3))
@@ -164,9 +164,9 @@ class TestDisplacementBch:
 
     def test_group_inverse(self):
         N = 128
-        product = displacement_bch(2.0, N) @ displacement_bch(-2.0, N)
+        product = displacement_bch(2.0, N).matrix @ displacement_bch(-2.0, N).matrix
         half = N // 2
-        dev = np.max(np.abs(product.matrix[:half, :half] - np.eye(N + 1)[:half, :half]))
+        dev = np.max(np.abs(product[:half, :half] - np.eye(N + 1)[:half, :half]))
         assert dev < 1e-8
 
     def test_guard(self):
@@ -176,7 +176,7 @@ class TestDisplacementBch:
     def test_columns_unit_norm(self):
         op = displacement_bch(1.5 - 0.5j, 96)
         for n in (0, 2, 7):
-            assert op.column_state(n).norm_sq == pytest.approx(1.0, abs=1e-8)
+            assert FockState(op.matrix[:, n]).norm_sq == pytest.approx(1.0, abs=1e-8)
 
 
 def rotation(theta, truncation):
@@ -239,7 +239,7 @@ class TestSqueezeBch:
     def test_columns_unit_norm(self):
         op = squeeze_bch(make_squeeze(LN2, 1.1), 128)
         for n in (0, 1, 5):
-            assert op.column_state(n).norm_sq == pytest.approx(1.0, abs=1e-8)
+            assert FockState(op.matrix[:, n]).norm_sq == pytest.approx(1.0, abs=1e-8)
 
 
 class TestDisplacedNumberCoeffs:
@@ -247,8 +247,8 @@ class TestDisplacedNumberCoeffs:
         alpha = 1.3 - 0.4j
         N = 96
         state = displaced_number_coeffs(0, alpha, N)
-        oracle = displacement_exact(alpha, N).column_state(0)
-        assert np.max(np.abs(state.coeffs - oracle.coeffs)) < 1e-10
+        oracle = displacement_exact(alpha, N).matrix[:, 0]
+        assert np.max(np.abs(state.coeffs - oracle)) < 1e-10
 
     def test_zero_alpha_is_delta(self):
         state = displaced_number_coeffs(4, 0.0, 32)
@@ -264,8 +264,8 @@ class TestDisplacedNumberCoeffs:
         alpha = 1.7 + 0.9j
         N = 128
         state = displaced_number_coeffs(n, alpha, N)
-        column = displacement_bch(alpha, N).column_state(n)
-        assert np.max(np.abs(state.coeffs - column.coeffs)) < 1e-9
+        column = displacement_bch(alpha, N).matrix[:, n]
+        assert np.max(np.abs(state.coeffs - column)) < 1e-9
 
     def test_unit_norm_within_guards(self):
         state = displaced_number_coeffs(3, 2.0 - 1.0j, 128)
@@ -304,8 +304,8 @@ class TestSqueezedNumberCoeffs:
         sq = make_squeeze(LN2, -2.1)
         N = 128
         state = squeezed_number_coeffs(n, sq, N)
-        column = squeeze_bch(sq, N).column_state(n)
-        assert np.max(np.abs(state.coeffs - column.coeffs)) < 1e-9
+        column = squeeze_bch(sq, N).matrix[:, n]
+        assert np.max(np.abs(state.coeffs - column)) < 1e-9
 
     def test_parity_support(self):
         state = squeezed_number_coeffs(2, make_squeeze(LN2, 0.0), 64)
@@ -328,7 +328,7 @@ class TestSynthesize:
         xs = np.linspace(-6, 6, 61)
         for n in (0, 1, 5):
             values = synthesize(number_state(n, 32), xs)
-            assert np.max(np.abs(values - oscillator_eigenfunction(n, xs))) < 1e-14
+            assert np.max(np.abs(values - oscillator_eigenfunctions(n, xs)[n])) < 1e-14
 
     def test_real_coherent_state_is_shifted_gaussian(self):
         x0 = 2.5
@@ -379,7 +379,7 @@ class TestAlgebraicProperties:
         N = 128
         state = displaced_number_coeffs(0, alpha, N)
         a, _ = ladder_matrices(N)
-        applied = a.apply(state)
+        applied = a.matrix @ state.coeffs
         half = N // 2
-        dev = np.max(np.abs(applied.coeffs[:half] - alpha * state.coeffs[:half]))
+        dev = np.max(np.abs(applied[:half] - alpha * state.coeffs[:half]))
         assert dev < 1e-8

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from squeezelab import (
     GuardViolation,
     StateSpec,
-    displaced_energy,
     displaced_number_coeffs,
     make_displacement,
     make_squeeze,
@@ -106,18 +105,6 @@ class TestUncertaintyProduct:
     def test_width_form_rejects_bad_width(self):
         with pytest.raises(ValueError):
             uncertainty_product_width_form(0, -1.0, 0.0, 0.0)
-
-
-class TestDisplacedEnergy:
-    def test_zero_point(self):
-        assert displaced_energy(0, make_displacement(0.0, 0.0)) == 0.5
-
-    def test_figure_one_displacement(self):
-        assert displaced_energy(1, make_displacement(8.0, 0.0)) == pytest.approx(33.5, rel=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 4])
-    def test_undisplaced(self, n):
-        assert displaced_energy(n, make_displacement(0.0, 0.0)) == n + 0.5
 
 
 class TestNumericMoments:

@@ -15,7 +15,6 @@ from squeezelab import (
     integrate,
     log_factorial,
     normalized_hermite,
-    oscillator_eigenfunction,
     oscillator_eigenfunctions,
 )
 
@@ -107,14 +106,14 @@ class TestLogFactorial:
 
 class TestEigenfunctions:
     def test_ground_state_at_origin(self):
-        assert oscillator_eigenfunction(0, 0.0) == pytest.approx(PI_QUARTER, rel=1e-14)
+        assert oscillator_eigenfunctions(0, 0.0)[0, 0] == pytest.approx(PI_QUARTER, rel=1e-14)
 
     def test_first_excited_odd(self):
-        assert oscillator_eigenfunction(1, 0.0) == 0.0
+        assert oscillator_eigenfunctions(1, 0.0)[1, 0] == 0.0
 
     def test_second_excited_at_origin(self):
         # H2(0) = -2 gives psi_2(0) = -pi^{-1/4}/sqrt(2)
-        assert oscillator_eigenfunction(2, 0.0) == pytest.approx(-PI_QUARTER / math.sqrt(2), rel=1e-14)
+        assert oscillator_eigenfunctions(2, 0.0)[2, 0] == pytest.approx(-PI_QUARTER / math.sqrt(2), rel=1e-14)
 
     def test_matches_direct_formula_moderate_n(self):
         x = np.linspace(-4, 4, 41)
@@ -124,30 +123,24 @@ class TestEigenfunctions:
                 * hermite(n, x)
                 / (math.pi**0.25 * math.sqrt(2.0**n * math.factorial(n)))
             )
-            assert np.allclose(oscillator_eigenfunction(n, x), direct, rtol=1e-11, atol=1e-13)
+            assert np.allclose(oscillator_eigenfunctions(n, x)[n], direct, rtol=1e-11, atol=1e-13)
 
     def test_large_n_no_overflow(self):
-        values = oscillator_eigenfunction(512, np.linspace(-20, 20, 101))
+        values = oscillator_eigenfunctions(512, np.linspace(-20, 20, 101))[512]
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(values)) < 1.0
 
     def test_large_n_normalization(self):
         spec = QuadratureSpec(-30.0, 30.0, 12001)
-        norm = integrate(lambda x: oscillator_eigenfunction(200, x) ** 2, spec)
+        norm = integrate(lambda x: oscillator_eigenfunctions(200, x)[200] ** 2, spec)
         assert norm == pytest.approx(1.0, abs=1e-8)
-
-    def test_table_matches_single(self):
-        x = np.linspace(-5, 5, 21)
-        table = oscillator_eigenfunctions(12, x)
-        for n in (0, 4, 12):
-            assert np.allclose(table[n], oscillator_eigenfunction(n, x), rtol=1e-13)
 
     @pytest.mark.parametrize("m", range(0, 21, 4))
     def test_orthonormality(self, m):
         spec = QuadratureSpec(-12.0, 12.0, 4001)
         for n in range(0, 21, 5):
             value = integrate(
-                lambda x: oscillator_eigenfunction(m, x) * oscillator_eigenfunction(n, x), spec
+                lambda x: oscillator_eigenfunctions(m, x)[m] * oscillator_eigenfunctions(n, x)[n], spec
             )
             assert value == pytest.approx(1.0 if m == n else 0.0, abs=1e-8)
 
@@ -164,7 +157,7 @@ class TestIntegrate:
 
     def test_eigenfunction_normalization(self):
         spec = QuadratureSpec(-12.0, 12.0, 4000)
-        value = integrate(lambda x: oscillator_eigenfunction(3, x) ** 2, spec)
+        value = integrate(lambda x: oscillator_eigenfunctions(3, x)[3] ** 2, spec)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_quadratic_is_exact(self):

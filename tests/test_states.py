@@ -244,6 +244,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             spec(n=-1)
 
+    @pytest.mark.parametrize("n", [1.5, 1.0, "1", None])
+    def test_non_integer_quantum_number(self, n):
+        with pytest.raises(ValueError, match="quantum number n must be an integer"):
+            spec(n=n)
+
+    def test_numpy_integer_quantum_number(self):
+        sp, plain = spec(n=np.int64(2), x0=1.0, r=LN2), spec(n=2, x0=1.0, r=LN2)
+        assert np.array_equal(density(sp, XS, 0.4), density(plain, XS, 0.4))
+        assert np.array_equal(psi_squeezed_number_evolved(sp, XS, 0.4), psi_squeezed_number_evolved(plain, XS, 0.4))
+
     def test_single_time_sample_is_t_min(self):
         grid = GridSpec(-1.0, 1.0, 10, 0.25, 2.0, 1)
         assert grid.t_values().tolist() == [0.25]
