@@ -21,7 +21,6 @@ from .special import (
     QuadratureSpec,
     hermite,
     integrate,
-    log_factorial,
     normalized_hermite,
     oscillator_eigenfunctions,
 )

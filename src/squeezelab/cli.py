@@ -211,11 +211,15 @@ def _cmd_uncertainty(args):
 
 VERIFY_TIMES = (0.0, math.pi / 4.0, math.pi / 2.0)
 VERIFY_ORDERS = (0, 1, 2, 3)
+# The largest --N whose four long-double factor matrices, 64 (N+1)^2 bytes, fit in 1 GiB.
+VERIFY_MAX_N = math.isqrt(2**30 // 64) - 1
 
 
 def _cmd_verify(args):
     if args.N < 1:
         raise ConfigError(f"--N must be >= 1, got {args.N}")
+    if args.N > VERIFY_MAX_N:
+        raise ConfigError(f"--N must be <= {VERIFY_MAX_N} for its factor matrices to fit in 1 GiB, got {args.N}")
     indices = sorted(FIGURE_PRESETS) if args.preset == "all" else [_preset_index(args.preset)]
     reports = []
     for index in indices:

@@ -3,9 +3,10 @@
 Displacement and squeeze operators are built two independent ways: as a
 matrix exponential of the generator (the oracle) and as normal-ordered
 products of exponential factors (the construction under test), plus
-direct coefficient expansions of D(alpha)|n> and S(z)|n>.  The same
-factors also act on |n> directly, for D(alpha) S(z)|n>.  States are
-mapped back to position space through the oscillator eigenfunctions.
+direct coefficient expansions of D(alpha)|n> and S(z)|n>, which share one
+guarded long-double kernel.  The same factors also act on |n> directly,
+for D(alpha) S(z)|n>.  States are mapped back to position space through
+the oscillator eigenfunctions.
 
 Truncation to the basis {|0>, ..., |N>} is never hidden: states report
 their leakage 1 - sum |c_m|^2 and operators report a unitarity defect
@@ -19,7 +20,6 @@ benchmark's sweep builds each D and S once per state; a second entry
 would save no build on either and costs memory.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GuardViolation
 from .parameters import SqueezeParam
-from .special import log_factorial, oscillator_eigenfunctions
+from .special import oscillator_eigenfunctions
 
 __all__ = [
     "FockState",
@@ -299,14 +299,49 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     return FockState(_read_only(coeffs.astype(complex)))
 
 
+def _normal_ordered_series(n: int, u, v, step: int, log_prefactor, truncation: int, subject: str) -> FockState:
+    """c_m = e^{log_prefactor} sqrt(m! n!) sum_j u^j v^k / (j! k! (n - step j)!), k = (m - n)/step + j,
+    for m = 0 .. N: the expansion of D(alpha)|n> (step 1) and of S(z)|n> (step 2).
+
+    All terms are formed at once on the (j, m) grid: each magnitude as the exp of a sum of
+    long-double logs, each phase apart as e^{i j arg u} e^{i k arg v} from two tables.  A log
+    or angle x costs eps |x| of relative accuracy, and ln 256! is 1167, so a sum of J terms,
+    rounded to complex, carries the error bound
+    sum_j (eps (sum |logs| + j |arg u| + k |arg v| + J + 4) + eps_64 / 2) |term_j|.
+    Above 1e-8, the amplitude tolerance the series are checked against, it has cancelled too
+    far and raises GuardViolation.
+    """
+    ms = np.arange(n % step, truncation + 1, step)
+    j = np.arange(n // step + 1)[:, None]
+    k = (ms - n) // step + j
+    present = k >= 0
+    k = np.where(present, k, 0)
+    log_fact = np.concatenate(([0], np.cumsum(np.log(np.arange(1, truncation + 1, dtype=np.longdouble)))))
+    logs = (j * np.log(abs(u)), k * np.log(abs(v)), -log_fact[j], -log_fact[k], -log_fact[n - step * j],
+            0.5 * log_fact[ms], 0.5 * log_fact[n], log_prefactor)
+    arg_u, arg_v = np.angle(u), np.angle(v)
+    with np.errstate(over="ignore"):  # an overflowing term trips the guard
+        magnitude = np.where(present, np.exp(sum(logs)), 0)
+    weight = sum(np.abs(part) for part in logs) + j * abs(arg_u) + k * abs(arg_v) + j.size + 4
+    error = (np.finfo(np.longdouble).eps * weight + np.finfo(float).eps / 2) * magnitude
+    bound = float(np.max(np.sum(error, axis=0)))
+    if not bound <= 1e-8:
+        raise GuardViolation(
+            f"{subject}, n = {n}, N = {truncation}: series rounding-error bound {bound:.3g} exceeds 1e-8"
+        )
+    coeffs = np.zeros(truncation + 1, dtype=complex)
+    turns = _phases(arg_u, j.size)[j] * _phases(arg_v, truncation + 1)[k]
+    coeffs[ms] = np.sum(magnitude * turns, axis=0)
+    return FockState(coeffs)
+
+
 def displaced_number_coeffs(n: int, alpha: complex, truncation: int) -> FockState:
     """Coefficients of D(alpha)|n> from the double-sum expansion.
 
     c_m = e^{-|alpha|^2/2} sum_j alpha^{m-n+j} (-conj(alpha))^j
           sqrt(m! n!) / ((m-n+j)! j! (n-j)!)
 
-    with j running over max(0, n-m) .. n.  Factorials are handled in log
-    magnitude with the phases tracked separately.
+    with j running over max(0, n-m) .. n.
     """
     if n > truncation // 2:
         raise GuardViolation(f"need n <= truncation/2, got n = {n} at N = {truncation}")
@@ -314,21 +349,9 @@ def displaced_number_coeffs(n: int, alpha: complex, truncation: int) -> FockStat
     _check_alpha_guard(alpha, truncation)
     if alpha == 0:
         return number_state(n, truncation)
-    log_abs = math.log(abs(alpha))
-    theta = cmath.phase(alpha)
-    lg = [log_factorial(k) for k in range(truncation + 1)]
-    coeffs = np.zeros(truncation + 1, dtype=complex)
-    prefactor = math.exp(-abs(alpha) ** 2 / 2.0)
-    for m in range(truncation + 1):
-        acc = 0.0 + 0.0j
-        for j in range(max(0, n - m), n + 1):
-            k = m - n + j
-            magnitude = math.exp(
-                (k + j) * log_abs - lg[k] - lg[j] - lg[n - j] + 0.5 * (lg[m] + lg[n])
-            )
-            acc += magnitude * cmath.exp(1j * theta * (k - j)) * (-1.0) ** j
-        coeffs[m] = prefactor * acc
-    return FockState(coeffs)
+    a = np.clongdouble(alpha)
+    return _normal_ordered_series(n, -a.conjugate(), a, 1, -(a.real**2 + a.imag**2) / 2, truncation,
+                                  f"D(alpha)|n> at |alpha| = {abs(alpha):.3g}")
 
 
 def squeezed_number_coeffs(n: int, sq: SqueezeParam, truncation: int) -> FockState:
@@ -338,39 +361,19 @@ def squeezed_number_coeffs(n: int, sq: SqueezeParam, truncation: int) -> FockSta
           sum_j (-conj(d))^j (cosh r)^{2j} / ((n-2j)! j!)
                 d^k sqrt(m!) / k!,     k = (m - n)/2 + j
 
-    supported only on m with the parity of n; the k sum is truncated by
-    the basis cutoff and the lost weight shows up as reported leakage.
+    with d = tanh(r) e^{i phi} / 2, supported only on m with the parity of
+    n; the k sum is truncated by the basis cutoff and the lost weight shows
+    up as reported leakage.
     """
     if n > truncation // 4:
         raise GuardViolation(f"need n <= truncation/4, got n = {n} at N = {truncation}")
     _check_squeeze_guard(sq)
     if sq.r == 0.0:
         return number_state(n, truncation)
-    d = 0.5 * cmath.exp(1j * sq.phi) * math.tanh(sq.r)
-    log_abs_d = math.log(abs(d))
-    theta = cmath.phase(d)
-    log_cosh = math.log(math.cosh(sq.r))
-    lg = [log_factorial(k) for k in range(truncation + 1)]
-    coeffs = np.zeros(truncation + 1, dtype=complex)
-    for m in range(n % 2, truncation + 1, 2):
-        acc = 0.0 + 0.0j
-        j_lo = max(0, (n - m) // 2)
-        for j in range(j_lo, n // 2 + 1):
-            k = (m - n) // 2 + j
-            magnitude = math.exp(
-                -(n + 0.5) * log_cosh
-                + 0.5 * lg[n]
-                + j * log_abs_d
-                + 2.0 * j * log_cosh
-                - lg[n - 2 * j]
-                - lg[j]
-                + k * log_abs_d
-                + 0.5 * lg[m]
-                - lg[k]
-            )
-            acc += magnitude * cmath.exp(1j * theta * (k - j)) * (-1.0) ** j
-        coeffs[m] = acc
-    return FockState(coeffs)
+    r = np.longdouble(sq.r)
+    d = np.tanh(r) / 2 * np.exp(1j * np.longdouble(sq.phi))
+    return _normal_ordered_series(n, -d.conjugate() * np.cosh(r) ** 2, d, 2, -(n + 0.5) * np.log(np.cosh(r)),
+                                  truncation, f"S(z)|n> at r = {sq.r:.3g}")
 
 
 @lru_cache(maxsize=1)

@@ -16,7 +16,6 @@ __all__ = [
     "QuadratureSpec",
     "hermite",
     "normalized_hermite",
-    "log_factorial",
     "oscillator_eigenfunctions",
     "integrate",
 ]
@@ -71,13 +70,6 @@ def normalized_hermite(n, w):
     for row in _normalized_hermite_rows(n, w):
         pass
     return row
-
-
-def log_factorial(n):
-    """ln(n!) for non-negative integer n."""
-    if n < 0:
-        raise ValueError(f"factorial argument must be non-negative, got {n}")
-    return math.lgamma(n + 1.0)
 
 
 def oscillator_eigenfunctions(n_max, x):

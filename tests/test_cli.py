@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -258,6 +259,18 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"squeezelab: configuration error: --N must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize("value", ["4096", "100000000000"])
+    def test_truncation_above_memory_bound_is_config_error(self, capsys, value):
+        # 64 (N+1)^2 bytes of long-double factor matrices fit in 1 GiB up to N = 4095
+        began = time.perf_counter()
+        assert run(["verify", "--preset", "1", "--N", value, "--out", "-"]) == EXIT_CONFIG
+        assert time.perf_counter() - began < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"squeezelab: configuration error: --N must be <= 4095 for its factor matrices to fit in 1 GiB, got {value}\n"
+        )
 
     def test_default_truncation_is_the_library_default(self):
         default = inspect.signature(compare_formalisms).parameters["truncation"].default

@@ -9,9 +9,12 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import squeezelab
 from squeezelab import (
@@ -278,6 +281,35 @@ class TestDisplacedNumberCoeffs:
         with pytest.raises(GuardViolation):
             displaced_number_coeffs(0, 10.0, 64)
 
+    # Sweep-pool states 49 and 335 (n = 8, |alpha| near 6): the pool's two
+    # largest gaps between the series and the BCH column.
+    @pytest.mark.parametrize("alpha", [4.9229948852517005 - 3.4293283557120082j,
+                                       -5.741784956347293 + 1.3624477698370523j])
+    def test_matches_bch_column_at_large_alpha(self, alpha):
+        state = displaced_number_coeffs(8, alpha, 256)
+        column = displacement_bch(alpha, 256).matrix[:, 8]
+        assert np.max(np.abs(state.coeffs - column)) < 1e-11
+
+    def test_matches_exact_rational_sum(self):
+        # For real alpha the sum is rational: sum_j (-1)^j a^(k+j) / (j! k! (n-j)!),
+        # summed exactly; only sqrt(m! n!) e^{-a^2/2} is applied in floating point.
+        n, alpha, N = 8, 5.5, 256
+        a = Fraction(alpha)
+        exact = []
+        for m in range(N + 1):
+            total = sum((-1) ** j * a ** (m - n + 2 * j)
+                        / (math.factorial(j) * math.factorial(m - n + j) * math.factorial(n - j))
+                        for j in range(max(0, n - m), n + 1))
+            scaled = math.sqrt(total * total * math.factorial(m) * math.factorial(n) * Fraction(math.exp(-alpha**2)))
+            exact.append(math.copysign(scaled, total))
+        state = displaced_number_coeffs(n, alpha, N)
+        assert np.max(np.abs(state.coeffs - exact)) < 1e-11
+
+    @pytest.mark.parametrize("n, alpha", [(32, 5 + 3j), (128, 2.0)])
+    def test_cancelling_series_raises(self, n, alpha):
+        with pytest.raises(GuardViolation, match=rf"\|alpha\| = {abs(alpha):.3g}, n = {n}, N = 512: .* bound"):
+            displaced_number_coeffs(n, alpha, 512)
+
 
 class TestSqueezedNumberCoeffs:
     def test_squeezed_vacuum_closed_form(self):
@@ -321,6 +353,41 @@ class TestSqueezedNumberCoeffs:
             squeezed_number_coeffs(40, make_squeeze(0.5, 0.0), 128)
         with pytest.raises(GuardViolation):
             squeezed_number_coeffs(0, make_squeeze(3.5, 0.0), 128)
+
+    def test_cancelling_series_raises(self):
+        with pytest.raises(GuardViolation, match=r"r = 1, n = 96, N = 512: .* bound"):
+            squeezed_number_coeffs(96, make_squeeze(1.0, 0.0), 512)
+
+
+TRUNCATIONS = st.sampled_from([64, 128, 256, 512])
+
+
+class TestSeriesContract:
+    """Every admitted input either raises GuardViolation or gives finite
+    coefficients with norm_sq <= 1 + 1e-6: the 1e-8 per-coefficient error
+    bound summed over at most 513 coefficients."""
+
+    @staticmethod
+    def assert_within_contract(call):
+        try:
+            state = call()
+        except GuardViolation:
+            return
+        assert np.all(np.isfinite(state.coeffs))
+        assert state.norm_sq <= 1.0 + 1e-6
+
+    @given(N=TRUNCATIONS, n_share=st.floats(0, 1), size_share=st.floats(0, 1), angle=st.floats(-math.pi, math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_displaced(self, N, n_share, size_share, angle):
+        n = int(n_share * (N // 2))
+        alpha = size_share * N / 8 * cmath.exp(1j * angle)
+        self.assert_within_contract(lambda: displaced_number_coeffs(n, alpha, N))
+
+    @given(N=TRUNCATIONS, n_share=st.floats(0, 1), r=st.floats(0, 3), phi=st.floats(-math.pi, math.pi))
+    @settings(max_examples=40, deadline=None)
+    def test_squeezed(self, N, n_share, r, phi):
+        n = int(n_share * (N // 4))
+        self.assert_within_contract(lambda: squeezed_number_coeffs(n, make_squeeze(r, phi), N))
 
 
 class TestSynthesize:

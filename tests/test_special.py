@@ -13,7 +13,6 @@ from squeezelab import (
     QuadratureSpec,
     hermite,
     integrate,
-    log_factorial,
     normalized_hermite,
     oscillator_eigenfunctions,
 )
@@ -71,37 +70,6 @@ class TestHermite:
     def test_normalized_large_order_stays_finite(self):
         value = normalized_hermite(300, 12.0)
         assert np.isfinite(value)
-
-
-class TestLogFactorial:
-    def test_trivial_values(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-
-    def test_ten(self):
-        # oracle: cumulative sum of ln k
-        expected = sum(math.log(k) for k in range(2, 11))
-        assert log_factorial(10) == pytest.approx(expected, rel=1e-13)
-        assert log_factorial(10) == pytest.approx(15.104412573075516, rel=1e-13)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 512])
-    def test_increment_is_log_n(self, n):
-        assert log_factorial(n) - log_factorial(n - 1) == pytest.approx(math.log(n), rel=1e-13)
-
-    @given(n=st.integers(min_value=1, max_value=512))
-    @settings(max_examples=100, deadline=None)
-    def test_increment_property(self, n):
-        assert log_factorial(n) - log_factorial(n - 1) == pytest.approx(math.log(n), rel=1e-13)
-
-    def test_oracle_cumsum_up_to_512(self):
-        acc = 0.0
-        for n in range(1, 513):
-            acc += math.log(n) if n > 1 else 0.0
-            assert log_factorial(n) == pytest.approx(acc, rel=1e-13)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
 
 
 class TestEigenfunctions:
