@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GuardViolation
+
 __all__ = [
     "QuadratureSpec",
     "hermite",
@@ -47,7 +49,16 @@ def _normalized_hermite_rows(n, w, seed=None):
 
     A seed of None stands for 1 and is never multiplied in: a complex
     multiply by 1 flips signed zeros and turns inf into nan.
+
+    A step costs about as much as 500 samples (~5 us of numpy calls) plus
+    ~10 ns per sample, so n (samples + 500) > 1e8, about a second of
+    recurrence, raises GuardViolation.
     """
+    samples = np.size(w)
+    if n * (samples + 500) > 1e8:
+        raise GuardViolation(
+            f"Hermite recurrence to n = {n} on {samples} samples exceeds the cost bound n (samples + 500) <= 1e8"
+        )
     prev = 1.0 + 0.0 * w if seed is None else seed  # promotes to the dtype/shape of w
     yield prev
     if n == 0:

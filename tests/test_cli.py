@@ -376,6 +376,16 @@ class TestConfigAndErrors:
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("squeezelab: guard violation: "), lines
 
+    def test_unbounded_quantum_number_exit_three(self, capsys):
+        # the Hermite recurrence to n = 1e7 would run for about a minute
+        started = time.perf_counter()
+        code = run(["state", "--n", "10000000", "--nx", "3", "--out", "-"])
+        assert time.perf_counter() - started < 2.0
+        assert code == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "n = 10000000" in captured.err
+
     def test_fock_guard_exit_three(self, tmp_path):
         # |alpha| = 5.66 exceeds N/8 at N = 24
         code = run(["verify", "--preset", "1", "--N", "24", "--out", str(tmp_path / "x")])

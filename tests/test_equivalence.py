@@ -91,11 +91,11 @@ def alpha_spec(n, alpha, r, phi):
 def seeded_column_keys(count, seed=2024):
     """(n, alpha, r, phi, N) with |Re alpha|, |Im alpha| <= 4 and r <= 1.
 
-    Past that range the matrix and column routes stop agreeing to 1e-14
+    Past that range the matrix and column routes can stop agreeing to 1e-14
     without either being at fault: near b = |alpha| / 2^h = 1 at N ~ 256
-    both carry ~2e-14 rounding against the expm oracle, and at r > 1 with
-    N >= 128 both carry the squeeze corruption of ROADMAP item 2, which
-    differs between them by up to 1e-9."""
+    both carry ~2e-14 rounding against the matrix-exponential oracle, and at
+    r > 1 with N >= 128 both carry the squeeze corruption of ROADMAP item 2,
+    which differs between them by up to 1e-9."""
     rng = np.random.default_rng(seed)
     keys = []
     for _ in range(count):
@@ -115,6 +115,9 @@ COLUMN_KEYS = [
     (1, 5.0 - 2j, 0.7, math.pi / 2, 257),  # 3 halvings
     (2, 8.5 + 0.5j, 0.2, -math.pi / 4, 257),  # 4 halvings
     (2, 1.0 - 0.5j, 1.2, 0.3, 64),  # r > 1: one squeeze halving
+    # the edge of the sweep pool: both fail when the factors contract in float64
+    (3, 6.0 + 0j, 1.1, 0.0, 256),
+    (3, 5.66j, 0.7, math.pi / 2, 256),
     *seeded_column_keys(6),
 ]
 

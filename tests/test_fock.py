@@ -40,18 +40,23 @@ from squeezelab.parameters import make_displacement
 LN2 = math.log(2.0)
 
 
-def displacement_exact(alpha, truncation):
+def displacement_generator(alpha, truncation):
     a, adag = ladder_matrices(truncation)
-    return matrix_exponential(
-        FockOperator(alpha * adag.matrix - np.conjugate(alpha) * a.matrix)
-    )
+    return alpha * adag.matrix - np.conjugate(alpha) * a.matrix
+
+
+def squeeze_generator(sq, truncation):
+    a, adag = ladder_matrices(truncation)
+    z = sq.r * np.exp(1j * sq.phi)
+    return 0.5 * z * (adag.matrix @ adag.matrix) - 0.5 * np.conjugate(z) * (a.matrix @ a.matrix)
+
+
+def displacement_exact(alpha, truncation):
+    return matrix_exponential(FockOperator(displacement_generator(alpha, truncation)))
 
 
 def squeeze_exact(sq, truncation):
-    a, adag = ladder_matrices(truncation)
-    z = sq.r * np.exp(1j * sq.phi)
-    gen = 0.5 * z * (adag.matrix @ adag.matrix) - 0.5 * np.conjugate(z) * (a.matrix @ a.matrix)
-    return matrix_exponential(FockOperator(gen))
+    return matrix_exponential(FockOperator(squeeze_generator(sq, truncation)))
 
 
 class TestLadder:
@@ -123,21 +128,44 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(FockOperator(bad))
 
-    def test_norm_cap(self):
-        with pytest.raises(GuardViolation):
-            matrix_exponential(FockOperator(np.diag([2000.0, 0.0, 0.0])))
+    @pytest.mark.parametrize("build", [
+        lambda N: displacement_generator(4.0 + 4.0j, N),
+        lambda N: squeeze_generator(make_squeeze(LN2, 0.0), N),
+        lambda N: squeeze_generator(make_squeeze(1.2, 1.0), N),
+        lambda N: squeeze_generator(make_squeeze(3.0, 0.0), N),
+    ], ids=["D(4+4i)", "S(ln2)", "S(1.2, phi=1)", "S(3)"])
+    def test_matches_scipy_expm(self, build):
+        from scipy.linalg import expm
 
-    def test_import_loads_no_scipy(self):
-        # scipy costs ~0.5 s per process; only this oracle may load it, on first call
+        gen = build(256)
+        out = matrix_exponential(FockOperator(gen))
+        assert np.max(np.abs(out.matrix - expm(gen))) <= 1e-13
+        assert out.unitarity_defect() <= 1e-14
+
+    @pytest.mark.parametrize("gen", [
+        np.diag([2000.0, 0.0, 0.0]),
+        1j * displacement_generator(1.0 + 0.5j, 16),
+        displacement_generator(4.0 + 4.0j, 256) + 1e-9 * np.eye(257),
+        squeeze_generator(make_squeeze(LN2, 0.0), 256) + 1e-9 * np.eye(257),
+    ], ids=["real_diagonal", "hermitian", "D_plus_1e-9_I", "S_plus_1e-9_I"])
+    def test_rejects_generator_that_is_not_skew(self, gen):
+        with pytest.raises(GuardViolation, match="not anti-Hermitian"):
+            matrix_exponential(FockOperator(gen))
+
+    def test_package_never_loads_scipy(self):
+        # scipy costs ~0.5 s per process and is a test-only dependency
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import squeezelab\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "assert not loaded, loaded\n"
             "theta = np.array([0.0, 0.3, -1.2])\n"
             "out = squeezelab.matrix_exponential(squeezelab.FockOperator(np.diag(1j * theta)))\n"
             "assert np.allclose(out.matrix, np.diag(np.exp(1j * theta)), atol=1e-14)\n"
+            "squeezelab.displacement_bch(2.0 + 1.0j, 64)\n"
+            "squeezelab.squeeze_bch(squeezelab.make_squeeze(0.5, 0.3), 64)\n"
+            "assert squeezelab.compare_formalisms(squeezelab.figure_spec(1), t=0.0, truncation=128, tolerance=1.0).passed\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
         )
         src = os.path.dirname(os.path.dirname(squeezelab.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
