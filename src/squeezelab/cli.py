@@ -10,8 +10,18 @@ Subcommands
 
 The data commands (state, density, moments, uncertainty, figure) resolve
 their settings as command-line flags > config file (--config, flat
-key=value lines) > built-in preset; verify takes only --preset, --N and
---out.
+key=value lines) > built-in preset.  Each takes a flag for just the
+settings it reads, plus --config, and --preset except on figure:
+
+    state        n x0 p0 r phi t0 xmin xmax nx out format
+    density      n x0 p0 r phi t0 t1 nt xmin xmax nx out format
+    moments      n x0 p0 r phi t0 t1 nt out format
+    uncertainty  n r phi t0 t1 nt out format
+    figure K     as density
+
+Any other flag is a usage error.  A config file may hold any known key;
+a command applies only the keys it reads.  state evaluates the single
+instant t0.  verify takes only --preset, --N and --out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical guard
 violation or other numerical error, 4 verification failure.
@@ -46,7 +56,7 @@ _SETTINGS = (
     ("p0", 0.0, "initial momentum displacement"),
     ("r", 0.0, "squeeze magnitude (>= 0)"),
     ("phi", 0.0, "squeeze phase"),
-    ("t0", DEFAULT_GRID.t_min, "start time"),
+    ("t0", DEFAULT_GRID.t_min, "time (state) or start of the time grid"),
     ("t1", DEFAULT_GRID.t_max, "end time"),
     ("nt", DEFAULT_GRID.nt, "number of time samples"),
     ("xmin", DEFAULT_GRID.x_min, "left edge of the x window"),
@@ -57,6 +67,17 @@ _SETTINGS = (
 )
 
 _DEFAULTS = {name: default for name, default, _ in _SETTINGS}
+
+# The settings each data command reads: it takes a flag for just these and
+# applies just these keys of a preset or config file; the rest keep their
+# defaults.
+_READS = {
+    "state": ("n", "x0", "p0", "r", "phi", "t0", "xmin", "xmax", "nx", "out", "format"),
+    "density": tuple(_DEFAULTS),
+    "moments": ("n", "x0", "p0", "r", "phi", "t0", "t1", "nt", "out", "format"),
+    "uncertainty": ("n", "r", "phi", "t0", "t1", "nt", "out", "format"),
+    "figure": tuple(_DEFAULTS),
+}
 
 
 class ConfigError(Exception):
@@ -90,15 +111,12 @@ def _parse_config_file(path):
 
 def _settings_from(args, preset_values=None):
     """Apply precedence: defaults < preset < config file < explicit flags."""
-    settings = dict(_DEFAULTS)
-    if preset_values:
-        settings.update(preset_values)
+    reads = _READS[args.command]
+    given = dict(preset_values or {})
     if args.config:
-        settings.update(_parse_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key)
-        if value is not None:
-            settings[key] = value
+        given.update(_parse_config_file(args.config))
+    given.update((key, getattr(args, key)) for key in reads if getattr(args, key) is not None)
+    settings = dict(_DEFAULTS, **{key: given[key] for key in reads if key in given})
     if settings["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {settings['format']!r}")
     return settings
@@ -152,9 +170,22 @@ def _emit_table(settings, header, columns):
     return EXIT_OK
 
 
+# The most rows an emitted table may have: 2 KiB of peak RSS per row, rounded
+# up from the widest table (moments as JSON, 1.5 KiB a row), fits 1 GiB.
+MAX_TABLE_ROWS = 2**30 // 2048
+
+
 def _data_inputs(args, preset_values):
-    """Settings plus the state and grid they describe, for a data command."""
+    """Settings plus the state and grid they describe, for a data command.
+
+    A grid axis that the command does not read keeps its default, except
+    that state's time axis is the single instant t0.  A table of more than
+    MAX_TABLE_ROWS rows is refused before any array is built.
+    """
+    reads = _READS[args.command]
     settings = _settings_from(args, preset_values)
+    if "nt" not in reads:
+        settings.update(t1=settings["t0"], nt=1)
     try:
         spec = state_spec(settings)
         grid = GridSpec(
@@ -167,6 +198,11 @@ def _data_inputs(args, preset_values):
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    sizes = [key for key in ("nt", "nx") if key in reads]
+    rows = math.prod(settings[key] for key in sizes)
+    if rows > MAX_TABLE_ROWS:
+        flags = " x ".join(f"--{key} {settings[key]}" for key in sizes)
+        raise ConfigError(f"{flags} asks for {rows} table rows; at most {MAX_TABLE_ROWS} fit in 1 GiB")
     return settings, spec, grid
 
 
@@ -234,9 +270,10 @@ def _cmd_verify(args):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
-def _add_common_flags(sub):
+def _add_data_flags(sub, command):
     for name, default, helptext in _SETTINGS:
-        sub.add_argument(f"--{name}", type=type(default), help=helptext)
+        if name in _READS[command]:
+            sub.add_argument(f"--{name}", type=type(default), help=helptext)
     sub.add_argument("--config", type=str, help="key=value configuration file")
 
 
@@ -256,7 +293,7 @@ def build_parser():
     ]:
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(run=command)
-        _add_common_flags(p)
+        _add_data_flags(p, name)
         p.add_argument("--preset", type=str, help="load caption parameters of preset 1..4")
 
     p_verify = sub.add_parser("verify", help="run the cross-formalism verification sweep")
@@ -268,7 +305,7 @@ def build_parser():
     p_fig = sub.add_parser("figure", help="density surface for a built-in preset")
     p_fig.set_defaults(run=_cmd_figure)
     p_fig.add_argument("index", type=int, choices=sorted(FIGURE_PRESETS), help="preset index")
-    _add_common_flags(p_fig)
+    _add_data_flags(p_fig, "figure")
     return parser
 
 

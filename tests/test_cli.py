@@ -1,5 +1,6 @@
 """Command-line interface tests: formats, determinism, exit codes, precedence."""
 
+import argparse
 import contextlib
 import hashlib
 import inspect
@@ -29,7 +30,7 @@ from squeezelab import (
     synthesize,
     time_evolve,
 )
-from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, build_parser, main
+from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, MAX_TABLE_ROWS, build_parser, main
 from squeezelab.equivalence import DEFAULT_TRUNCATION, compare_formalisms, operator_state
 
 LN2 = math.log(2.0)
@@ -198,6 +199,15 @@ class TestStateCommand:
         assert np.array_equal(rows[:, 0], xs)
         assert np.max(np.abs(rows[:, 1] + 1j * rows[:, 2] - fock)) < 1e-7
 
+    def test_time_past_the_default_time_grid(self, capsys):
+        # state reads no t1: t0 = 7 > 2 pi is a single instant, not a reversed grid
+        assert run(["state", "--t0", "7", "--nx", "3", "--out", "-"]) == EXIT_OK
+        spec = StateSpec(0, make_displacement(0.0, 0.0), make_squeeze(0.0, 0.0))
+        xs = np.linspace(-16.0, 16.0, 3)
+        values = psi_squeezed_number_evolved(spec, xs, 7.0)
+        rows = [(x, v.real, v.imag) for x, v in zip(xs, values)]
+        assert capsys.readouterr().out == expected_csv(["x", "re", "im"], rows)
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "state.json"
         code = run(["state", "--nx", "11", "--xmin", "-2", "--xmax", "2",
@@ -277,7 +287,8 @@ class TestVerifyCommand:
         assert build_parser().parse_args(["verify"]).N == default == DEFAULT_TRUNCATION == 256
 
     def test_stdout_independent_of_blas_threads(self):
-        # the operator route runs in numpy long double, which BLAS never touches
+        # synthesize's coeffs @ table is a complex128 BLAS product, so this is
+        # what shows the bytes do not move with the thread count
         outputs = [run_process(["verify", "--preset", "1", "--out", "-"], OPENBLAS_NUM_THREADS=threads)
                    for threads in ("1", "2")]
         assert [p.returncode for p in outputs] == [EXIT_OK, EXIT_OK]
@@ -291,6 +302,59 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--preset", "4", *flag, "--out", "-"])
         assert exc.value.code == 2
+
+
+def command_flags():
+    """Each subcommand's flags and positionals, as build_parser() declares them."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        for name, sub in commands.choices.items()
+    }
+
+
+COMMAND_FLAGS = command_flags()
+DATA_COMMANDS = ["state", "density", "moments", "uncertainty", "figure"]
+
+
+class TestFlagSets:
+    def test_each_command_takes_the_settings_it_reads(self):
+        common = set("n r phi t0 out format config".split())
+        pinned = {
+            "state": common | set("x0 p0 xmin xmax nx preset".split()),
+            "density": common | set("x0 p0 t1 nt xmin xmax nx preset".split()),
+            "moments": common | set("x0 p0 t1 nt preset".split()),
+            "uncertainty": common | set("t1 nt preset".split()),
+            "figure": common | set("index x0 p0 t1 nt xmin xmax nx".split()),
+            "verify": {"preset", "N", "out"},
+        }
+        assert COMMAND_FLAGS == pinned
+        counts = {name: len(flags) for name, flags in COMMAND_FLAGS.items()}
+        assert counts == dict(state=13, density=15, moments=12, uncertainty=10, figure=15, verify=3)
+        assert sum(counts.values()) == 68
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("state", "--t1"), ("state", "--nt"),
+         ("moments", "--xmin"), ("moments", "--xmax"), ("moments", "--nx"),
+         ("uncertainty", "--xmin"), ("uncertainty", "--xmax"), ("uncertainty", "--nx"),
+         ("uncertainty", "--x0"), ("uncertainty", "--p0")],
+    )
+    def test_unread_flags_are_usage_errors(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "3", "--out", "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {flag} 3" in captured.err
+
+    def test_config_file_keys_a_command_does_not_read_are_ignored(self, tmp_path, capsys):
+        # an x window that would be refused, and a displacement, neither read by uncertainty
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xmin = 5\nxmax = 1\nnx = 1\nx0 = 1e300\nr = 0.5\n")
+        assert run(["uncertainty", "--config", str(cfg), "--nt", "5", "--out", "-"]) == EXIT_OK
+        assert run(["uncertainty", "--r", "0.5", "--nt", "5", "--out", "-"]) == EXIT_OK
+        first, second = capsys.readouterr().out.split("t,product\n")[1:]
+        assert first == second
 
 
 class TestConfigAndErrors:
@@ -386,6 +450,26 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "n = 10000000" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, flags, rows",
+        [
+            (["state", "--nx", "1000000000000"], "--nx 1000000000000", 10**12),
+            (["moments", "--nt", "100000000000"], "--nt 100000000000", 10**11),
+            (["uncertainty", "--nt", str(MAX_TABLE_ROWS + 1)], f"--nt {MAX_TABLE_ROWS + 1}", MAX_TABLE_ROWS + 1),
+            (["density", "--nt", "1000000", "--nx", "1000000"], "--nt 1000000 x --nx 1000000", 10**12),
+        ],
+    )
+    def test_table_above_row_bound_is_config_error(self, capsys, argv, flags, rows):
+        # refused before any array is built; numpy used to raise a memory error
+        began = time.perf_counter()
+        assert run([*argv, "--out", "-"]) == EXIT_CONFIG
+        assert time.perf_counter() - began < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"squeezelab: configuration error: {flags} asks for {rows} table rows; at most 524288 fit in 1 GiB\n"
+        )
+
     def test_fock_guard_exit_three(self, tmp_path):
         # |alpha| = 5.66 exceeds N/8 at N = 24
         code = run(["verify", "--preset", "1", "--N", "24", "--out", str(tmp_path / "x")])
@@ -479,34 +563,43 @@ def number_text(values):
 
 MAGNITUDE = number_text(st.one_of(st.floats(-1e308, 1e308), st.floats(-20.0, 20.0)))
 
-# The documented flags of the data commands, with grids kept small.
-FUZZ_FLAGS = st.fixed_dictionaries(
-    {
-        "nt": st.integers(0, 17).map(str),
-        "nx": st.integers(0, 51).map(str),
-        "format": st.sampled_from(["csv", "json"]),
-    },
-    optional={
-        "n": st.integers(-1, 500).map(str),
-        "x0": MAGNITUDE,
-        "p0": MAGNITUDE,
-        "r": number_text(st.floats(-1.0, 1e3)),
-        "phi": MAGNITUDE,
-        "t0": MAGNITUDE,
-        "t1": MAGNITUDE,
-        "xmin": MAGNITUDE,
-        "xmax": MAGNITUDE,
-        "preset": st.integers(0, 5).map(str),
-    },
-)
+# Values for every flag of the data commands but --out and --config, with
+# grids kept small; the grid sizes and format are always passed.
+FLAG_VALUES = {
+    "nt": st.integers(0, 17).map(str),
+    "nx": st.integers(0, 51).map(str),
+    "format": st.sampled_from(["csv", "json"]),
+    "n": st.integers(-1, 500).map(str),
+    "x0": MAGNITUDE,
+    "p0": MAGNITUDE,
+    "r": number_text(st.floats(-1.0, 1e3)),
+    "phi": MAGNITUDE,
+    "t0": MAGNITUDE,
+    "t1": MAGNITUDE,
+    "xmin": MAGNITUDE,
+    "xmax": MAGNITUDE,
+    "preset": st.integers(0, 5).map(str),
+}
+ALWAYS_PASSED = ("nt", "nx", "format")
+
+
+def fuzz_flags(command):
+    """Values for exactly the flags build_parser() gives the command."""
+    names = sorted(COMMAND_FLAGS[command] - {"out", "config", "index"})
+    return st.fixed_dictionaries(
+        {name: FLAG_VALUES[name] for name in names if name in ALWAYS_PASSED},
+        optional={name: FLAG_VALUES[name] for name in names if name not in ALWAYS_PASSED},
+    )
 
 
 class TestFlagFuzz:
     @settings(max_examples=150, deadline=None)
-    @given(command=st.sampled_from(["state", "density", "moments", "uncertainty"]), flags=FUZZ_FLAGS)
-    def test_documented_flags_exit_cleanly(self, command, flags):
+    @given(command=st.sampled_from(DATA_COMMANDS), data=st.data())
+    def test_documented_flags_exit_cleanly(self, command, data):
+        flags = data.draw(fuzz_flags(command), label="flags")
+        index = [data.draw(st.sampled_from("1234"), label="index")] if command == "figure" else []
         # --key=value, since argparse reads a bare -1e5 as an option
-        argv = [command, "--out=-", *(f"--{key}={value}" for key, value in flags.items())]
+        argv = [command, *index, "--out=-", *(f"--{key}={value}" for key, value in flags.items())]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
