@@ -30,6 +30,7 @@ violation or other numerical error, 4 verification failure.
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, replace
 
@@ -67,6 +68,15 @@ _SETTINGS = (
 )
 
 _DEFAULTS = {name: default for name, default, _ in _SETTINGS}
+
+# argparse reads a negative value as a number only in the forms -12 and
+# -1.5, and -1e5, -2E-3 or -inf as an option; main joins such a value to
+# its float flag (or an abbreviation of it), as --flag=value.
+_FLOAT_FLAGS = {f"--{name}" for name, default in _DEFAULTS.items() if isinstance(default, float)}
+
+# The flag that sets each GridSpec field, so a grid error names the flag.
+_GRID_FLAGS = {"x_min": "xmin", "x_max": "xmax", "nx": "nx", "t_min": "t0", "t_max": "t1", "nt": "nt"}
+_GRID_FIELD = re.compile(r"\b(" + "|".join(_GRID_FLAGS) + r")\b")
 
 # The settings each data command reads: it takes a flag for just these and
 # applies just these keys of a preset or config file; the rest keep their
@@ -188,16 +198,12 @@ def _data_inputs(args, preset_values):
         settings.update(t1=settings["t0"], nt=1)
     try:
         spec = state_spec(settings)
-        grid = GridSpec(
-            x_min=settings["xmin"],
-            x_max=settings["xmax"],
-            nx=settings["nx"],
-            t_min=settings["t0"],
-            t_max=settings["t1"],
-            nt=settings["nt"],
-        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    try:
+        grid = GridSpec(**{field: settings[key] for field, key in _GRID_FLAGS.items()})
+    except ValueError as exc:
+        raise ConfigError(_GRID_FIELD.sub(lambda m: "--" + _GRID_FLAGS[m[1]], str(exc))) from exc
     sizes = [key for key in ("nt", "nx") if key in reads]
     rows = math.prod(settings[key] for key in sizes)
     if rows > MAX_TABLE_ROWS:
@@ -309,9 +315,33 @@ def build_parser():
     return parser
 
 
+def _is_float_flag(token):
+    """Whether token is a float flag, in full or abbreviated as argparse allows."""
+    return len(token) > 2 and token.startswith("--") and any(name.startswith(token) for name in _FLOAT_FLAGS)
+
+
+def _is_negative_number(token):
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _joined_float_values(argv):
+    """argv with each `--flag VALUE` of a float flag and a negative VALUE as `--flag=VALUE`."""
+    joined = []
+    for token in argv:
+        if joined and _is_float_flag(joined[-1]) and _is_negative_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_float_values(sys.argv[1:] if argv is None else argv))
     try:
         # numpy overflow shows up as a non-finite output value, which _emit_table names
         with np.errstate(all="ignore"):

@@ -161,15 +161,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _halved(magnitude: float):
-    """(magnitude / 2^h, h) for the smallest h that brings it to <= 1."""
-    halvings = 0
-    while magnitude > 1.0:
-        magnitude /= 2.0
-        halvings += 1
-    return magnitude, halvings
-
-
 # The gate phase enters only through R(theta) = diag(e^{i m theta}):
 # D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
 # S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors below are
@@ -185,7 +176,10 @@ def _displacement_factors(magnitude: float, truncation: int):
     sqrt(N) is large, so the factors are built at b = |alpha| / 2^h <= 1
     and the exact group doubling D(alpha)^2 = D(2 alpha) restores |alpha|.
     """
-    b, halvings = _halved(magnitude)
+    b, halvings = magnitude, 0
+    while b > 1.0:
+        b /= 2.0
+        halvings += 1
     scale = np.exp(np.longdouble(-b**2 / 4.0))
     left = _exp_ladder_series(b, 1, truncation, scale)
     right = _exp_ladder_series(-b, 1, truncation, scale).T
@@ -194,18 +188,19 @@ def _displacement_factors(magnitude: float, truncation: int):
 
 @lru_cache(maxsize=1)
 def _squeeze_factors(r: float, truncation: int):
-    """Real (left, right, h) with S(r) = (left @ right)^(2^h).
+    """Real (left, right, 0) with S(r) = left @ right: one product at every r.
 
-    Built at r / 2^h <= 1; squeezes of equal phase compose by adding
-    magnitudes, S(r/2)^2 = S(r).
+    At N = 256 it matches squeezed_number_coeffs to 5e-16 on columns
+    n <= 16, rows < 64, up to r = 3 and beyond, so r <= 3 guards truncation
+    only.  Squaring S(r/2), as D doubles, would carry the far-from-unitary
+    rows near the edge into that block: 9e-8 off at r = 2, 7e19 at r = 3.
     """
-    base_r, halvings = _halved(r)
-    d = 0.5 * math.tanh(base_r)
+    d = 0.5 * math.tanh(r)
     m = np.arange(truncation + 1, dtype=np.longdouble)
-    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(math.cosh(base_r))))
+    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(math.cosh(r))))
     left = _exp_ladder_series(d, 2, truncation, 1)
     right = _exp_ladder_series(-d, 2, truncation, mid).T
-    return _read_only(left), _read_only(right), halvings
+    return _read_only(left), _read_only(right), 0
 
 
 def _alpha_angle(alpha: complex):
@@ -220,8 +215,9 @@ def _phases(theta, size: int) -> np.ndarray:
 def _rotated_power(factors, theta) -> np.ndarray:
     """R(theta) (left @ right)^(2^h) R(theta)^dag as a read-only complex matrix.
 
-    Only left @ right cancels (at N = 256 the factor entries reach 6e5 for D
-    and 1e11 for S), so only it is formed in long double; the squarings act
+    Only left @ right cancels (at N = 256 the factor entries reach 6e5 for D;
+    for S, 1.5e11 on the right and 3e32 on the left at r = 1.2, 1.5e37 at
+    r = 3), so only it is formed in long double; the squarings (D only) act
     on a nearly unitary matrix and run in float64.
     """
     left, right, halvings = factors
@@ -276,8 +272,8 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
 
     S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
-    (cosh r)^{-(m + 1/2)}.  Built at the real r and rotated by phi/2.
-    Cached: the matrix is read-only and shared.
+    (cosh r)^{-(m + 1/2)}.  One product, built at the real r and rotated
+    by phi/2.  Cached: the matrix is read-only and shared.
     """
     _check_squeeze_guard(sq)
     return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), np.longdouble(sq.phi) / 2))
@@ -288,8 +284,8 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     """D(alpha) S(z)|n> with the factors of squeeze_bch and displacement_bch
     applied to |n> in turn, never multiplied into matrices.
 
-    Same guards and group doubling as the matrices, but each doubling is
-    a pair of matrix-vector products: O(2^h N^2) instead of O(h N^3).
+    Same guards as the matrices.  S is one pair of matrix-vector products
+    and D is 2^h pairs: O(2^h N^2) instead of O(h N^3).
     Cached: the coefficients are read-only and shared.
     """
     alpha = complex(alpha)

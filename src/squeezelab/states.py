@@ -69,6 +69,9 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "t_min", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)}")
         if not (self.x_min < self.x_max):
             raise ValueError(f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.nx < 2:
@@ -77,6 +80,11 @@ class GridSpec:
             raise ValueError(f"grid requires t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         if self.nt < 1:
             raise ValueError(f"grid needs nt >= 1, got {self.nt}")
+        for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
+            if not math.isfinite(getattr(self, hi) - getattr(self, lo)):
+                raise ValueError(
+                    f"grid window [{lo}, {hi}] = [{getattr(self, lo)}, {getattr(self, hi)}] is wider than the largest float"
+                )
 
     def x_values(self):
         return np.linspace(self.x_min, self.x_max, self.nx)

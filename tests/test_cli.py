@@ -304,12 +304,17 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
+def subparsers():
+    """build_parser()'s subcommand parsers by name."""
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def command_flags():
     """Each subcommand's flags and positionals, as build_parser() declares them."""
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return {
         name: {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
-        for name, sub in commands.choices.items()
+        for name, sub in subparsers().items()
     }
 
 
@@ -532,6 +537,60 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out.startswith("t,product\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["state", "--t0", "nan", "--nx", "3"], "grid bound --t0 must be finite, got nan"),
+            (["state", "--xmin", "inf", "--nx", "3"], "grid bound --xmin must be finite, got inf"),
+            (["density", "--t1", "-inf", "--nt", "3", "--nx", "3"], "grid bound --t1 must be finite, got -inf"),
+            (["state", "--nx", "3", "--xmin=-1e308", "--xmax", "1e308"],
+             "grid window [--xmin, --xmax] = [-1e+308, 1e+308] is wider than the largest float"),
+            (["state", "--nx", "3", "--xmin", "-1e308", "--xmax", "1e308"],
+             "grid window [--xmin, --xmax] = [-1e+308, 1e+308] is wider than the largest float"),
+            (["density", "--nx", "3", "--nt", "3", "--t0", "-1e308", "--t1", "1e308"],
+             "grid window [--t0, --t1] = [-1e+308, 1e+308] is wider than the largest float"),
+            (["moments", "--t0", "1", "--t1", "0"], "grid requires --t0 <= --t1, got [1.0, 0.0]"),
+            (["state", "--xmin", "2", "--xmax", "1"], "grid requires --xmin < --xmax, got [2.0, 1.0]"),
+            (["state", "--nx", "1"], "grid needs --nx >= 2, got 1"),
+            (["density", "--nt", "0"], "grid needs --nt >= 1, got 0"),
+        ],
+    )
+    def test_grid_errors_name_the_flag(self, capsys, argv, message):
+        assert run([*argv, "--out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"squeezelab: configuration error: {message}\n"
+
+
+STATE_FLOAT_FLAGS = sorted(a.option_strings[0] for a in subparsers()["state"]._actions if a.type is float)
+
+
+class TestNegativeExponentValues:
+    def test_state_float_flags(self):
+        assert STATE_FLOAT_FLAGS == sorted(["--x0", "--p0", "--r", "--phi", "--t0", "--xmin", "--xmax"])
+
+    @pytest.mark.parametrize("value", ["-1e5", "-2E-3", "-inf"])
+    @pytest.mark.parametrize("flag", STATE_FLOAT_FLAGS)
+    def test_own_token_matches_joined_form(self, capsys, flag, value):
+        results = []
+        for pair in ([flag, value], [f"{flag}={value}"]):
+            code = run(["state", "--nx", "3", *pair, "--out", "-"])
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--nx", "3", "--xmin", "-1e1", "--xmax", "1e1"],
+            ["state", "--x0", "-2e0", "--nx", "3"],
+            ["state", "--nx", "3", "--xmi", "-1e1"],  # an abbreviated flag
+        ],
+    )
+    def test_exponent_form_runs(self, capsys, argv):
+        assert run([*argv, "--out", "-"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.startswith("x,re,im\n") and captured.err == ""
+
 
 class TestPresetFlag:
     def test_state_preset_loads_caption_parameters(self, tmp_path):
@@ -598,8 +657,11 @@ class TestFlagFuzz:
     def test_documented_flags_exit_cleanly(self, command, data):
         flags = data.draw(fuzz_flags(command), label="flags")
         index = [data.draw(st.sampled_from("1234"), label="index")] if command == "figure" else []
-        # --key=value, since argparse reads a bare -1e5 as an option
-        argv = [command, *index, "--out=-", *(f"--{key}={value}" for key, value in flags.items())]
+        # each value as --key=value or as a token of its own, which may be -1e5
+        apart = data.draw(st.lists(st.booleans(), min_size=len(flags), max_size=len(flags)), label="apart")
+        argv = [command, *index, "--out=-"]
+        for (key, value), own_token in zip(flags.items(), apart):
+            argv += [f"--{key}", value] if own_token else [f"--{key}={value}"]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")

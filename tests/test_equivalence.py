@@ -1,6 +1,7 @@
 """Cross-formalism verification engine tests."""
 
 import cmath
+import json
 import math
 import os
 from dataclasses import replace
@@ -114,7 +115,7 @@ COLUMN_KEYS = [
     (3, -3j, 0.5, -math.pi / 4, 128),  # imaginary alpha, 2 halvings
     (1, 5.0 - 2j, 0.7, math.pi / 2, 257),  # 3 halvings
     (2, 8.5 + 0.5j, 0.2, -math.pi / 4, 257),  # 4 halvings
-    (2, 1.0 - 0.5j, 1.2, 0.3, 64),  # r > 1: one squeeze halving
+    (2, 1.0 - 0.5j, 1.2, 0.3, 64),  # r > 1
     # the edge of the sweep pool: both fail when the factors contract in float64
     (3, 6.0 + 0j, 1.1, 0.0, 256),
     (3, 5.66j, 0.7, math.pi / 2, 256),
@@ -150,6 +151,22 @@ class TestOperatorState:
         with pytest.raises(GuardViolation) as matrix_error:
             matrix_route(sp, truncation)
         assert str(column_error.value) == str(matrix_error.value)
+
+
+SWEEP_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "sweep_pool.json")
+
+
+class TestTruncationMonotone:
+    # Pool states at r near 1.18, n = 5 and 8, where a squared half-r build
+    # of S made N = 512 worse than N = 384 (state 59: 1.7e-9, then 5.0e-8).
+    @pytest.mark.parametrize("index", [59, 82, 220, 266])
+    def test_larger_truncation_is_no_worse(self, index):
+        with open(SWEEP_POOL, encoding="utf-8") as fh:
+            n, x0, p0, r, phi, _ = json.load(fh)["states"][index]["state"]
+        sp = spec(n, x0, p0, r, phi)
+        deviations = [compare_formalisms(sp, 0.0, truncation=N).max_abs_deviation for N in (256, 384, 512)]
+        for smaller, larger in zip(deviations, deviations[1:]):
+            assert larger <= max(2 * smaller, 1e-13), deviations
 
 
 class TestCacheRule:

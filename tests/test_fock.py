@@ -267,6 +267,18 @@ class TestSqueezeBch:
         with pytest.raises(GuardViolation):
             squeeze_bch(make_squeeze(3.5, 0.0), 256)
 
+    @pytest.mark.parametrize("phi", [0.0, 1.0])
+    @pytest.mark.parametrize("r", [1.5, 2.0, 2.5, 3.0])
+    def test_leading_columns_match_series_up_to_the_guard(self, r, phi):
+        # the series does not depend on N; a build that halves r and squares
+        # back is 5e-12 off here at r = 1.5 and 7e19 at r = 3
+        N = 256
+        sq = make_squeeze(r, phi)
+        matrix = squeeze_bch(sq, N).matrix
+        for n in range(17):
+            series = squeezed_number_coeffs(n, sq, N).coeffs
+            assert np.max(np.abs(matrix[:64, n] - series[:64])) <= 1e-14, n
+
     def test_columns_unit_norm(self):
         op = squeeze_bch(make_squeeze(LN2, 1.1), 128)
         for n in (0, 1, 5):

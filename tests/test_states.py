@@ -267,3 +267,17 @@ class TestValidation:
             GridSpec(-1.0, 1.0, 10, 1.0, 0.0, 2)
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 10, 0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0, 0.0, 1.0), (-1.0, math.inf, 0.0, 1.0),
+                                        (-1.0, 1.0, -math.inf, 1.0), (-1.0, 1.0, math.nan, math.nan)])
+    def test_non_finite_bound(self, bounds):
+        x_min, x_max, t_min, t_max = bounds
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec(x_min, x_max, 10, t_min, t_max, 2)
+
+    def test_window_wider_than_the_largest_float(self):
+        with pytest.raises(ValueError, match=r"grid window \[x_min, x_max\]"):
+            GridSpec(-1e308, 1e308, 3, 0.0, 1.0, 2)
+        with pytest.raises(ValueError, match=r"grid window \[t_min, t_max\]"):
+            GridSpec(-1.0, 1.0, 3, -1e308, 1e308, 2)
+        assert np.all(np.isfinite(GridSpec(-8e307, 8e307, 3, 0.0, 1.0, 2).x_values()))
