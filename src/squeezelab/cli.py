@@ -23,13 +23,16 @@ Any other flag is a usage error.  A config file may hold any known key;
 a command applies only the keys it reads.  state evaluates the single
 instant t0.  verify takes only --preset, --N and --out.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical guard
-violation or other numerical error, 4 verification failure.
+Exit codes: 0 success, 2 configuration error or an --out that cannot be
+written, 3 numerical guard violation or other numerical error, 4
+verification failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, replace
@@ -94,6 +97,10 @@ class ConfigError(Exception):
     pass
 
 
+class OutputError(Exception):
+    pass
+
+
 def _parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,40 +155,75 @@ def _preset_values(args):
     return None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
 
 
-def _write_text(out, text):
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write(out, pieces):
+    """Write text pieces to out ('-' = stdout); an OSError becomes an OutputError."""
+    try:
+        with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8", newline="") as fh:
+            for piece in pieces:
+                fh.write(piece)
+            fh.flush()
+    except OSError as exc:
+        if out == "-":
+            # interpreter exit flushes stdout again: let that flush go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OutputError(f"cannot write --out {out}: {exc}") from exc
 
 
-def _write_json(out, payload):
-    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+# Rows formatted and written at a time, so the text held in memory does not
+# grow with the table.
+BLOCK_ROWS = 2**15
 
 
 def _emit_table(settings, header, columns):
-    """Write equal-length float columns as a CSV or JSON table.
+    """Write float columns that broadcast together as a CSV or JSON table.
 
-    CSV values carry 17 significant digits, which round-trips double
-    precision exactly.  A non-finite value anywhere is a guard violation
-    naming its column, and nothing is written.
+    The table has one row per element of the broadcast shape, in C order.
+    A column smaller than the table is an axis: each of its values is
+    formatted once, and the strings are repeated.  Full-size columns are
+    formatted by one `%` per block of BLOCK_ROWS rows.  CSV values carry 17
+    significant digits, which round-trips double precision exactly.  JSON
+    values are float repr, as json writes them, and the text is that of
+    json.dumps({"header": ..., "rows": ...}, indent=2, sort_keys=True).  A
+    non-finite value anywhere is a guard violation naming its column, and
+    nothing is written.
     """
-    table = np.column_stack(columns)
-    finite = np.isfinite(table).all(axis=0)
-    if not finite.all():
-        raise GuardViolation(f"non-finite values in output column {header[int(np.argmin(finite))]!r}")
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    for name, column in zip(header, columns):
+        if not np.isfinite(column).all():
+            raise GuardViolation(f"non-finite values in output column {name!r}")
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    rows = math.prod(shape)
+    number = "%r" if settings["format"] == "json" else "%.17g"
+    cells, flat = [], []
+    for column in columns:
+        if column.size < rows:
+            column = np.array([number % v for v in column.ravel().tolist()], dtype=object).reshape(column.shape)
+        cells.append("%s" if column.dtype == object else number)
+        flat.append(np.broadcast_to(column, shape).reshape(-1))
     if settings["format"] == "json":
-        _write_json(settings["out"], {"header": header, "rows": table.tolist()})
+        names = ",\n".join("    " + json.dumps(name) for name in header)
+        head = '{\n  "header": [\n' + names + '\n  ],\n  "rows": [\n'
+        row, sep, tail = "    [\n" + ",\n".join("      " + cell for cell in cells) + "\n    ]", ",\n", "\n  ]\n}\n"
     else:
-        row = ",".join(["%.17g"] * len(header)) + "\n"
-        text = ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
-        _write_text(settings["out"], text)
+        head, row, sep, tail = ",".join(header) + "\n", ",".join(cells), "\n", "\n"
+
+    def blocks():
+        yield head
+        for start in range(0, rows, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, rows)
+            block = np.empty((stop - start, len(flat)), dtype=object)
+            for j, values in enumerate(flat):
+                block[:, j] = values[start:stop]
+            text = ((row + sep) * (stop - start)) % tuple(block.ravel().tolist())
+            yield text if stop < rows else text[: -len(sep)] + tail
+
+    _write(settings["out"], blocks())
     return EXIT_OK
 
 
-# The most rows an emitted table may have: 2 KiB of peak RSS per row, rounded
-# up from the widest table (moments as JSON, 1.5 KiB a row), fits 1 GiB.
+# The most rows an emitted table may have: 2 KiB of peak RSS per row fits
+# 1 GiB.  The widest table, moments, peaks at 0.46 KiB a row in either format
+# (236 MiB at this bound, 129 MiB of it the per-t Moments objects).
 MAX_TABLE_ROWS = 2**30 // 2048
 
 
@@ -221,8 +263,7 @@ def _cmd_state(args):
 
 def _emit_surface(settings, spec, grid):
     surface = density_surface(spec, grid)
-    ts, xs = np.meshgrid(grid.t_values(), grid.x_values(), indexing="ij")
-    return _emit_table(settings, ["t", "x", "rho"], (ts.ravel(), xs.ravel(), surface.ravel()))
+    return _emit_table(settings, ["t", "x", "rho"], (grid.t_values()[:, None], grid.x_values(), surface))
 
 
 def _cmd_density(args):
@@ -240,8 +281,9 @@ def _cmd_moments(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
     ts = grid.t_values()
     moments = [moments_closed(spec, t) for t in ts]
-    values = [(m.mean_x, m.mean_p, m.var_x, m.var_p, m.product) for m in moments]
-    return _emit_table(settings, ["t", "mean_x", "mean_p", "var_x", "var_p", "product"], (ts, values))
+    names = ("mean_x", "mean_p", "var_x", "var_p", "product")
+    columns = [[getattr(m, name) for m in moments] for name in names]
+    return _emit_table(settings, ["t", *names], (ts, *columns))
 
 
 def _cmd_uncertainty(args):
@@ -272,7 +314,7 @@ def _cmd_verify(args):
                 reports.append(
                     compare_formalisms(replace(spec, n=n), t, truncation=args.N, tolerance=tolerance)
                 )
-    _write_json(args.out, [asdict(r) for r in reports])
+    _write(args.out, [json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
@@ -348,6 +390,9 @@ def main(argv=None) -> int:
             return args.run(args)
     except ConfigError as exc:
         print(f"squeezelab: configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"squeezelab: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardViolation as exc:
         print(f"squeezelab: guard violation: {exc}", file=sys.stderr)

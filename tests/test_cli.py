@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from squeezelab import (
     synthesize,
     time_evolve,
 )
+from squeezelab import cli
 from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, MAX_TABLE_ROWS, build_parser, main
 from squeezelab.equivalence import DEFAULT_TRUNCATION, compare_formalisms, operator_state
 
@@ -40,15 +42,16 @@ def run(args):
     return main(args)
 
 
-def run_process(args, **env):
-    """`python -m squeezelab ARGS` in a child process with extra environment."""
+def child_kwargs(args, **env):
+    """subprocess keyword arguments for `python -m squeezelab ARGS` with extra environment."""
     src = os.path.dirname(os.path.dirname(squeezelab.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "squeezelab", *args],
-        env=dict(os.environ, PYTHONPATH=path, **env),
-        capture_output=True,
-    )
+    return dict(args=[sys.executable, "-m", "squeezelab", *args], env=dict(os.environ, PYTHONPATH=path, **env))
+
+
+def run_process(args, **env):
+    """`python -m squeezelab ARGS` in a child process with extra environment."""
+    return subprocess.run(**child_kwargs(args, **env), capture_output=True)
 
 
 def expected_csv(header, rows):
@@ -146,15 +149,28 @@ class TestFigureCommand:
 FIGURE_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "figure_digests.json")
 
 
+def recorded_digest(index, fmt):
+    """(sha256, bytes) recorded for `figure INDEX --format FMT`."""
+    with open(FIGURE_DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)[f"figure {index} {fmt}"]
+    return recorded["sha256"], recorded["bytes"]
+
+
 class TestEmittedTables:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("index", [1, 2, 3, 4])
     def test_figure_bytes_match_recorded_digests(self, capsys, index, fmt):
-        with open(FIGURE_DIGESTS, encoding="utf-8") as fh:
-            recorded = json.load(fh)[f"figure {index} {fmt}"]
         assert run(["figure", str(index), "--out", "-", "--format", fmt]) == EXIT_OK
         out = capsys.readouterr().out.encode()
-        assert (hashlib.sha256(out).hexdigest(), len(out)) == (recorded["sha256"], recorded["bytes"])
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == recorded_digest(index, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_figure_file_bytes_match_recorded_digests(self, tmp_path, index, fmt):
+        path = tmp_path / f"figure.{fmt}"
+        assert run(["figure", str(index), "--out", str(path), "--format", fmt]) == EXIT_OK
+        out = path.read_bytes()
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == recorded_digest(index, fmt)
 
     def test_state_csv_bytes(self, capsys):
         assert run(STATE_ARGS) == EXIT_OK
@@ -436,6 +452,20 @@ class TestConfigAndErrors:
         assert code == EXIT_GUARD
         assert "non-finite density values at quantum number n = 400" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
+             "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001"],
+            ["state", "--x0", "1e308", "--nx", "3"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_output_writes_no_file(self, tmp_path, argv, fmt):
+        out = tmp_path / "x"
+        assert run([*argv, "--format", fmt, "--out", str(out)]) == EXIT_GUARD
+        assert not out.exists()
+
     def test_non_finite_density_stderr_is_one_line(self, tmp_path):
         result = run_process(
             ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
@@ -562,6 +592,35 @@ class TestConfigAndErrors:
         assert captured.err == f"squeezelab: configuration error: {message}\n"
 
 
+class TestUnwritableOutput:
+    """An --out that cannot be opened or written exits 2 with one stderr line."""
+
+    @pytest.mark.parametrize("argv", [["state"], ["verify", "--preset", "1"]])
+    def test_missing_directory(self, tmp_path, argv):
+        path = tmp_path / "missing" / "x.out"
+        result = run_process([*argv, "--out", str(path)])
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, b"")
+        assert result.stderr.decode() == (
+            f"squeezelab: cannot write --out {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
+
+    def test_directory(self, tmp_path):
+        result = run_process(["state", "--out", str(tmp_path)])
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, b"")
+        assert result.stderr.decode() == f"squeezelab: cannot write --out {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("fmt, head", [("csv", b"t,x,rho\n0,"), ("json", b'{\n  "heade')])
+    def test_closed_pipe(self, fmt, head):
+        # the reader stops after 10 bytes of a 6-9 MB table; interpreter exit
+        # must add no "Exception ignored" line
+        with subprocess.Popen(**child_kwargs(["figure", "1", "--out", "-", "--format", fmt]),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == head
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == EXIT_CONFIG
+            assert proc.stderr.read().decode() == "squeezelab: cannot write --out -: [Errno 32] Broken pipe\n"
+
+
 STATE_FLOAT_FLAGS = sorted(a.option_strings[0] for a in subparsers()["state"]._actions if a.type is float)
 
 
@@ -679,3 +738,76 @@ class TestFlagFuzz:
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("squeezelab: "), lines
+
+
+def reference_table(fmt, header, columns):
+    """The table text as the emitter wrote it before axes and blocks: the
+    broadcast columns stacked, then one `%.17g` template over every value,
+    or json.dumps."""
+    table = np.column_stack([column.ravel() for column in np.broadcast_arrays(*columns)])
+    if fmt == "json":
+        return json.dumps({"header": header, "rows": table.tolist()}, indent=2, sort_keys=True) + "\n"
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def emitted_table(fmt, header, columns):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli._emit_table({"format": fmt, "out": "-"}, header, columns) == EXIT_OK
+    return out.getvalue()
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 1e16, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def broadcast_tables(draw):
+    """(header, columns): perhaps an (nt, 1) axis, an (nx,) axis, and up to
+    two full (nt, nx) columns, with values that often repeat."""
+    nt, nx = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=4))
+    values = st.one_of(st.sampled_from(pool), FLOATS)
+
+    def column(*shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    columns = [column(nt, 1)] if draw(st.booleans()) else []
+    columns += [column(nx), *(column(nt, nx) for _ in range(draw(st.integers(0, 2))))]
+    header = draw(st.lists(st.text(min_size=1, max_size=3), min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+class TestEmitterAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(table=broadcast_tables(), fmt=st.sampled_from(["csv", "json"]),
+           block_rows=st.one_of(st.integers(1, 5), st.just(cli.BLOCK_ROWS)))
+    def test_bytes_match_reference(self, table, fmt, block_rows):
+        header, columns = table
+        with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+            assert emitted_table(fmt, header, columns) == reference_table(fmt, header, columns)
+
+    def test_signed_zeros_extremes_and_integral_floats(self):
+        columns = [np.array([[0.0], [-0.0]]), np.array([1.0, 5e-324]),
+                   np.array([[1.7976931348623157e308, -1.0], [2.5, 0.0]])]
+        csv = emitted_table("csv", ["t", "x", "v"], columns)
+        assert csv == reference_table("csv", ["t", "x", "v"], columns) == (
+            "t,x,v\n0,1,1.7976931348623157e+308\n0,4.9406564584124654e-324,-1\n"
+            "-0,1,2.5\n-0,4.9406564584124654e-324,0\n"
+        )
+        text = emitted_table("json", ["t", "x", "v"], columns)
+        assert text == reference_table("json", ["t", "x", "v"], columns)
+        assert json.loads(text)["rows"][2] == [-0.0, 1.0, 2.5]
+        assert '      -0.0,\n      1.0,\n      2.5\n' in text and "      5e-324,\n" in text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_longer_than_one_block(self, fmt):
+        nt, nx = 41, 801  # 32841 rows
+        assert nt * nx > cli.BLOCK_ROWS
+        rng = np.random.default_rng(5)
+        surface = rng.choice([0.0, -0.0, 1.0, 5e-324, *rng.standard_normal(50)], size=(nt, nx))
+        columns = [np.linspace(0.0, 2.0 * math.pi, nt)[:, None], np.linspace(-16.0, 16.0, nx), surface]
+        assert emitted_table(fmt, ["t", "x", "rho"], columns) == reference_table(fmt, ["t", "x", "rho"], columns)
