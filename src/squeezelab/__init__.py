@@ -31,7 +31,6 @@ from .states import (
     density,
     density_surface,
     evolved_amplitude,
-    psi_displaced_number,
     psi_displaced_number_evolved,
     psi_squeezed,
     psi_squeezed_number,

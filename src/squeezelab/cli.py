@@ -30,6 +30,7 @@ verification failure.
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import os
@@ -155,6 +156,34 @@ def _preset_values(args):
     return None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
 
 
+def _check_out(out):
+    """Refuse an --out that cannot be opened, before any work, with the error open() would give.
+
+    '-' needs a stdout.  An existing path must be a writable file; a new
+    one needs a parent, through any symlink, that is an existing, writable
+    directory.  The file is opened only after the work, so that a guard
+    violation leaves none, and _write reports what shows only while
+    writing (a full disk, a closed pipe).
+    """
+    if out == "-":
+        if sys.stdout is None:
+            raise OutputError("cannot write --out -: stdout is closed")
+        return
+    parent = os.path.dirname(os.path.realpath(out))
+    if not out:
+        code = errno.ENOENT
+    elif os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.exists(out):
+        code = None if os.access(out, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        raise OutputError(f"cannot write --out {out}: {OSError(code, os.strerror(code), out)}")
+
+
 def _write(out, pieces):
     """Write text pieces to out ('-' = stdout); an OSError becomes an OutputError."""
     try:
@@ -256,12 +285,14 @@ def _data_inputs(args, preset_values):
 
 def _cmd_state(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
+    _check_out(settings["out"])
     xs = grid.x_values()
     values = psi_squeezed_number_evolved(spec, xs, settings["t0"])
     return _emit_table(settings, ["x", "re", "im"], (xs, values.real, values.imag))
 
 
 def _emit_surface(settings, spec, grid):
+    _check_out(settings["out"])
     surface = density_surface(spec, grid)
     return _emit_table(settings, ["t", "x", "rho"], (grid.t_values()[:, None], grid.x_values(), surface))
 
@@ -279,6 +310,7 @@ def _cmd_figure(args):
 
 def _cmd_moments(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
+    _check_out(settings["out"])
     ts = grid.t_values()
     moments = [moments_closed(spec, t) for t in ts]
     names = ("mean_x", "mean_p", "var_x", "var_p", "product")
@@ -288,6 +320,7 @@ def _cmd_moments(args):
 
 def _cmd_uncertainty(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
+    _check_out(settings["out"])
     ts = grid.t_values()
     values = [uncertainty_product(spec.n, spec.sq, t) for t in ts]
     return _emit_table(settings, ["t", "product"], (ts, values))
@@ -305,6 +338,7 @@ def _cmd_verify(args):
     if args.N > VERIFY_MAX_N:
         raise ConfigError(f"--N must be <= {VERIFY_MAX_N} for its factor matrices to fit in 1 GiB, got {args.N}")
     indices = sorted(FIGURE_PRESETS) if args.preset == "all" else [_preset_index(args.preset)]
+    _check_out(args.out)
     reports = []
     for index in indices:
         spec = figure_spec(index)

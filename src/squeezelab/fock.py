@@ -84,10 +84,6 @@ class FockOperator:
             raise ValueError("FockOperator needs a square matrix")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def truncation(self) -> int:
-        return self.matrix.shape[0] - 1
-
     def unitarity_defect(self) -> float:
         """max-entry norm of U^dag U - I; truncation makes this nonzero."""
         n = self.matrix.shape[0]

@@ -2,8 +2,8 @@
 
 The closed forms come from transforming the ladder operator through the
 displacement, squeeze and evolution operators; the numeric route applies
-position/momentum matrices to truncated coefficient vectors.  Both are
-public and the test suite holds them against each other.
+a and a_dag to a truncated coefficient vector, each as a one-step shift.
+Both are public and the test suite holds them against each other.
 """
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardViolation
-from .fock import FockState, ladder_matrices, time_evolve
+from .fock import FockState, time_evolve
 from .parameters import SqueezeParam, cosh_sinh
 from .states import StateSpec
 
@@ -114,12 +114,12 @@ def uncertainty_product_width_form(n: int, s: float, phi: float, t: float) -> fl
 
 
 def moments_numeric(state: FockState, t: float) -> MomentSet:
-    """Moments from matrix algebra on a truncated coefficient vector.
+    """Moments from the ladder algebra on a truncated coefficient vector.
 
-    Evolves the coefficients to time t and evaluates <A> = c^dag A c for
-    A in {x, p} built from the ladder matrices, and <A^2> = |A c|^2 (both
-    are Hermitian), with matrix-vector products only.  Refuses states
-    whose truncation leakage exceeds 1e-10, since the missing weight
+    Evolves c to time t; a c and a_dag c are one-step shifts of c weighted
+    by sqrt(m), cut at N as the truncated matrices are.  With x and p from
+    them, <A> = c^dag A c and <A^2> = |A c|^2 (both are Hermitian).  Refuses
+    states whose truncation leakage exceeds 1e-10, since the missing weight
     would silently bias the second moments.
     """
     leak = state.leakage
@@ -129,11 +129,11 @@ def moments_numeric(state: FockState, t: float) -> MomentSet:
             f"(limit {MOMENT_LEAKAGE_LIMIT:g}); increase the truncation"
         )
     c = time_evolve(state, t).coeffs
-    a_op, adag_op = ladder_matrices(state.truncation)
-    a, adag = a_op.matrix, adag_op.matrix
-    x = (a + adag) / math.sqrt(2.0)
-    p = (a - adag) / (1j * math.sqrt(2.0))
-    xc, pc = x @ c, p @ c
+    root = np.sqrt(np.arange(1, c.size))
+    ac = np.append(root * c[1:], 0)
+    adag_c = np.insert(root * c[:-1], 0, 0)
+    xc = (ac + adag_c) / math.sqrt(2.0)
+    pc = (ac - adag_c) / (1j * math.sqrt(2.0))
     mean_x = float(np.real(np.vdot(c, xc)))
     mean_p = float(np.real(np.vdot(c, pc)))
     var_x = float(np.real(np.vdot(xc, xc))) - mean_x ** 2

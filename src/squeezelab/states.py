@@ -29,7 +29,6 @@ __all__ = [
     "StateSpec",
     "GridSpec",
     "DEFAULT_GRID",
-    "psi_displaced_number",
     "psi_squeezed",
     "psi_squeezed_number",
     "psi_squeezed_number_evolved",
@@ -96,20 +95,6 @@ class GridSpec:
 # Wide enough that the x0 = 8 presets keep their Gaussian tails below 1e-20
 # at the window edge; 129 time samples hit t = 0, pi/2, pi, ... exactly.
 DEFAULT_GRID = GridSpec(-16.0, 16.0, 801, 0.0, 2.0 * math.pi, 129)
-
-
-def psi_displaced_number(spec: StateSpec, x):
-    """Wavefunction of a displaced number state (no squeeze).
-
-    psi(x) = e^{-i x0 p0 / 2} e^{i p0 x} e^{-(x-x0)^2/2}
-             H_n(x - x0) / (pi^{1/4} sqrt(2^n n!))
-    """
-    if spec.sq.r != 0.0:
-        raise ValueError("psi_displaced_number requires r = 0; use psi_squeezed_number")
-    x0, p0 = spec.disp.x0, spec.disp.p0
-    u = np.asarray(x, dtype=float) - x0
-    phase = np.exp(1j * (p0 * np.asarray(x, dtype=float) - 0.5 * x0 * p0))
-    return PI_FOURTH_ROOT_INV * phase * np.exp(-0.5 * u * u) * normalized_hermite(spec.n, u)
 
 
 def psi_squeezed(disp: DisplacementParam, sq: SqueezeParam, x):

@@ -620,6 +620,94 @@ class TestUnwritableOutput:
             assert proc.wait(timeout=60) == EXIT_CONFIG
             assert proc.stderr.read().decode() == "squeezelab: cannot write --out -: [Errno 32] Broken pipe\n"
 
+    def test_closed_stdout(self):
+        # file descriptor 1 closed at start leaves sys.stdout None
+        result = subprocess.run(**child_kwargs(["state", "--nx", "3", "--out", "-"]),
+                                preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE)
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.decode() == "squeezelab: cannot write --out -: stdout is closed\n"
+
+    def test_not_a_directory(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        result = run_process(["state", "--out", str(path / "x.csv")])
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, b"")
+        assert result.stderr.decode() == (
+            f"squeezelab: cannot write --out {path / 'x.csv'}: [Errno 20] Not a directory: '{path / 'x.csv'}'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, via_config",
+        [
+            (["verify", "--preset", "all"], False),
+            (["verify", "--preset", "1", "--N", str(cli.VERIFY_MAX_N)], False),
+            *((argv, via_config) for argv in (["density"], ["figure", "1"], ["state"], ["moments"], ["uncertainty"])
+              for via_config in (False, True)),
+        ],
+    )
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv, via_config, empty):
+        calls = []
+        for name in ("compare_formalisms", "density_surface", "psi_squeezed_number_evolved", "moments_closed",
+                     "uncertainty_product"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        path = "" if empty else tmp_path / "missing" / "x.out"
+        if via_config:
+            config = tmp_path / "settings.cfg"
+            config.write_text(f"out = {path}\n")  # an empty value is the empty path
+            argv = [*argv, "--config", str(config)]
+        else:
+            argv = [*argv, "--out", str(path)]
+        assert run(argv) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"squeezelab: cannot write --out {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
+
+
+    @pytest.mark.parametrize("argv", [["state", "--nx", "3"], ["figure", "1", "--nt", "2"]])
+    @pytest.mark.parametrize("devnull", [True, False])
+    def test_writable_file_in_unwritable_directory(self, monkeypatch, tmp_path, argv, devnull):
+        # os.access as a user other than root sees it: no directory is writable
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: not (mode & os.W_OK and os.path.isdir(path))
+                            and access(path, mode))
+        path = os.devnull if devnull else tmp_path / "x.csv"
+        if not devnull:
+            path.write_text("old")
+        assert run([*argv, "--out", str(path)]) == EXIT_OK
+        if not devnull:
+            assert path.read_text().startswith(("x,re,im\n", "t,x,rho\n"))
+
+    def test_read_only_file(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("old")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: not (mode & os.W_OK and os.fspath(p) == str(path))
+                            and access(p, mode))
+        monkeypatch.setattr(cli, "density_surface", mock.Mock(side_effect=AssertionError("computed")))
+        assert run(["density", "--out", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"squeezelab: cannot write --out {path}: [Errno 13] Permission denied: '{path}'\n"
+        assert path.read_text() == "old"
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root writes past file modes")
+    def test_file_modes(self, capsys, tmp_path):
+        directory, path = tmp_path / "ro", tmp_path / "ro" / "x.csv"
+        directory.mkdir()
+        path.write_text("old")
+        directory.chmod(0o500)
+        try:
+            assert run(["state", "--nx", "3", "--out", str(path)]) == EXIT_OK
+            assert path.read_text().startswith("x,re,im\n")
+            path.chmod(0o400)
+            assert run(["state", "--nx", "3", "--out", str(path)]) == EXIT_CONFIG
+            new = directory / "new.csv"
+            assert run(["state", "--nx", "3", "--out", str(new)]) == EXIT_CONFIG
+            assert not new.exists()
+        finally:
+            directory.chmod(0o700)
+        assert capsys.readouterr().err.count("[Errno 13] Permission denied") == 2
+
 
 STATE_FLOAT_FLAGS = sorted(a.option_strings[0] for a in subparsers()["state"]._actions if a.type is float)
 

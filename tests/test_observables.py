@@ -1,4 +1,4 @@
-"""Moments and uncertainty-product tests: closed form against matrix algebra."""
+"""Moments and uncertainty-product tests: closed form against the ladder algebra."""
 
 import math
 
@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab import (
+    FIGURE_PRESETS,
+    FockState,
     GuardViolation,
     StateSpec,
     displaced_number_coeffs,
+    figure_spec,
+    ladder_matrices,
     make_displacement,
     make_squeeze,
     moments_closed,
     moments_numeric,
     number_state,
+    time_evolve,
     uncertainty_product,
     uncertainty_product_width_form,
 )
@@ -132,6 +137,34 @@ class TestNumericMoments:
         state = displaced_number_coeffs(0, 4.0, 32)
         with pytest.raises(GuardViolation):
             moments_numeric(state, 0.0)
+
+
+def dense_moments(state, t):
+    """(mean_x, mean_p, var_x, var_p) from the (N+1)^2 ladder matrices: the reference algebra."""
+    c = time_evolve(state, t).coeffs
+    a, adag = (op.matrix for op in ladder_matrices(state.truncation))
+    xc = (a + adag) @ c / math.sqrt(2.0)
+    pc = (a - adag) @ c / (1j * math.sqrt(2.0))
+    mean_x, mean_p = np.vdot(c, xc).real, np.vdot(c, pc).real
+    return mean_x, mean_p, np.vdot(xc, xc).real - mean_x**2, np.vdot(pc, pc).real - mean_p**2
+
+
+SHIFT_SPECS = {f"preset{k}": figure_spec(k) for k in sorted(FIGURE_PRESETS)}
+SHIFT_SPECS["phi=1.1"] = spec(n=2, x0=1.5, p0=-0.7, r=0.4, phi=1.1)
+
+
+class TestShiftsAgainstDenseAlgebra:
+    @pytest.mark.parametrize("truncation", [64, 256])
+    @pytest.mark.parametrize("name", sorted(SHIFT_SPECS))
+    def test_matches_ladder_matrices(self, name, truncation):
+        # normalized, so that the leakage guard admits the presets at N = 64,
+        # whose weight reaches the edge where a_dag is cut off
+        c = operator_coeffs(SHIFT_SPECS[name], truncation).coeffs
+        state = FockState(c / np.linalg.norm(c))
+        for t in (0.0, 0.9, math.pi):
+            m = moments_numeric(state, t)
+            reference = dense_moments(state, t)
+            assert np.max(np.abs(np.subtract((m.mean_x, m.mean_p, m.var_x, m.var_p), reference))) <= 1e-12
 
 
 DISPLACEMENTS = [(8.0, 0.0), (0.0, 8.0), (1.0, 0.0), (0.0, 1.0)]

@@ -15,7 +15,6 @@ from squeezelab import (
     density_surface,
     make_displacement,
     make_squeeze,
-    psi_displaced_number,
     psi_displaced_number_evolved,
     psi_squeezed,
     psi_squeezed_number,
@@ -42,23 +41,22 @@ PARAM_SWEEP = [
 
 
 class TestDisplacedNumber:
+    """The unsqueezed closed form at t = 0."""
+
     def test_ground_state(self):
-        values = psi_displaced_number(spec(), XS)
+        values = psi_displaced_number_evolved(0, make_displacement(0.0, 0.0), XS, 0.0)
         expected = PI_QUARTER * np.exp(-0.5 * XS * XS)
         assert np.allclose(values, expected, atol=1e-15)
 
     def test_node_at_displaced_center(self):
-        assert abs(psi_displaced_number(spec(n=1, x0=2.0), 2.0)) == 0.0
+        assert abs(psi_displaced_number_evolved(1, make_displacement(2.0, 0.0), 2.0, 0.0)) == 0.0
 
     def test_peak_value_at_center(self):
-        assert psi_displaced_number(spec(n=0, x0=8.0), 8.0) == pytest.approx(PI_QUARTER, rel=1e-14)
-
-    def test_squeeze_rejected(self):
-        with pytest.raises(ValueError):
-            psi_displaced_number(spec(r=LN2), 0.0)
+        value = psi_displaced_number_evolved(0, make_displacement(8.0, 0.0), 8.0, 0.0)
+        assert value == pytest.approx(PI_QUARTER, rel=1e-14)
 
     def test_momentum_phase(self):
-        values = psi_displaced_number(spec(n=0, x0=1.0, p0=2.0), XS)
+        values = psi_displaced_number_evolved(0, make_displacement(1.0, 2.0), XS, 0.0)
         expected = (
             PI_QUARTER
             * np.exp(-1j * 1.0 * 2.0 / 2.0 + 2j * XS)
@@ -110,7 +108,8 @@ class TestSqueezedNumber:
 
     def test_unsqueezed_reduces_to_displaced_number(self):
         sp = spec(n=3, x0=1.2, p0=0.7)
-        assert np.max(np.abs(psi_squeezed_number(sp, XS) - psi_displaced_number(sp, XS))) < 1e-13
+        static = psi_displaced_number_evolved(sp.n, sp.disp, XS, 0.0)
+        assert np.max(np.abs(psi_squeezed_number(sp, XS) - static)) < 1e-13
 
 
 class TestEvolved:
