@@ -104,7 +104,7 @@ class OutputError(Exception):
 
 def _parse_config_file(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
@@ -156,6 +156,11 @@ def _preset_values(args):
     return None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
 
 
+def _refusal(path):
+    """The errno open() gives for writing at path that os.access refused: EROFS on a read-only filesystem."""
+    return errno.EROFS if os.statvfs(path).f_flag & os.ST_RDONLY else errno.EACCES
+
+
 def _check_out(out):
     """Refuse an --out that cannot be opened, before any work, with the error open() would give.
 
@@ -175,11 +180,11 @@ def _check_out(out):
     elif os.path.isdir(out):
         code = errno.EISDIR
     elif os.path.exists(out):
-        code = None if os.access(out, os.W_OK) else errno.EACCES
+        code = None if os.access(out, os.W_OK) else _refusal(out)
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     else:
-        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+        code = None if os.access(parent, os.W_OK | os.X_OK) else _refusal(parent)
     if code is not None:
         raise OutputError(f"cannot write --out {out}: {OSError(code, os.strerror(code), out)}")
 

@@ -410,6 +410,18 @@ class TestConfigAndErrors:
         _, rows = read_csv(out)
         assert rows.shape == (3 * 41, 3)
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        text = "n = 1\nx0 = 3.0\nnx = 21\n"
+        outputs = []
+        for name, encoding in (("plain.cfg", "utf-8"), ("bom.cfg", "utf-8-sig")):
+            cfg = tmp_path / name
+            cfg.write_text(text, encoding=encoding)
+            out = tmp_path / f"{name}.csv"
+            assert run(["state", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbfn = 1")
+        assert outputs[0] == outputs[1]
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -689,6 +701,19 @@ class TestUnwritableOutput:
         assert run(["density", "--out", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"squeezelab: cannot write --out {path}: [Errno 13] Permission denied: '{path}'\n"
         assert path.read_text() == "old"
+
+    def test_read_only_filesystem(self, capsys, monkeypatch, tmp_path):
+        existing, new = tmp_path / "x.csv", tmp_path / "new.csv"
+        existing.write_text("old")
+        monkeypatch.setattr(os, "access", lambda path, mode: not mode & os.W_OK)
+        monkeypatch.setattr(os, "statvfs", lambda path: mock.Mock(f_flag=os.ST_RDONLY))
+        assert run(["state", "--nx", "3", "--out", str(existing)]) == EXIT_CONFIG
+        assert run(["state", "--nx", "3", "--out", str(new)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"squeezelab: cannot write --out {existing}: [Errno 30] Read-only file system: '{existing}'\n"
+            f"squeezelab: cannot write --out {new}: [Errno 30] Read-only file system: '{new}'\n"
+        )
+        assert existing.read_text() == "old" and not new.exists()
 
     @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root writes past file modes")
     def test_file_modes(self, capsys, tmp_path):

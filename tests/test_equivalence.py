@@ -248,6 +248,16 @@ class TestNormalization:
         for t in (0.0, math.pi / 4):
             assert check_normalization(sp, t, WIDE_QUAD) <= 1e-8
 
+    def test_sweep_state_at_2001_points(self):
+        # Pool state 269 on the sweep's window, centre +/- 12 e^r sqrt(n + 1),
+        # at an eighth of the sweep's 16001 points: a geometrically convergent
+        # rule is still at rounding level here; composite Simpson is 2.9e-6 off.
+        sp = spec(n=6, x0=-6.369110111775445, p0=-2.733156401158021, r=1.1260586303618425, phi=-2.787828849361837)
+        t = 0.14490132684491908
+        centre = sp.disp.x0 * math.cos(t) + sp.disp.p0 * math.sin(t)
+        half = 12.0 * math.exp(sp.sq.r) * math.sqrt(sp.n + 1.0)
+        assert check_normalization(sp, t, QuadratureSpec(centre - half, centre + half, 2001)) <= 1e-13
+
     def test_window_too_small_detected(self):
         with pytest.raises(GuardViolation):
             check_normalization(figure_spec(1), 0.0, QuadratureSpec(-6.0, 6.0, 1001))
