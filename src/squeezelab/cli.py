@@ -25,12 +25,14 @@ instant t0.  verify takes only --preset, --N and --out.
 
 Exit codes: 0 success, 2 configuration error or an --out that cannot be
 written, 3 numerical guard violation or other numerical error, 4
-verification failure.
+verification failure.  --out is opened once the settings resolve and
+before any work, so whatever open() refuses exits 2 at once with open()'s
+own error.  An existing file keeps its bytes if the run fails; a new one
+exists, empty, while the run works, and is removed if it fails.
 """
 
 import argparse
 import contextlib
-import errno
 import json
 import math
 import os
@@ -106,7 +108,7 @@ def _parse_config_file(path):
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(lines, 1):
@@ -156,46 +158,44 @@ def _preset_values(args):
     return None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
 
 
-def _refusal(path):
-    """The errno open() gives for writing at path that os.access refused: EROFS on a read-only filesystem."""
-    return errno.EROFS if os.statvfs(path).f_flag & os.ST_RDONLY else errno.EACCES
+@contextlib.contextmanager
+def _output(out):
+    """The open --out ('-' = stdout) that a command's work runs inside.
 
-
-def _check_out(out):
-    """Refuse an --out that cannot be opened, before any work, with the error open() would give.
-
-    '-' needs a stdout.  An existing path must be a writable file; a new
-    one needs a parent, through any symlink, that is an existing, writable
-    directory.  The file is opened only after the work, so that a guard
-    violation leaves none, and _write reports what shows only while
-    writing (a full disk, a closed pipe).
+    The file is opened before the work, so whatever open() refuses is
+    refused before any work, with open()'s own error.  It is opened without
+    O_TRUNC, so if the work raises, an existing file keeps its bytes; a file
+    that this call created is removed.  _write reports what shows only
+    while writing (a full disk, a closed pipe).
     """
     if out == "-":
         if sys.stdout is None:
             raise OutputError("cannot write --out -: stdout is closed")
+        yield sys.stdout
         return
-    parent = os.path.dirname(os.path.realpath(out))
-    if not out:
-        code = errno.ENOENT
-    elif os.path.isdir(out):
-        code = errno.EISDIR
-    elif os.path.exists(out):
-        code = None if os.access(out, os.W_OK) else _refusal(out)
-    elif not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    else:
-        code = None if os.access(parent, os.W_OK | os.X_OK) else _refusal(parent)
-    if code is not None:
-        raise OutputError(f"cannot write --out {out}: {OSError(code, os.strerror(code), out)}")
-
-
-def _write(out, pieces):
-    """Write text pieces to out ('-' = stdout); an OSError becomes an OutputError."""
+    created = not os.path.lexists(out)
     try:
-        with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8", newline="") as fh:
-            for piece in pieces:
-                fh.write(piece)
-            fh.flush()
+        fh = open(out, "w", encoding="utf-8", newline="",
+                  opener=lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666))
+    except OSError as exc:
+        raise OutputError(f"cannot write --out {out}: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(out)
+        raise
+
+
+def _write(out, fh, pieces):
+    """Write text pieces to fh, the open --out, and cut a file's old tail; an OSError becomes an OutputError."""
+    try:
+        for piece in pieces:
+            fh.write(piece)
+        if out != "-" and os.path.isfile(out):
+            fh.truncate()
+        fh.flush()
     except OSError as exc:
         if out == "-":
             # interpreter exit flushes stdout again: let that flush go nowhere
@@ -208,8 +208,8 @@ def _write(out, pieces):
 BLOCK_ROWS = 2**15
 
 
-def _emit_table(settings, header, columns):
-    """Write float columns that broadcast together as a CSV or JSON table.
+def _emit_table(settings, fh, header, columns):
+    """Write float columns that broadcast together to fh as a CSV or JSON table.
 
     The table has one row per element of the broadcast shape, in C order.
     A column smaller than the table is an axis: each of its values is
@@ -251,7 +251,7 @@ def _emit_table(settings, header, columns):
             text = ((row + sep) * (stop - start)) % tuple(block.ravel().tolist())
             yield text if stop < rows else text[: -len(sep)] + tail
 
-    _write(settings["out"], blocks())
+    _write(settings["out"], fh, blocks())
     return EXIT_OK
 
 
@@ -290,16 +290,16 @@ def _data_inputs(args, preset_values):
 
 def _cmd_state(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
-    _check_out(settings["out"])
-    xs = grid.x_values()
-    values = psi_squeezed_number_evolved(spec, xs, settings["t0"])
-    return _emit_table(settings, ["x", "re", "im"], (xs, values.real, values.imag))
+    with _output(settings["out"]) as fh:
+        xs = grid.x_values()
+        values = psi_squeezed_number_evolved(spec, xs, settings["t0"])
+        return _emit_table(settings, fh, ["x", "re", "im"], (xs, values.real, values.imag))
 
 
 def _emit_surface(settings, spec, grid):
-    _check_out(settings["out"])
-    surface = density_surface(spec, grid)
-    return _emit_table(settings, ["t", "x", "rho"], (grid.t_values()[:, None], grid.x_values(), surface))
+    with _output(settings["out"]) as fh:
+        surface = density_surface(spec, grid)
+        return _emit_table(settings, fh, ["t", "x", "rho"], (grid.t_values()[:, None], grid.x_values(), surface))
 
 
 def _cmd_density(args):
@@ -315,20 +315,20 @@ def _cmd_figure(args):
 
 def _cmd_moments(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
-    _check_out(settings["out"])
-    ts = grid.t_values()
-    moments = [moments_closed(spec, t) for t in ts]
-    names = ("mean_x", "mean_p", "var_x", "var_p", "product")
-    columns = [[getattr(m, name) for m in moments] for name in names]
-    return _emit_table(settings, ["t", *names], (ts, *columns))
+    with _output(settings["out"]) as fh:
+        ts = grid.t_values()
+        moments = [moments_closed(spec, t) for t in ts]
+        names = ("mean_x", "mean_p", "var_x", "var_p", "product")
+        columns = [[getattr(m, name) for m in moments] for name in names]
+        return _emit_table(settings, fh, ["t", *names], (ts, *columns))
 
 
 def _cmd_uncertainty(args):
     settings, spec, grid = _data_inputs(args, _preset_values(args))
-    _check_out(settings["out"])
-    ts = grid.t_values()
-    values = [uncertainty_product(spec.n, spec.sq, t) for t in ts]
-    return _emit_table(settings, ["t", "product"], (ts, values))
+    with _output(settings["out"]) as fh:
+        ts = grid.t_values()
+        values = [uncertainty_product(spec.n, spec.sq, t) for t in ts]
+        return _emit_table(settings, fh, ["t", "product"], (ts, values))
 
 
 VERIFY_TIMES = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -343,17 +343,17 @@ def _cmd_verify(args):
     if args.N > VERIFY_MAX_N:
         raise ConfigError(f"--N must be <= {VERIFY_MAX_N} for its factor matrices to fit in 1 GiB, got {args.N}")
     indices = sorted(FIGURE_PRESETS) if args.preset == "all" else [_preset_index(args.preset)]
-    _check_out(args.out)
-    reports = []
-    for index in indices:
-        spec = figure_spec(index)
-        for n in VERIFY_ORDERS:
-            for t in VERIFY_TIMES:
-                tolerance = 1e-8 if t == 0.0 else 1e-7
-                reports.append(
-                    compare_formalisms(replace(spec, n=n), t, truncation=args.N, tolerance=tolerance)
-                )
-    _write(args.out, [json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"])
+    with _output(args.out) as fh:
+        reports = []
+        for index in indices:
+            spec = figure_spec(index)
+            for n in VERIFY_ORDERS:
+                for t in VERIFY_TIMES:
+                    tolerance = 1e-8 if t == 0.0 else 1e-7
+                    reports.append(
+                        compare_formalisms(replace(spec, n=n), t, truncation=args.N, tolerance=tolerance)
+                    )
+        _write(args.out, fh, [json.dumps([asdict(r) for r in reports], indent=2, sort_keys=True) + "\n"])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 

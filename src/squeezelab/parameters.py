@@ -136,6 +136,12 @@ def structure_factors(sq: SqueezeParam) -> StructureFactors:
     kappa is evaluated as sin(phi) sinh(r) / (2 S); the r in z2 = r sin(phi)
     cancels the 1/r analytically, so r = 0 gives kappa = 0 with no special
     casing.
+
+    S = cosh r + cos(phi) sinh r cancels near phi = pi, and its relative
+    error there grows like e^{2r} eps: against mpmath at phi = pi it is
+    2.0e-8 at r = 9.5, 1.2e-4 at r = 15 and 0.14 at r = 17.75.  Only S <= 0
+    is refused, so every closed form built on S, F2 and F4 carries that
+    error unreported (state --r 17.75 --phi 3.141592653589793 exits 0).
     """
     ch, sh = cosh_sinh(sq.r, sq.r)
     script_s = ch + math.cos(sq.phi) * sh

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import inspect
 import io
@@ -91,6 +92,15 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, rows
+
+
+# Runs that fail with a guard violation: one in the density surface, one in
+# the emitted table.
+NON_FINITE_RUNS = [
+    ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
+     "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001"],
+    ["state", "--x0", "1e308", "--nx", "3"],
+]
 
 
 class TestFigureCommand:
@@ -422,6 +432,17 @@ class TestConfigAndErrors:
         assert (tmp_path / "bom.cfg").read_bytes().startswith(b"\xef\xbb\xbfn = 1")
         assert outputs[0] == outputs[1]
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"n = 1\nx0 = 2\xff\n")
+        assert run(["state", "--nx", "3", "--config", str(cfg), "--out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"squeezelab: configuration error: cannot read config file {cfg}: "
+            "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"
+        )
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -464,14 +485,7 @@ class TestConfigAndErrors:
         assert code == EXIT_GUARD
         assert "non-finite density values at quantum number n = 400" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["density", "--n", "400", "--r", "0.5", "--phi", "0.3", "--t0", "0.7", "--t1", "0.7",
-             "--nt", "1", "--xmin", "-60", "--xmax", "60", "--nx", "2001"],
-            ["state", "--x0", "1e308", "--nx", "3"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", NON_FINITE_RUNS)
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_output_writes_no_file(self, tmp_path, argv, fmt):
         out = tmp_path / "x"
@@ -676,14 +690,30 @@ class TestUnwritableOutput:
             f"squeezelab: cannot write --out {path}: [Errno 2] No such file or directory: '{path}'\n"
         )
 
+    @pytest.mark.parametrize("argv", [["density"], ["figure", "1"], ["state"], ["moments"], ["uncertainty"],
+                                      ["verify", "--preset", "1", "--N", str(cli.VERIFY_MAX_N)]])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_trailing_slash_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv, existing):
+        calls = []
+        for name in ("compare_formalisms", "density_surface", "psi_squeezed_number_evolved", "moments_closed",
+                     "uncertainty_product"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        if existing:
+            (tmp_path / "file").write_text("old")
+        path = f"{tmp_path / ('file' if existing else 'nodir')}/"
+        with pytest.raises(OSError) as refused:
+            open(path, "w")
+        assert run([*argv, "--out", path]) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err == f"squeezelab: cannot write --out {path}: {refused.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["file"] if existing else [])
+        if existing:
+            assert (tmp_path / "file").read_text() == "old"
 
     @pytest.mark.parametrize("argv", [["state", "--nx", "3"], ["figure", "1", "--nt", "2"]])
     @pytest.mark.parametrize("devnull", [True, False])
-    def test_writable_file_in_unwritable_directory(self, monkeypatch, tmp_path, argv, devnull):
-        # os.access as a user other than root sees it: no directory is writable
-        access = os.access
-        monkeypatch.setattr(os, "access", lambda path, mode: not (mode & os.W_OK and os.path.isdir(path))
-                            and access(path, mode))
+    def test_writable_file_in_unwritable_directory(self, tmp_path, argv, devnull):
+        # an existing file is written in place: its directory is never written
         path = os.devnull if devnull else tmp_path / "x.csv"
         if not devnull:
             path.write_text("old")
@@ -691,12 +721,22 @@ class TestUnwritableOutput:
         if not devnull:
             assert path.read_text().startswith(("x,re,im\n", "t,x,rho\n"))
 
+    @staticmethod
+    def refuse_open(monkeypatch, code, *paths):
+        """Make os.open refuse writing at paths with errno code, as a user other than root meets it."""
+        os_open = os.open
+
+        def refusing(path, flags, *args, **kwargs):
+            if os.fspath(path) in map(str, paths) and flags & (os.O_WRONLY | os.O_RDWR):
+                raise OSError(code, os.strerror(code), path)
+            return os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing)
+
     def test_read_only_file(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("old")
-        access = os.access
-        monkeypatch.setattr(os, "access", lambda p, mode: not (mode & os.W_OK and os.fspath(p) == str(path))
-                            and access(p, mode))
+        self.refuse_open(monkeypatch, errno.EACCES, path)
         monkeypatch.setattr(cli, "density_surface", mock.Mock(side_effect=AssertionError("computed")))
         assert run(["density", "--out", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"squeezelab: cannot write --out {path}: [Errno 13] Permission denied: '{path}'\n"
@@ -705,8 +745,7 @@ class TestUnwritableOutput:
     def test_read_only_filesystem(self, capsys, monkeypatch, tmp_path):
         existing, new = tmp_path / "x.csv", tmp_path / "new.csv"
         existing.write_text("old")
-        monkeypatch.setattr(os, "access", lambda path, mode: not mode & os.W_OK)
-        monkeypatch.setattr(os, "statvfs", lambda path: mock.Mock(f_flag=os.ST_RDONLY))
+        self.refuse_open(monkeypatch, errno.EROFS, existing, new)
         assert run(["state", "--nx", "3", "--out", str(existing)]) == EXIT_CONFIG
         assert run(["state", "--nx", "3", "--out", str(new)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
@@ -732,6 +771,26 @@ class TestUnwritableOutput:
         finally:
             directory.chmod(0o700)
         assert capsys.readouterr().err.count("[Errno 13] Permission denied") == 2
+
+
+class TestOutputFile:
+    """An --out file holds exactly the new table after a run, and is left as it was by a failed run."""
+
+    @pytest.mark.parametrize("argv", NON_FINITE_RUNS)
+    def test_failed_run_keeps_existing_file(self, tmp_path, argv):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"old,bytes\n1,2\n")
+        assert run([*argv, "--out", str(out)]) == EXIT_GUARD
+        assert out.read_bytes() == b"old,bytes\n1,2\n"
+
+    @pytest.mark.parametrize("argv", [["state", "--nx", "3"], ["verify", "--preset", "1"]])
+    def test_longer_file_loses_its_tail(self, capsys, tmp_path, argv):
+        assert run([*argv, "--out", "-"]) == EXIT_OK
+        table = capsys.readouterr().out.encode()
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"x" * (len(table) + 4096))
+        assert run([*argv, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == table
 
 
 STATE_FLOAT_FLAGS = sorted(a.option_strings[0] for a in subparsers()["state"]._actions if a.type is float)
@@ -866,8 +925,7 @@ def reference_table(fmt, header, columns):
 
 def emitted_table(fmt, header, columns):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli._emit_table({"format": fmt, "out": "-"}, header, columns) == EXIT_OK
+    assert cli._emit_table({"format": fmt, "out": "-"}, out, header, columns) == EXIT_OK
     return out.getvalue()
 
 
