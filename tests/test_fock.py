@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squeezelab
+from squeezelab import fock
 from squeezelab import (
     FockOperator,
     FockState,
@@ -283,6 +284,100 @@ class TestSqueezeBch:
         op = squeeze_bch(make_squeeze(LN2, 1.1), 128)
         for n in (0, 1, 5):
             assert FockState(op.matrix[:, n]).norm_sq == pytest.approx(1.0, abs=1e-8)
+
+
+def dense_rotated_power(factors, theta):
+    """The dense route of the operator builds: np.dot of the factors, the
+    float64 squarings, then the phases."""
+    left, right, halvings = factors
+    mat = np.dot(left, right).astype(float)
+    for _ in range(halvings):
+        mat = mat @ mat
+    phase = np.exp(1j * np.longdouble(theta) * np.arange(mat.shape[0]))
+    return (phase[:, None] * mat * phase.conj()).astype(complex)
+
+
+def assert_same_bits(got, want):
+    # values and sign bits; tobytes() would also compare long-double padding
+    assert got.dtype == want.dtype and got.shape == want.shape
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(got), part(want))
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def exp_ladder_series_loop(c, step, truncation, scale):
+    """_exp_ladder_series as one fancy-indexed diagonal per pass."""
+    n1 = truncation + 1
+    out = np.zeros((n1, n1), dtype=np.longdouble)
+    diag = np.full(n1, scale, dtype=np.longdouble)
+    np.fill_diagonal(out, diag)
+    cl = np.longdouble(c)
+    for j in range(1, truncation // step + 1):
+        k = np.arange(n1 - step * j)
+        top = k + step * j
+        ratio = top if step == 1 else top * (top - 1)
+        diag = diag[: n1 - step * j] * (cl / j) * np.sqrt(ratio.astype(np.longdouble))
+        out[top, k] = diag
+    return out
+
+
+BIT_TRUNCATIONS = (1, 2, 3, 16, 63, 64, 256)
+# 2^h halvings: h = 0, 0, 0, 1, 2, 3, 3
+BIT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.7, 5.66 * cmath.exp(0.4j), 6.0)
+
+
+def structured_triangle(rng, size, step, lower):
+    """Random long-double triangle, zero where row - column is not a
+    multiple of step, with magnitudes over 60 decades and some exact zeros."""
+    values = rng.standard_normal((size, size)).astype(np.longdouble)
+    values *= np.longdouble(10.0) ** rng.integers(-30, 31, (size, size))
+    values[rng.random((size, size)) < 0.1] = 0.0
+    rows, cols = np.indices((size, size))
+    keep = (rows >= cols if lower else rows <= cols) & ((rows - cols) % step == 0)
+    return np.where(keep, values, np.longdouble(0.0))
+
+
+class TestTriangularProduct:
+    """The normal-ordered builds skip only exact-zero terms of the factor
+    product, and write the factors' diagonals through a strided view, so
+    they equal the dense product of the fancy-indexed factors bit for bit."""
+
+    @pytest.mark.parametrize("alpha, N", [(a, N) for N in BIT_TRUNCATIONS for a in BIT_ALPHAS if abs(a) <= N / 8])
+    def test_displacement_matches_dense_product(self, alpha, N):
+        want = dense_rotated_power(fock._displacement_factors(abs(alpha), N), fock._alpha_angle(complex(alpha)))
+        assert_same_bits(displacement_bch(alpha, N).matrix, want)
+
+    @pytest.mark.parametrize("N", BIT_TRUNCATIONS)
+    @pytest.mark.parametrize("phi", [0.0, 2.0])
+    @pytest.mark.parametrize("r", [0.0, 0.3, LN2, 1.2, 3.0])
+    def test_squeeze_matches_dense_product(self, r, phi, N):
+        sq = make_squeeze(r, phi)  # r = 0 drops phi
+        want = dense_rotated_power(fock._squeeze_factors(sq.r, N), np.longdouble(sq.phi) / 2)
+        assert_same_bits(squeeze_bch(sq, N).matrix, want)
+
+    @given(size=st.integers(1, 80), step=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_triangles(self, size, step, seed):
+        rng = np.random.default_rng(seed)
+        left = structured_triangle(rng, size, step, lower=True)
+        right = structured_triangle(rng, size, step, lower=False)
+        assert_same_bits(fock._triangular_product(left, right, step), np.dot(left, right))
+
+    @given(truncation=st.integers(1, 80), step=st.sampled_from([1, 2]), c=st.floats(-2.0, 2.0),
+           per_column=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_ladder_series_matches_loop(self, truncation, step, c, per_column, seed):
+        rng = np.random.default_rng(seed)
+        scale = rng.random(truncation + 1).astype(np.longdouble) if per_column else np.longdouble(rng.random())
+        assert_same_bits(fock._exp_ladder_series(c, step, truncation, scale),
+                         exp_ladder_series_loop(c, step, truncation, scale))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_ladder_series_matches_loop_at_full_size(self, step):
+        mid = np.exp(-(np.arange(257, dtype=np.longdouble) + 0.5) * np.log(np.longdouble(math.cosh(1.2))))
+        for scale in (np.longdouble(0.8), mid):
+            assert_same_bits(fock._exp_ladder_series(-0.45, step, 256, scale),
+                             exp_ladder_series_loop(-0.45, step, 256, scale))
 
 
 class TestDisplacedNumberCoeffs:
