@@ -279,6 +279,13 @@ class TestVerifyCommand:
         assert all(r["passed"] for r in reports)
         assert all(r["max_abs_deviation"] <= r["tolerance"] for r in reports)
 
+    def test_report_keys(self, tmp_path):
+        # no argmax location: below about 1e-14 it is a near-tie between mirror points
+        out = tmp_path / "reports.json"
+        assert run(["verify", "--preset", "2", "--out", str(out)]) == EXIT_OK
+        keys = {"leakage", "max_abs_deviation", "params", "passed", "tolerance", "truncation"}
+        assert all(sorted(r) == sorted(keys) for r in json.loads(out.read_text()))
+
     def test_starved_truncation_fails_with_exit_four(self, tmp_path):
         out = tmp_path / "reports.json"
         code = run(["verify", "--preset", "1", "--N", "48", "--out", str(out)])

@@ -25,6 +25,7 @@ from squeezelab import (
     make_displacement,
     make_squeeze,
     oscillator_eigenfunctions,
+    psi_squeezed_number,
     squeeze_bch,
     structure_factors,
     synthesize,
@@ -156,17 +157,45 @@ class TestOperatorState:
 SWEEP_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "sweep_pool.json")
 
 
+def pool_spec(index):
+    with open(SWEEP_POOL, encoding="utf-8") as fh:
+        n, x0, p0, r, phi, _ = json.load(fh)["states"][index]["state"]
+    return spec(n, x0, p0, r, phi)
+
+
 class TestTruncationMonotone:
     # Pool states at r near 1.18, n = 5 and 8, where a squared half-r build
     # of S made N = 512 worse than N = 384 (state 59: 1.7e-9, then 5.0e-8).
     @pytest.mark.parametrize("index", [59, 82, 220, 266])
     def test_larger_truncation_is_no_worse(self, index):
-        with open(SWEEP_POOL, encoding="utf-8") as fh:
-            n, x0, p0, r, phi, _ = json.load(fh)["states"][index]["state"]
-        sp = spec(n, x0, p0, r, phi)
+        sp = pool_spec(index)
         deviations = [compare_formalisms(sp, 0.0, truncation=N).max_abs_deviation for N in (256, 384, 512)]
         for smaller, larger in zip(deviations, deviations[1:]):
             assert larger <= max(2 * smaller, 1e-13), deviations
+
+
+def projected(sp, m_max):
+    """c_m = integral of psi_m psi dx for m <= m_max: the closed form's own Fock
+    coefficients, by the trapezoid rule on 8001 points over a window that
+    holds the state and psi_0 .. psi_{m_max}."""
+    h = 12.0 * math.exp(sp.sq.r) * math.sqrt(sp.n + 1.0) + math.sqrt(2.0 * m_max + 1.0) + 2.0
+    xs = np.linspace(min(sp.disp.x0, 0.0) - h, max(sp.disp.x0, 0.0) + h, 8001)
+    return np.trapezoid(oscillator_eigenfunctions(m_max, xs) * psi_squeezed_number(sp, xs), xs, axis=1)
+
+
+class TestProjectionReferee:
+    """The operator coefficients at N = 256 equal the closed form's projection
+    up to the truncation tail read off the same column at N = 512, plus a
+    rounding floor (largest gap minus tail over the pool: 5.6e-15)."""
+
+    @pytest.mark.parametrize("sp", [
+        *[pytest.param(replace(figure_spec(i), n=n), id=f"preset{i}-n{n}") for i in (1, 2, 3, 4) for n in (0, 3)],
+        *[pytest.param(pool_spec(i), id=f"pool{i}") for i in range(0, 400, 40)],
+    ])
+    def test_coefficients_match_projection(self, sp):
+        gap = np.max(np.abs(operator_state(sp, 256).coeffs - projected(sp, 256)))
+        tail = np.linalg.norm(operator_state(sp, 512).coeffs[257:])
+        assert gap <= tail + 1e-13, (gap, tail)
 
 
 class TestCacheRule:

@@ -288,13 +288,13 @@ class TestSqueezeBch:
 
 def dense_rotated_power(factors, theta):
     """The dense route of the operator builds: np.dot of the factors, the
-    float64 squarings, then the phases."""
+    float64 squarings, then the complex128 phases of the float theta."""
     left, right, halvings = factors
     mat = np.dot(left, right).astype(float)
     for _ in range(halvings):
         mat = mat @ mat
-    phase = np.exp(1j * np.longdouble(theta) * np.arange(mat.shape[0]))
-    return (phase[:, None] * mat * phase.conj()).astype(complex)
+    phase = np.exp(1j * theta * np.arange(mat.shape[0]))
+    return phase[:, None] * mat * phase.conj()
 
 
 def assert_same_bits(got, want):
@@ -344,7 +344,7 @@ class TestTriangularProduct:
 
     @pytest.mark.parametrize("alpha, N", [(a, N) for N in BIT_TRUNCATIONS for a in BIT_ALPHAS if abs(a) <= N / 8])
     def test_displacement_matches_dense_product(self, alpha, N):
-        want = dense_rotated_power(fock._displacement_factors(abs(alpha), N), fock._alpha_angle(complex(alpha)))
+        want = dense_rotated_power(fock._displacement_factors(abs(alpha), N), cmath.phase(alpha))
         assert_same_bits(displacement_bch(alpha, N).matrix, want)
 
     @pytest.mark.parametrize("N", BIT_TRUNCATIONS)
@@ -352,7 +352,7 @@ class TestTriangularProduct:
     @pytest.mark.parametrize("r", [0.0, 0.3, LN2, 1.2, 3.0])
     def test_squeeze_matches_dense_product(self, r, phi, N):
         sq = make_squeeze(r, phi)  # r = 0 drops phi
-        want = dense_rotated_power(fock._squeeze_factors(sq.r, N), np.longdouble(sq.phi) / 2)
+        want = dense_rotated_power(fock._squeeze_factors(sq.r, N), sq.phi / 2)
         assert_same_bits(squeeze_bch(sq, N).matrix, want)
 
     @given(size=st.integers(1, 80), step=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
@@ -410,11 +410,13 @@ class TestDisplacedNumberCoeffs:
         assert state.norm_sq == pytest.approx(1.0, abs=1e-8)
         assert abs(state.leakage) < 1e-8
 
-    def test_guards(self):
-        with pytest.raises(GuardViolation):
-            displaced_number_coeffs(40, 1.0, 64)
-        with pytest.raises(GuardViolation):
-            displaced_number_coeffs(0, 10.0, 64)
+    # Each c_m is a finite sum, so n and |alpha| large against N need no
+    # guard: N picks only which m are returned.
+    @pytest.mark.parametrize("n, alpha, bound", [(40, 1.0, 1e-13), (0, 10.0, 1e-14)])
+    def test_large_n_and_alpha_match_wide_oracle(self, n, alpha, bound):
+        state = displaced_number_coeffs(n, alpha, 64)
+        oracle = displacement_exact(alpha, 512).matrix[:65, n]
+        assert np.max(np.abs(state.coeffs - oracle)) <= bound
 
     # Sweep-pool states 49 and 335 (n = 8, |alpha| near 6): the pool's two
     # largest gaps between the series and the BCH column.
@@ -446,21 +448,25 @@ class TestDisplacedNumberCoeffs:
             displaced_number_coeffs(n, alpha, 512)
 
 
+def squeezed_vacuum(sq, N):
+    """c_{2k} = (cosh r)^{-1/2} sqrt((2k)!) / k! d^k, d = e^{i phi} tanh(r) / 2."""
+    d = 0.5 * np.exp(1j * sq.phi) * math.tanh(sq.r)
+    m = np.arange(0, N + 1, 2)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
+    expected = np.zeros(N + 1, dtype=complex)
+    expected[m] = (
+        math.cosh(sq.r) ** -0.5
+        * np.exp(0.5 * log_fact[m] - log_fact[m // 2])
+        * d ** (m // 2)
+    )
+    return expected
+
+
 class TestSqueezedNumberCoeffs:
     def test_squeezed_vacuum_closed_form(self):
         sq = make_squeeze(LN2, 0.7)
-        N = 64
-        state = squeezed_number_coeffs(0, sq, N)
-        d = 0.5 * np.exp(1j * sq.phi) * math.tanh(sq.r)
-        m = np.arange(0, N + 1, 2)
-        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, N + 1)))])
-        expected = np.zeros(N + 1, dtype=complex)
-        expected[m] = (
-            math.cosh(sq.r) ** -0.5
-            * np.exp(0.5 * log_fact[m] - log_fact[m // 2])
-            * d ** (m // 2)
-        )
-        assert np.max(np.abs(state.coeffs - expected)) < 1e-13
+        state = squeezed_number_coeffs(0, sq, 64)
+        assert np.max(np.abs(state.coeffs - squeezed_vacuum(sq, 64))) < 1e-13
 
     def test_zero_squeeze_is_delta(self):
         state = squeezed_number_coeffs(3, make_squeeze(0.0, 0.0), 32)
@@ -483,11 +489,16 @@ class TestSqueezedNumberCoeffs:
         state = squeezed_number_coeffs(2, make_squeeze(LN2, 2.0), 128)
         assert state.norm_sq == pytest.approx(1.0, abs=1e-8)
 
-    def test_guards(self):
-        with pytest.raises(GuardViolation):
-            squeezed_number_coeffs(40, make_squeeze(0.5, 0.0), 128)
-        with pytest.raises(GuardViolation):
-            squeezed_number_coeffs(0, make_squeeze(3.5, 0.0), 128)
+    def test_large_n_matches_wide_oracle(self):
+        sq = make_squeeze(0.5, 0.4)
+        state = squeezed_number_coeffs(40, sq, 128)
+        oracle = squeeze_exact(sq, 512).matrix[:129, 40]
+        assert np.max(np.abs(state.coeffs - oracle)) <= 1e-12
+
+    def test_large_r_matches_closed_form(self):
+        # The N = 512 oracle is 2e-2 off here: the state is wider than its truncation.
+        sq = make_squeeze(3.5, 0.4)
+        assert np.max(np.abs(squeezed_number_coeffs(0, sq, 128).coeffs - squeezed_vacuum(sq, 128))) <= 1e-14
 
     def test_cancelling_series_raises(self):
         with pytest.raises(GuardViolation, match=r"r = 1, n = 96, N = 512: .* bound"):
@@ -498,9 +509,9 @@ TRUNCATIONS = st.sampled_from([64, 128, 256, 512])
 
 
 class TestSeriesContract:
-    """Every admitted input either raises GuardViolation or gives finite
-    coefficients with norm_sq <= 1 + 1e-6: the 1e-8 per-coefficient error
-    bound summed over at most 513 coefficients."""
+    """Every input with 0 <= n <= N either raises GuardViolation or gives
+    finite coefficients with norm_sq <= 1 + 1e-6: the 1e-8 per-coefficient
+    error bound summed over at most 513 coefficients."""
 
     @staticmethod
     def assert_within_contract(call):
@@ -514,15 +525,26 @@ class TestSeriesContract:
     @given(N=TRUNCATIONS, n_share=st.floats(0, 1), size_share=st.floats(0, 1), angle=st.floats(-math.pi, math.pi))
     @settings(max_examples=40, deadline=None)
     def test_displaced(self, N, n_share, size_share, angle):
-        n = int(n_share * (N // 2))
-        alpha = size_share * N / 8 * cmath.exp(1j * angle)
+        n = int(n_share * N)
+        alpha = size_share * N / 2 * cmath.exp(1j * angle)
         self.assert_within_contract(lambda: displaced_number_coeffs(n, alpha, N))
 
-    @given(N=TRUNCATIONS, n_share=st.floats(0, 1), r=st.floats(0, 3), phi=st.floats(-math.pi, math.pi))
+    @given(N=TRUNCATIONS, n_share=st.floats(0, 1), r=st.floats(0, 8), phi=st.floats(-math.pi, math.pi))
     @settings(max_examples=40, deadline=None)
     def test_squeezed(self, N, n_share, r, phi):
-        n = int(n_share * (N // 4))
+        n = int(n_share * N)
         self.assert_within_contract(lambda: squeezed_number_coeffs(n, make_squeeze(r, phi), N))
+
+    @pytest.mark.parametrize("call", [
+        lambda n, N: displaced_number_coeffs(n, 1.0 - 0.5j, N),
+        lambda n, N: displaced_number_coeffs(n, 0.0, N),
+        lambda n, N: squeezed_number_coeffs(n, make_squeeze(0.5, 0.4), N),
+        lambda n, N: squeezed_number_coeffs(n, make_squeeze(0.0), N),
+    ], ids=["D", "D_alpha_0", "S", "S_r_0"])
+    @pytest.mark.parametrize("n", [-1, 65])
+    def test_n_outside_basis_is_value_error(self, call, n):
+        with pytest.raises(ValueError, match="need 0 <= n <= truncation"):
+            call(n, 64)
 
 
 class TestSynthesize:
