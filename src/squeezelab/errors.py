@@ -10,5 +10,5 @@ class GuardViolation(ValueError):
 
 
 class DegenerateEvolutionError(GuardViolation):
-    """The time-evolution factor B is numerically zero; the evolved
-    wavefunction formula is singular at this point."""
+    """|B| < 1e-14 for the time-evolution factor B = cos t + i F2 sin t: B never
+    vanishes (Re F2 > 0), but there it is within the rounding of cos t and sin t."""

@@ -14,9 +14,12 @@ D(alpha) S(z)|n>.  Long double stays only where terms cancel; the phase
 rotation and D's squarings run in double.  States are mapped back to
 position space through the oscillator eigenfunctions.
 
-Truncation to the basis {|0>, ..., |N>} is never hidden: states report
-their leakage 1 - sum |c_m|^2 and operators report a unitarity defect
-instead of assuming unitarity.
+Truncation to the basis {|0>, ..., |N>} is never hidden.  The factors
+refuse |alpha|^2 > N (D) and sinh^2 r > N (S): their columns' least mean
+photon number, where a state on levels 0..N has mean at most N.  States
+report their leakage 1 - sum |c_m|^2 (its float64 floor, 1e-16 of weight,
+is 1e-8 of amplitude: pool state 307 reads 0.00e+00 and fails compare_t0
+at 1.39e-8) and operators a unitarity defect.
 
 Caching follows one rule: a cache holds one entry, exists only where a
 workload asks for the same key again, and returns read-only arrays.
@@ -34,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardViolation
-from .parameters import SqueezeParam
+from .parameters import SqueezeParam, cosh_sinh
 from .special import oscillator_eigenfunctions
 
 __all__ = [
@@ -74,7 +77,7 @@ class FockState:
 
     @property
     def leakage(self) -> float:
-        """Probability weight lost above the truncation, 1 - sum |c_m|^2."""
+        """Weight lost above the truncation, 1 - sum |c_m|^2; blind below ~1e-16 of weight, 1e-8 of amplitude."""
         return 1.0 - self.norm_sq
 
 
@@ -181,10 +184,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _displacement_factors(magnitude: float, truncation: int):
     """Real (left, right, h) with D(magnitude) = (left @ right)^(2^h).
 
-    The raw two-factor product cancels catastrophically once |alpha|
-    sqrt(N) is large, so the factors are built at b = |alpha| / 2^h <= 1
-    and the exact group doubling D(alpha)^2 = D(2 alpha) restores |alpha|.
+    The raw two-factor product cancels catastrophically once |alpha| sqrt(N)
+    is large, so the factors are built at b = |alpha| / 2^h <= 1 and the
+    exact D(alpha)^2 = D(2 alpha) restores |alpha|; |alpha|^2 <= N keeps 2^h < 2 sqrt(N).
     """
+    if magnitude * magnitude > truncation:
+        raise GuardViolation(f"|alpha|^2 = {magnitude * magnitude:.4g} exceeds N = {truncation}: every column k of "
+                             "D(alpha) has mean photon number |alpha|^2 + k, so none fits in the N + 1 levels")
     b, halvings = magnitude, 0
     while b > 1.0:
         b /= 2.0
@@ -199,14 +205,18 @@ def _displacement_factors(magnitude: float, truncation: int):
 def _squeeze_factors(r: float, truncation: int):
     """Real (left, right, 0) with S(r) = left @ right: one product at every r.
 
-    At N = 256 it matches squeezed_number_coeffs to 5e-16 on columns
-    n <= 16, rows < 64, up to r = 3 and beyond, so r <= 3 guards truncation
-    only.  Squaring S(r/2), as D doubles, would carry the far-from-unitary
-    rows near the edge into that block: 9e-8 off at r = 2, 7e19 at r = 3.
+    Entry (i, k) sums the same terms at every N; at N = 256 it matches
+    squeezed_number_coeffs to 8.4e-17 on columns n <= 16, rows < 64, even at
+    r = 3.5, so sinh^2 r <= N guards truncation only.  Squaring S(r/2), as D
+    doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
     """
+    cosh_r, sinh_r = cosh_sinh(r, r)
+    if sinh_r * sinh_r > truncation:
+        raise GuardViolation(f"sinh^2 r = {sinh_r * sinh_r:.4g} at r = {r:g} exceeds N = {truncation}: every column "
+                             "of S(z) has mean photon number at least sinh^2 r, so none fits in the N + 1 levels")
     d = 0.5 * math.tanh(r)
     m = np.arange(truncation + 1, dtype=np.longdouble)
-    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(math.cosh(r))))
+    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)))
     left = _exp_ladder_series(d, 2, truncation, 1)
     right = _exp_ladder_series(-d, 2, truncation, mid).T
     return _read_only(left), _read_only(right), 0
@@ -289,30 +299,16 @@ def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
     return pair.view(np.clongdouble)[:, 0] * phase
 
 
-def _check_alpha_guard(alpha: complex, truncation: int) -> None:
-    if abs(alpha) > truncation / 8.0:
-        raise GuardViolation(
-            f"|alpha| = {abs(alpha):.3g} exceeds truncation guard {truncation / 8.0:g} at N = {truncation}"
-        )
-
-
-def _check_squeeze_guard(sq: SqueezeParam) -> None:
-    if sq.r > 3.0:
-        raise GuardViolation(f"squeeze magnitude r = {sq.r:.3g} exceeds truncation guard 3")
-
-
 @lru_cache(maxsize=1)
 def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     """Displacement operator from its normal-ordered factorization.
 
     D(alpha) = e^{-|alpha|^2/2} exp(alpha a_dag) exp(-conj(alpha) a),
     each factor expanded as its (terminating) truncated series, built at
-    the real |alpha| and rotated by the phase of alpha.  Requires
-    |alpha| <= truncation/8 so the occupied block sits well below the
-    truncation edge.  Cached: the matrix is read-only and shared.
+    the real |alpha| and rotated by the phase of alpha; its factors refuse
+    |alpha|^2 > N.  Cached: the matrix is read-only and shared.
     """
     alpha = complex(alpha)
-    _check_alpha_guard(alpha, truncation)
     return FockOperator(_rotated_power(_displacement_factors(abs(alpha), truncation), cmath.phase(alpha), 1))
 
 
@@ -323,15 +319,17 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
     (cosh r)^{-(m + 1/2)}.  One product, built at the real r and rotated
-    by phi/2.  Cached: the matrix is read-only and shared.
+    by phi/2; its factors refuse sinh^2 r > N.  Cached: the matrix is
+    read-only and shared.
 
     Only the leading columns hold.  Rounding in the long-double factor
     product grows down the columns until the matrix is far from unitary:
     at N = 256 the first column with an entry above 1.01 in modulus is
     205 at r = 0.3, 116 at r = 0.7 and 102 at r = 1, and
-    unitarity_defect() reads 3.6e8, 1.6e35 and 1.6e36.
+    unitarity_defect() reads 3.6e8, 1.6e35 and 1.6e36.  No entry depends on
+    N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
+    is the oracle's truncation; an N / 4 block just reads more columns.
     """
-    _check_squeeze_guard(sq)
     return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), sq.phi / 2, 2))
 
 
@@ -340,16 +338,17 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     """D(alpha) S(z)|n> with the factors of squeeze_bch and displacement_bch
     applied to |n> in turn, never multiplied into matrices.
 
-    Same guards as the matrices.  S is one pair of matrix-vector products
-    and D is 2^h pairs: O(2^h N^2) instead of O(h N^3).
-    Cached: the coefficients are read-only and shared.
+    Both factors' guards run before any work; the column's mean photon
+    number |alpha|^2 + (n + 1/2) cosh 2r - 1/2 exceeds N under either.  S
+    is one pair of matrix-vector products and D is 2^h < 2 sqrt(N) pairs:
+    O(2^h N^2) instead of O(h N^3).  Cached: the coefficients are read-only.
     """
     alpha = complex(alpha)
-    _check_alpha_guard(alpha, truncation)
-    _check_squeeze_guard(sq)
+    d_factors = _displacement_factors(abs(alpha), truncation)
+    s_factors = _squeeze_factors(sq.r, truncation)
     coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
-    coeffs = _rotated_apply(_squeeze_factors(sq.r, truncation), sq.phi / 2, coeffs)
-    coeffs = _rotated_apply(_displacement_factors(abs(alpha), truncation), cmath.phase(alpha), coeffs)
+    coeffs = _rotated_apply(s_factors, sq.phi / 2, coeffs)
+    coeffs = _rotated_apply(d_factors, cmath.phase(alpha), coeffs)
     return FockState(_read_only(coeffs.astype(complex)))
 
 

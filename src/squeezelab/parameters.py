@@ -182,7 +182,7 @@ def evolution_factors(sf: StructureFactors, disp: DisplacementParam, t: float) -
     sin_t = math.sin(t)
     b = cos_t + 1j * sf.f2 * sin_t
     if abs(b) < 1e-14:
-        raise DegenerateEvolutionError(f"evolution factor B vanished at t = {t}")
+        raise DegenerateEvolutionError(f"|B| = {abs(b):.3g} at t = {t} is within the rounding of cos t and sin t")
     a = (b - 2j * sin_t / sf.f4 ** 2) / b
     center = disp.x0 * cos_t + disp.p0 * sin_t
     return EvolutionFactors(a, b, center)

@@ -287,11 +287,12 @@ class TestVerifyCommand:
         assert all(sorted(r) == sorted(keys) for r in json.loads(out.read_text()))
 
     def test_starved_truncation_fails_with_exit_four(self, tmp_path):
+        # |alpha|^2 = 32 <= N: the guard admits it, and the column loses weight
         out = tmp_path / "reports.json"
-        code = run(["verify", "--preset", "1", "--N", "48", "--out", str(out)])
+        code = run(["verify", "--preset", "1", "--N", "32", "--out", str(out)])
         assert code == EXIT_VERIFY
         reports = json.loads(out.read_text())
-        assert any(not r["passed"] for r in reports)
+        assert len(reports) == 12 and any(not r["passed"] for r in reports)
 
     def test_bad_preset_is_config_error(self):
         assert run(["verify", "--preset", "9"]) == EXIT_CONFIG
@@ -538,10 +539,11 @@ class TestConfigAndErrors:
             f"squeezelab: configuration error: {flags} asks for {rows} table rows; at most 524288 fit in 1 GiB\n"
         )
 
-    def test_fock_guard_exit_three(self, tmp_path):
-        # |alpha| = 5.66 exceeds N/8 at N = 24
-        code = run(["verify", "--preset", "1", "--N", "24", "--out", str(tmp_path / "x")])
-        assert code == EXIT_GUARD
+    def test_fock_guard_exit_three(self, tmp_path, capsys):
+        # |alpha|^2 = 32 exceeds N = 31: no column of D(alpha) fits
+        assert run(["verify", "--preset", "1", "--N", "31", "--out", str(tmp_path / "x")]) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "|alpha|^2 = 32 exceeds N = 31" in err and "mean photon number" in err
 
     def test_squeeze_near_cancellation_runs(self, tmp_path):
         # S = cosh r - sinh r ~ 7e-5 here: F2 + conj(F2) = 2/F4^2 holds only relatively

@@ -147,6 +147,7 @@ class TestOperatorState:
         ],
     )
     def test_guards_match_matrix_route(self, sp, truncation, matrix_route):
+        # both routes reach the one guard in the shared factor builders
         with pytest.raises(GuardViolation) as column_error:
             operator_state(sp, truncation)
         with pytest.raises(GuardViolation) as matrix_error:

@@ -202,7 +202,8 @@ class TestDisplacementBch:
         assert dev < 1e-8
 
     def test_guard(self):
-        with pytest.raises(GuardViolation):
+        with pytest.raises(GuardViolation, match=r"\|alpha\|\^2 = 81 exceeds N = 64: every column k of D\(alpha\) "
+                                                 r"has mean photon number \|alpha\|\^2 \+ k"):
             displacement_bch(9.0, 64)
 
     def test_columns_unit_norm(self):
@@ -265,8 +266,30 @@ class TestSqueezeBch:
             assert np.all(opposite == 0.0)
 
     def test_guard(self):
-        with pytest.raises(GuardViolation):
+        with pytest.raises(GuardViolation, match=r"sinh\^2 r = 273.7 at r = 3.5 exceeds N = 256: every column of "
+                                                 r"S\(z\) has mean photon number at least sinh\^2 r"):
             squeeze_bch(make_squeeze(3.5, 0.0), 256)
+
+    def test_r_past_the_float_range_is_a_guard(self):
+        # math.cosh overflows past r = 710.5
+        with pytest.raises(GuardViolation, match="r = 711"):
+            fock._squeeze_factors(711.0, 16)
+
+    @pytest.mark.parametrize("r, phi", [(0.3, 0.0), (0.7, 0.4), (1.18, -2.0), (3.0, 1.0)])
+    def test_leading_block_does_not_depend_on_truncation(self, r, phi):
+        # entry (i, k) of the factor product sums the terms m <= min(i, k) at every N
+        sq = make_squeeze(r, phi)
+        block = squeeze_bch(sq, 128).matrix[:64, :64].copy()
+        for N in (256, 512):
+            assert_same_bits(squeeze_bch(sq, N).matrix[:64, :64], block)
+
+    def test_oracle_truncation_is_what_is_off(self):
+        # sweep-pool state 13 (r = 1.175) fails oracle_S at N = 256: the
+        # block above is the same at N = 512, where the oracle agrees with it
+        sq = make_squeeze(1.1754330603737877, -2.5478452257426722)
+        gaps = [np.max(np.abs(squeeze_bch(sq, N).matrix[:64, :64] - squeeze_exact(sq, N).matrix[:64, :64]))
+                for N in (256, 512)]
+        assert 1e-6 < gaps[0] < 2e-6 and gaps[1] <= 1e-10, gaps
 
     @pytest.mark.parametrize("phi", [0.0, 1.0])
     @pytest.mark.parametrize("r", [1.5, 2.0, 2.5, 3.0])
@@ -342,7 +365,7 @@ class TestTriangularProduct:
     product, and write the factors' diagonals through a strided view, so
     they equal the dense product of the fancy-indexed factors bit for bit."""
 
-    @pytest.mark.parametrize("alpha, N", [(a, N) for N in BIT_TRUNCATIONS for a in BIT_ALPHAS if abs(a) <= N / 8])
+    @pytest.mark.parametrize("alpha, N", [(a, N) for N in BIT_TRUNCATIONS for a in BIT_ALPHAS if abs(a) ** 2 <= N])
     def test_displacement_matches_dense_product(self, alpha, N):
         want = dense_rotated_power(fock._displacement_factors(abs(alpha), N), cmath.phase(alpha))
         assert_same_bits(displacement_bch(alpha, N).matrix, want)
@@ -352,6 +375,10 @@ class TestTriangularProduct:
     @pytest.mark.parametrize("r", [0.0, 0.3, LN2, 1.2, 3.0])
     def test_squeeze_matches_dense_product(self, r, phi, N):
         sq = make_squeeze(r, phi)  # r = 0 drops phi
+        if math.sinh(r) ** 2 > N:  # r = 1.2 at N <= 2, r = 3 at N <= 64: no column fits
+            with pytest.raises(GuardViolation, match="sinh"):
+                squeeze_bch(sq, N)
+            return
         want = dense_rotated_power(fock._squeeze_factors(sq.r, N), sq.phi / 2)
         assert_same_bits(squeeze_bch(sq, N).matrix, want)
 
@@ -545,6 +572,32 @@ class TestSeriesContract:
     def test_n_outside_basis_is_value_error(self, call, n):
         with pytest.raises(ValueError, match="need 0 <= n <= truncation"):
             call(n, 64)
+
+
+class TestTruncationGuards:
+    """The operator route refuses exactly the inputs under which every column
+    has mean photon number above N, |alpha|^2 > N for D and sinh^2 r > N for
+    S, and every build it admits is finite."""
+
+    @given(N=st.integers(1, 128), n_share=st.floats(0, 1), size_share=st.floats(0, 1.5),
+           angle=st.floats(-math.pi, math.pi), r_share=st.floats(0, 1), phi=st.floats(-math.pi, math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_refused_exactly_past_the_mean_photon_bound(self, N, n_share, size_share, angle, r_share, phi):
+        n = int(n_share * N)
+        alpha = size_share * math.sqrt(N) * cmath.exp(1j * angle)
+        sq = make_squeeze(r_share * math.asinh(1.5 * math.sqrt(N)), phi)
+        d_refused, s_refused = abs(alpha) ** 2 > N, math.sinh(sq.r) ** 2 > N
+        builds = [
+            (lambda: displacement_bch(alpha, N).matrix, d_refused),
+            (lambda: squeeze_bch(sq, N).matrix, s_refused),
+            (lambda: fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, d_refused or s_refused),
+        ]
+        for build, refused in builds:
+            if refused:
+                with pytest.raises(GuardViolation, match="mean photon number"):
+                    build()
+            else:
+                assert np.all(np.isfinite(build()))
 
 
 class TestSynthesize:

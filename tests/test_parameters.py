@@ -178,7 +178,9 @@ class TestEvolutionFactors:
         assert np.allclose(x - ef.x_shift, x - expected)
 
     def test_degenerate_b_detected(self):
-        # extreme squeeze makes |B| collapse at t = pi/2
+        # at t = pi/2 the true |B| is e^{-2r} = 1.8e-35, and the computed one
+        # is 6.1e-17, the float value of cos(pi/2): only rounding is left
         sf = structure_factors(make_squeeze(40.0, 0.0))
-        with pytest.raises(DegenerateEvolutionError):
+        with pytest.raises(DegenerateEvolutionError, match=r"\|B\| = 6.1\de-17 at t = 1.5707963267948966 is "
+                                                            r"within the rounding of cos t and sin t"):
             evolution_factors(sf, make_displacement(0.0, 0.0), math.pi / 2)
