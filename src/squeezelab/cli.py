@@ -11,13 +11,8 @@ Subcommands
 The data commands (state, density, moments, uncertainty, figure) resolve
 their settings as command-line flags > config file (--config, flat
 key=value lines) > built-in preset.  Each takes a flag for just the
-settings it reads, plus --config, and --preset except on figure:
-
-    state        n x0 p0 r phi t0 xmin xmax nx out format
-    density      n x0 p0 r phi t0 t1 nt xmin xmax nx out format
-    moments      n x0 p0 r phi t0 t1 nt out format
-    uncertainty  n r phi t0 t1 nt out format
-    figure K     as density
+settings it reads, plus --config, and --preset except on figure.
+_DATA_COMMANDS lists the settings each one reads.
 
 Any other flag is a usage error.  A config file may hold any known key;
 a command applies only the keys it reads.  state evaluates the single
@@ -84,18 +79,6 @@ _FLOAT_FLAGS = {f"--{name}" for name, default in _DEFAULTS.items() if isinstance
 _GRID_FLAGS = {"x_min": "xmin", "x_max": "xmax", "nx": "nx", "t_min": "t0", "t_max": "t1", "nt": "nt"}
 _GRID_FIELD = re.compile(r"\b(" + "|".join(_GRID_FLAGS) + r")\b")
 
-# The settings each data command reads: it takes a flag for just these and
-# applies just these keys of a preset or config file; the rest keep their
-# defaults.
-_READS = {
-    "state": ("n", "x0", "p0", "r", "phi", "t0", "xmin", "xmax", "nx", "out", "format"),
-    "density": tuple(_DEFAULTS),
-    "moments": ("n", "x0", "p0", "r", "phi", "t0", "t1", "nt", "out", "format"),
-    "uncertainty": ("n", "r", "phi", "t0", "t1", "nt", "out", "format"),
-    "figure": tuple(_DEFAULTS),
-}
-
-
 class ConfigError(Exception):
     pass
 
@@ -129,19 +112,6 @@ def _parse_config_file(path):
     return values
 
 
-def _settings_from(args, preset_values=None):
-    """Apply precedence: defaults < preset < config file < explicit flags."""
-    reads = _READS[args.command]
-    given = dict(preset_values or {})
-    if args.config:
-        given.update(_parse_config_file(args.config))
-    given.update((key, getattr(args, key)) for key in reads if getattr(args, key) is not None)
-    settings = dict(_DEFAULTS, **{key: given[key] for key in reads if key in given})
-    if settings["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {settings['format']!r}")
-    return settings
-
-
 def _preset_index(raw):
     """The figure preset that a --preset value names."""
     try:
@@ -151,11 +121,6 @@ def _preset_index(raw):
     if index not in FIGURE_PRESETS:
         raise ConfigError(f"--preset must be 1..4, got {raw!r}")
     return index
-
-
-def _preset_values(args):
-    """Caption parameters selected by --preset on the data commands."""
-    return None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
 
 
 @contextlib.contextmanager
@@ -261,15 +226,22 @@ def _emit_table(settings, fh, header, columns):
 MAX_TABLE_ROWS = 2**30 // 2048
 
 
-def _data_inputs(args, preset_values):
+def _data_inputs(args, reads, preset_values):
     """Settings plus the state and grid they describe, for a data command.
 
-    A grid axis that the command does not read keeps its default, except
-    that state's time axis is the single instant t0.  A table of more than
+    The settings that the command reads take, in rising precedence, their
+    default, the preset, the config file and the explicit flags.  A grid
+    axis that the command does not read keeps its default, except that
+    state's time axis is the single instant t0.  A table of more than
     MAX_TABLE_ROWS rows is refused before any array is built.
     """
-    reads = _READS[args.command]
-    settings = _settings_from(args, preset_values)
+    given = dict(preset_values or {})
+    if args.config:
+        given.update(_parse_config_file(args.config))
+    given.update((key, getattr(args, key)) for key in reads if getattr(args, key) is not None)
+    settings = dict(_DEFAULTS, **{key: given[key] for key in reads if key in given})
+    if settings["format"] not in ("csv", "json"):
+        raise ConfigError(f"format must be csv or json, got {settings['format']!r}")
     if "nt" not in reads:
         settings.update(t1=settings["t0"], nt=1)
     try:
@@ -288,47 +260,65 @@ def _data_inputs(args, preset_values):
     return settings, spec, grid
 
 
-def _cmd_state(args):
-    settings, spec, grid = _data_inputs(args, _preset_values(args))
-    with _output(settings["out"]) as fh:
-        xs = grid.x_values()
-        values = psi_squeezed_number_evolved(spec, xs, settings["t0"])
-        return _emit_table(settings, fh, ["x", "re", "im"], (xs, values.real, values.imag))
+# Table functions: (settings, spec, grid) -> (header, columns) for _emit_table.
 
 
-def _emit_surface(settings, spec, grid):
-    with _output(settings["out"]) as fh:
-        surface = density_surface(spec, grid)
-        return _emit_table(settings, fh, ["t", "x", "rho"], (grid.t_values()[:, None], grid.x_values(), surface))
+def _state_table(settings, spec, grid):
+    xs = grid.x_values()
+    values = psi_squeezed_number_evolved(spec, xs, settings["t0"])
+    return ["x", "re", "im"], (xs, values.real, values.imag)
 
 
-def _cmd_density(args):
-    return _emit_surface(*_data_inputs(args, _preset_values(args)))
+def _density_table(settings, spec, grid):
+    surface = density_surface(spec, grid)
+    return ["t", "x", "rho"], (grid.t_values()[:, None], grid.x_values(), surface)
 
 
-def _cmd_figure(args):
-    settings, spec, grid = _data_inputs(args, dict(FIGURE_PRESETS[args.index], out=None))
+def _moments_table(settings, spec, grid):
+    ts = grid.t_values()
+    moments = [moments_closed(spec, t) for t in ts]
+    names = ("mean_x", "mean_p", "var_x", "var_p", "product")
+    columns = [[getattr(m, name) for m in moments] for name in names]
+    return ["t", *names], (ts, *columns)
+
+
+def _uncertainty_table(settings, spec, grid):
+    ts = grid.t_values()
+    values = [uncertainty_product(spec.n, spec.sq, t) for t in ts]
+    return ["t", "product"], (ts, values)
+
+
+# Each data command once: name -> (help, the settings it reads, table
+# function).  It takes a flag for just these settings and applies just these
+# keys of a preset or config file; the rest keep their defaults.
+_DATA_COMMANDS = {
+    "state": ("evaluate the wavefunction at time t0 on the x grid",
+              ("n", "x0", "p0", "r", "phi", "t0", "xmin", "xmax", "nx", "out", "format"), _state_table),
+    "density": ("evaluate the probability-density surface on the (t, x) grid", tuple(_DEFAULTS), _density_table),
+    "moments": ("closed-form moments along the time grid",
+                ("n", "x0", "p0", "r", "phi", "t0", "t1", "nt", "out", "format"), _moments_table),
+    "uncertainty": ("uncertainty product along the time grid",
+                    ("n", "r", "phi", "t0", "t1", "nt", "out", "format"), _uncertainty_table),
+    "figure": ("density surface for a built-in preset", tuple(_DEFAULTS), _density_table),
+}
+
+
+def _cmd_data(args):
+    """Resolve a data command's settings, open --out, and emit its row's table.
+
+    figure K is preset K written to figureK.<format> unless --out or the
+    config file names another output.
+    """
+    _, reads, table = _DATA_COMMANDS[args.command]
+    if args.command == "figure":
+        preset = dict(FIGURE_PRESETS[args.index], out=None)
+    else:
+        preset = None if args.preset is None else FIGURE_PRESETS[_preset_index(args.preset)]
+    settings, spec, grid = _data_inputs(args, reads, preset)
     if settings["out"] is None:
         settings["out"] = f"figure{args.index}.{settings['format']}"
-    return _emit_surface(settings, spec, grid)
-
-
-def _cmd_moments(args):
-    settings, spec, grid = _data_inputs(args, _preset_values(args))
     with _output(settings["out"]) as fh:
-        ts = grid.t_values()
-        moments = [moments_closed(spec, t) for t in ts]
-        names = ("mean_x", "mean_p", "var_x", "var_p", "product")
-        columns = [[getattr(m, name) for m in moments] for name in names]
-        return _emit_table(settings, fh, ["t", *names], (ts, *columns))
-
-
-def _cmd_uncertainty(args):
-    settings, spec, grid = _data_inputs(args, _preset_values(args))
-    with _output(settings["out"]) as fh:
-        ts = grid.t_values()
-        values = [uncertainty_product(spec.n, spec.sq, t) for t in ts]
-        return _emit_table(settings, fh, ["t", "product"], (ts, values))
+        return _emit_table(settings, fh, *table(settings, spec, grid))
 
 
 VERIFY_TIMES = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -357,13 +347,6 @@ def _cmd_verify(args):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
-def _add_data_flags(sub, command):
-    for name, default, helptext in _SETTINGS:
-        if name in _READS[command]:
-            sub.add_argument(f"--{name}", type=type(default), help=helptext)
-    sub.add_argument("--config", type=str, help="key=value configuration file")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="squeezelab",
@@ -371,28 +354,21 @@ def build_parser():
         "moments and cross-formalism verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, command, helptext in [
-        ("state", _cmd_state, "evaluate the wavefunction at time t0 on the x grid"),
-        ("density", _cmd_density, "evaluate the probability-density surface on the (t, x) grid"),
-        ("moments", _cmd_moments, "closed-form moments along the time grid"),
-        ("uncertainty", _cmd_uncertainty, "uncertainty product along the time grid"),
-    ]:
+    for name, (helptext, reads, _) in _DATA_COMMANDS.items():
+        if name == "figure":  # the usage line lists verify before figure
+            p_verify = sub.add_parser("verify", help="run the cross-formalism verification sweep")
+            p_verify.add_argument("--N", type=int, default=DEFAULT_TRUNCATION, help="Fock-space truncation")
+            p_verify.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
+            p_verify.add_argument("--preset", type=str, default="all", help="preset index 1..4 or 'all'")
         p = sub.add_parser(name, help=helptext)
-        p.set_defaults(run=command)
-        _add_data_flags(p, name)
-        p.add_argument("--preset", type=str, help="load caption parameters of preset 1..4")
-
-    p_verify = sub.add_parser("verify", help="run the cross-formalism verification sweep")
-    p_verify.set_defaults(run=_cmd_verify)
-    p_verify.add_argument("--N", type=int, default=DEFAULT_TRUNCATION, help="Fock-space truncation")
-    p_verify.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
-    p_verify.add_argument("--preset", type=str, default="all", help="preset index 1..4 or 'all'")
-
-    p_fig = sub.add_parser("figure", help="density surface for a built-in preset")
-    p_fig.set_defaults(run=_cmd_figure)
-    p_fig.add_argument("index", type=int, choices=sorted(FIGURE_PRESETS), help="preset index")
-    _add_data_flags(p_fig, "figure")
+        for setting, default, flaghelp in _SETTINGS:
+            if setting in reads:
+                p.add_argument(f"--{setting}", type=type(default), help=flaghelp)
+        p.add_argument("--config", type=str, help="key=value configuration file")
+        if name == "figure":
+            p.add_argument("index", type=int, choices=sorted(FIGURE_PRESETS), help="preset index")
+        else:
+            p.add_argument("--preset", type=str, help="load caption parameters of preset 1..4")
     return parser
 
 
@@ -426,7 +402,7 @@ def main(argv=None) -> int:
     try:
         # numpy overflow shows up as a non-finite output value, which _emit_table names
         with np.errstate(all="ignore"):
-            return args.run(args)
+            return (_cmd_verify if args.command == "verify" else _cmd_data)(args)
     except ConfigError as exc:
         print(f"squeezelab: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,7 +46,7 @@ class VerificationReport:
 
 def _describe(spec: StateSpec, t: float) -> str:
     return (
-        f"n={spec.n} x0={spec.disp.x0:g} p0={spec.disp.p0:g} "
+        f"n={spec.n} x0={spec.disp.x0:.12g} p0={spec.disp.p0:.12g} "
         f"r={spec.sq.r:.12g} phi={spec.sq.phi:.12g} t={t:.12g}"
     )
 

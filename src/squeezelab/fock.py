@@ -188,7 +188,7 @@ def _displacement_factors(magnitude: float, truncation: int):
     is large, so the factors are built at b = |alpha| / 2^h <= 1 and the
     exact D(alpha)^2 = D(2 alpha) restores |alpha|; |alpha|^2 <= N keeps 2^h < 2 sqrt(N).
     """
-    if magnitude * magnitude > truncation:
+    if not magnitude * magnitude <= truncation:  # a NaN fails it too
         raise GuardViolation(f"|alpha|^2 = {magnitude * magnitude:.4g} exceeds N = {truncation}: every column k of "
                              "D(alpha) has mean photon number |alpha|^2 + k, so none fits in the N + 1 levels")
     b, halvings = magnitude, 0
@@ -211,7 +211,7 @@ def _squeeze_factors(r: float, truncation: int):
     doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
     """
     cosh_r, sinh_r = cosh_sinh(r, r)
-    if sinh_r * sinh_r > truncation:
+    if not sinh_r * sinh_r <= truncation:  # a NaN fails it too
         raise GuardViolation(f"sinh^2 r = {sinh_r * sinh_r:.4g} at r = {r:g} exceeds N = {truncation}: every column "
                              "of S(z) has mean photon number at least sinh^2 r, so none fits in the N + 1 levels")
     d = 0.5 * math.tanh(r)

@@ -53,10 +53,14 @@ class DisplacementParam:
 
 @dataclass(frozen=True)
 class SqueezeParam:
-    """Squeeze z = r e^{i phi} with r >= 0 and phi in (-pi, pi]."""
+    """Squeeze z = r e^{i phi} with r >= 0 and phi in (-pi, pi]; a non-finite r or phi is refused."""
 
     r: float
     phi: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
+            raise ValueError(f"squeeze parameters must be finite, got ({self.r}, {self.phi})")
 
 
 def make_displacement(x0, p0):

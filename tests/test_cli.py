@@ -154,6 +154,14 @@ class TestFigureCommand:
             run(["figure", "7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_same_bytes_as_density_of_the_preset(self, tmp_path, monkeypatch, capsys, index, fmt):
+        monkeypatch.chdir(tmp_path)
+        assert run(["figure", str(index), "--format", fmt]) == EXIT_OK
+        assert run(["density", "--preset", str(index), "--format", fmt, "--out", "-"]) == EXIT_OK
+        assert (tmp_path / f"figure{index}.{fmt}").read_text() == capsys.readouterr().out
+
 
 # Recorded by the benchmark; read here, never rewritten.
 FIGURE_DIGESTS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "figure_digests.json")
@@ -357,6 +365,9 @@ DATA_COMMANDS = ["state", "density", "moments", "uncertainty", "figure"]
 
 
 class TestFlagSets:
+    def test_subcommand_order(self):
+        assert list(subparsers()) == ["state", "density", "moments", "uncertainty", "verify", "figure"]
+
     def test_each_command_takes_the_settings_it_reads(self):
         common = set("n r phi t0 out format config".split())
         pinned = {

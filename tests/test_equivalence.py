@@ -84,6 +84,11 @@ class TestCompareFormalisms:
         assert report.passed == (report.max_abs_deviation <= report.tolerance)
         assert report.truncation == 64
 
+    def test_params_name_every_value_to_twelve_digits(self):
+        report = compare_formalisms(spec(n=1, x0=1.23456789, p0=-0.987654321, r=0.1234567891, phi=0.5), t=0.3,
+                                    truncation=64, tolerance=1.0)
+        assert report.params == "n=1 x0=1.23456789 p0=-0.987654321 r=0.1234567891 phi=0.5 t=0.3"
+
 
 def alpha_spec(n, alpha, r, phi):
     return StateSpec(n=n, disp=make_displacement(math.sqrt(2.0) * alpha.real, math.sqrt(2.0) * alpha.imag),

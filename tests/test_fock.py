@@ -36,7 +36,7 @@ from squeezelab import (
     time_evolve,
 )
 from squeezelab.states import StateSpec
-from squeezelab.parameters import make_displacement
+from squeezelab.parameters import SqueezeParam, make_displacement
 
 LN2 = math.log(2.0)
 
@@ -598,6 +598,27 @@ class TestTruncationGuards:
                     build()
             else:
                 assert np.all(np.isfinite(build()))
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: displacement_bch(complex("nan"), 16), r"\|alpha\|\^2 = nan"),
+            (lambda: displacement_bch(complex(1.0, float("nan")), 16), r"\|alpha\|\^2 = nan"),
+            (lambda: squeeze_bch(SqueezeParam(float("nan"), 0.0), 16), r"must be finite, got \(nan, 0.0\)"),
+            (lambda: squeeze_bch(SqueezeParam(0.5, float("nan")), 16), r"must be finite, got \(0.5, nan\)"),
+            (lambda: fock.displaced_squeezed_number(0, complex("nan"), make_squeeze(0.1, 0.0), 16),
+             r"\|alpha\|\^2 = nan"),
+            (lambda: fock.displaced_squeezed_number(0, 0.5, SqueezeParam(0.3, float("nan")), 16),
+             r"must be finite, got \(0.3, nan\)"),
+            # no SqueezeParam carries a NaN r to the S bound, but the bound refuses one
+            (lambda: fock._squeeze_factors(float("nan"), 16), r"sinh\^2 r = nan at r = nan"),
+        ],
+        ids=["D_nan", "D_nan_imag", "S_nan_r", "S_nan_phi", "column_nan_alpha", "column_nan_phi", "S_factors_nan_r"],
+    )
+    def test_nan_is_refused(self, build, match):
+        """NaN fails both bounds, and a SqueezeParam refuses a non-finite r or phi."""
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestSynthesize:
