@@ -60,6 +60,41 @@ def squeeze_exact(sq, truncation):
     return matrix_exponential(FockOperator(squeeze_generator(sq, truncation)))
 
 
+def dense_exponential(gen):
+    """exp(G) from one complex eigh of the whole matrix: the reference for the component split."""
+    w, v = np.linalg.eigh(0.5j * (gen - gen.conj().T))
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+@st.composite
+def sparse_generators(draw):
+    """(kind, G): an anti-Hermitian G whose off-diagonal graph is of the drawn kind, on shuffled labels.
+
+    Edge weights are complex with |weight| in [0.1, 3], so a cycle carries
+    nonzero flux: no diagonal phase change makes its edges real.
+    """
+    kind = draw(st.sampled_from(["path", "tree", "forest", "diagonal", "cycle"]))
+    size = draw(st.integers(3 if kind == "cycle" else 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "path":
+        edges = [(k - 1, k) for k in range(1, size)]
+    elif kind == "diagonal":
+        edges = []
+    else:
+        edges = [(int(rng.integers(k)), k) for k in range(1, size)]
+        if kind == "forest":
+            edges = [e for e in edges if rng.random() < 0.6]
+        if kind == "cycle":
+            edges += [(0, 1), (1, 2), (0, 2)]  # a triangle on top of the tree
+    gen = np.diag(1j * rng.uniform(-3, 3, size) * (rng.random(size) < 0.7))
+    label = rng.permutation(size)
+    for i, j in set(edges):
+        weight = rng.uniform(0.1, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        gen[label[j], label[i]] = weight
+        gen[label[i], label[j]] = -np.conj(weight)
+    return kind, gen
+
+
 class TestLadder:
     def test_two_level(self):
         a, adag = ladder_matrices(1)
@@ -141,6 +176,37 @@ class TestMatrixExponential:
         gen = build(256)
         out = matrix_exponential(FockOperator(gen))
         assert np.max(np.abs(out.matrix - expm(gen))) <= 1e-13
+        assert out.unitarity_defect() <= 1e-14
+
+    @given(drawn=sparse_generators())
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_generators_match_dense_routes(self, drawn):
+        from scipy.linalg import expm
+
+        kind, gen = drawn
+        out = matrix_exponential(FockOperator(gen))
+        assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
+        assert np.max(np.abs(out.matrix - expm(gen))) <= 1e-13
+        assert out.unitarity_defect() <= 1e-14
+        trees = [is_tree for _, is_tree in fock._gauged_components(0.5j * (gen - gen.conj().T))[1]]
+        assert all(trees) == (kind != "cycle")
+
+    @pytest.mark.parametrize("N", [1, 2, 16, 256, 512])
+    @pytest.mark.parametrize("build", [
+        lambda N: displacement_generator(0.5, N),
+        lambda N: displacement_generator(4.0 + 4.0j, N),
+        lambda N: displacement_generator(cmath.rect(5.66, 0.4), N),
+        lambda N: squeeze_generator(make_squeeze(LN2, 0.0), N),
+        lambda N: squeeze_generator(make_squeeze(1.2, 1.0), N),
+        lambda N: squeeze_generator(make_squeeze(3.0, 0.0), N),
+    ], ids=["D(0.5)", "D(4+4i)", "D(5.66e^0.4i)", "S(ln2)", "S(1.2, phi=1)", "S(3)"])
+    def test_operator_generators_match_dense_route(self, build, N):
+        # eigh's rounding grows with ||G||: at S(3), N = 512 (||G||_max = 767) the dense
+        # route itself is 2.0e-13 from scipy's expm
+        gen = build(N)
+        out = matrix_exponential(FockOperator(gen))
+        bound = 1e-13 * max(1.0, np.max(np.abs(gen)) / 256)
+        assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= bound
         assert out.unitarity_defect() <= 1e-14
 
     @pytest.mark.parametrize("gen", [
