@@ -7,15 +7,17 @@ exponential factors (the construction under test), plus direct
 coefficient expansions of D(alpha)|n> and S(z)|n>, which share one
 long-double kernel guarded by its rounding-error bound alone.  The
 oracle splits the generator into the connected components of its graph,
-made real on each tree component by a diagonal phase change: at N = 256,
-one real eigh of 257 for D (one path) and two of 129 and 128 for S (one
-path per parity), about 17 ms and 9 ms with one BLAS thread, where one
-complex eigh of 257 took 22 ms and 26 ms in all.  The factors are
-triangular (and, for S, parity-definite), so their long-double product
-forms only the terms that can be nonzero: about N^3 / 3 multiply-adds
-for D and N^3 / 12 for S, bit-identical to the dense N^3 product.  The
-same factors also act on |n> directly, for D(alpha) S(z)|n>.  Long
-double stays only where terms cancel; the phase rotation and D's
+made real on each tree component by a diagonal phase change, and reuses
+the eigenbasis of the last tree block of each size while the new block,
+scaled to unit size, is within 4 eps of it (see matrix_exponential): at
+N = 256 about 5.5 ms for D and 3 ms for S with one BLAS thread.  The
+factors are triangular (and, for S, parity-definite), so their
+long-double product forms only the terms that can be nonzero, and D's,
+whose right factor is its left one reflected, only its lower blocks:
+about N^3 / 6 multiply-adds for D and N^3 / 12 for S, bit-identical to
+the dense N^3 product.  The same factors also act on |n> directly, for
+D(alpha) S(z)|n>, and a column more than 1e-8 past norm 1 is refused.
+Long double stays only where terms cancel; the phase rotation and D's
 squarings run in double.  States are mapped back to position space
 through the oscillator eigenfunctions.
 
@@ -31,11 +33,18 @@ workload asks for the same key again, and returns read-only arrays.
 `verify` asks for each D(alpha) S(z)|n> column at three times in a row
 and synthesizes every report through one eigenfunction table, and the
 benchmark's sweep builds each D and S once per state; a second entry
-would save no build on either and costs memory.
+would save no build on either and costs memory.  The oracle's tree bases
+hold one entry per block size, at most three: the sweep asks for 257,
+129 and 128 on every state.
+
+The factor series refuse a long double narrower than x87 extended
+precision (np.finfo(np.longdouble).nmant < 63): the products cancel past
+what float64 holds.
 """
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -141,10 +150,21 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     P makes every spanning-tree edge of P^dag H P real and positive, so a
     component that is a tree is decomposed as the real symmetric |H|, and
     any other component keeps its complex block.  The D generator is one
-    path and the S generator two, one per parity.  At N = 256, with one
-    BLAS thread, D costs one real 257 eigh (about 17 ms in all, from 22 ms
-    for one complex eigh) and S two real ones of 129 and 128 (about 9 ms,
-    from 26 ms).
+    path and the S generator two, one per parity.
+
+    A tree block is decomposed as s U with s = max |block|, and the unit
+    block U reuses the cached eigenpairs (x, V) of the last unit block of
+    its size, as (s x, V), when the two differ by at most 4 eps in the max
+    row-sum norm: a positive scale keeps the eigenvectors, so after the gauge
+    every D and S generator of one N has the same unit blocks to rounding.
+    ||e^{-iA} - e^{-iB}||_2 <= ||A - B||_2 for Hermitian A and B, and a
+    symmetric matrix's row-sum norm bounds its 2-norm, so reuse moves the
+    result by at most 4 eps s (8.5e-14 at s = 96); any other block gets a
+    fresh eigh that replaces the entry.  A tree block is rebuilt as the two
+    real products (V cos w) V^T and (V sin w) V^T.  At N = 256, with one
+    BLAS thread and the bases cached, D costs about 5.5 ms and S about
+    3 ms, against 12.3 ms and 5.8 ms with a fresh real eigh per call,
+    measured side by side.
     """
     m = op.matrix
     if not np.all(np.isfinite(m)):
@@ -164,11 +184,46 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
         if is_tree:  # the gauge makes every edge |H_ji|, so the block is real
             block = np.abs(block)
             np.fill_diagonal(block, h[nodes, nodes].real)
+            w, v = _tree_eigh(block)
+            turn = np.empty(block.shape, dtype=complex)
+            turn.real = (v * np.cos(w)) @ v.T
+            turn.imag = (v * -np.sin(w)) @ v.T
         else:
-            block = p.conj()[:, None] * block * p
-        w, v = np.linalg.eigh(block)
-        out[np.ix_(nodes, nodes)] = p[:, None] * ((v * np.exp(-1j * w)) @ v.conj().T) * p.conj()
+            w, v = np.linalg.eigh(p.conj()[:, None] * block * p)
+            turn = (v * np.exp(-1j * w)) @ v.conj().T
+        turn *= p[:, None]
+        turn *= p.conj()
+        out[np.ix_(nodes, nodes)] = turn
     return FockOperator(out)
+
+
+# The last unit tree block of each size, as (rows, cols, values) of its
+# nonzeros (a tree has fewer than 3 a row on average, so V is nearly all the memory),
+# with its read-only eigenpairs (x, V); at most three sizes, the sweep's
+# 257 (D) and 129 and 128 (S) at N = 256.
+_TREE_BASES = OrderedDict()
+_TREE_BASES_SIZES = 3
+
+
+def _tree_eigh(block: np.ndarray):
+    """eigh of a real symmetric block as (s x, V), with (x, V) from _TREE_BASES when its unit block is within 4 eps."""
+    scale = float(np.max(np.abs(block))) or 1.0
+    unit = block / scale
+    size = unit.shape[0]
+    cached = _TREE_BASES.get(size)
+    if cached is not None:
+        rows, cols, values, x, v = cached
+        unit_gap = unit.copy()
+        unit_gap[rows, cols] -= values
+        if np.max(np.sum(np.abs(unit_gap), axis=1)) <= 4 * np.finfo(float).eps:
+            return scale * x, v
+    x, v = np.linalg.eigh(unit)
+    rows, cols = np.nonzero(unit)
+    _TREE_BASES.pop(size, None)
+    _TREE_BASES[size] = (rows, cols, unit[rows, cols], _read_only(x), _read_only(v))
+    while len(_TREE_BASES) > _TREE_BASES_SIZES:
+        _TREE_BASES.popitem(last=False)
+    return scale * x, v
 
 
 def _gauged_components(h: np.ndarray):
@@ -205,6 +260,10 @@ def _gauged_components(h: np.ndarray):
     return phase, components
 
 
+# The platform's long double, which the factor series refuse when it is narrower than x87 extended precision.
+_LONG_DOUBLE = np.finfo(np.longdouble)
+
+
 def _exp_ladder_series(c: float, step: int, truncation: int, scale) -> np.ndarray:
     """exp(c a_dag^step) @ diag(scale) for real c in extended precision, step 1 or 2.
 
@@ -213,8 +272,13 @@ def _exp_ladder_series(c: float, step: int, truncation: int, scale) -> np.ndarra
     recurrence entry(k + step j, k) = entry(k + step (j-1), k) * c / j
     * sqrt((k + step j)! / (k + step (j-1))!).  Pure multiplications keep
     the relative error near the longdouble epsilon; the later factor
-    contraction is what needs the headroom.
+    contraction is what needs the headroom: this refuses a long double
+    narrower than x87 extended precision (a 63-bit stored mantissa), which
+    numpy gives on x86-64 Linux and not under MSVC or on macOS arm64.
     """
+    if _LONG_DOUBLE.nmant < 63:
+        raise GuardViolation(f"np.finfo(np.longdouble).nmant = {_LONG_DOUBLE.nmant} is below 63, x87 extended "
+                             "precision: the factor products cancel past what a narrower long double holds")
     n1 = truncation + 1
     out = np.zeros((n1, n1), dtype=np.longdouble)
     diag = np.full(n1, scale, dtype=np.longdouble)
@@ -293,11 +357,13 @@ def _phases(theta, size: int) -> np.ndarray:
 # (median of 25 calls, one core) blocks of 8 / 16 / 32 / 64 took
 # 16.2 / 13.9 / 14.5 / 16.6 ms for D and 5.6 / 4.4 / 4.9 / 6.3 ms for S,
 # against 35.0 and 34.0 ms for the dense product: smaller blocks skip more
-# zeros and make more calls into numpy.
+# zeros and make more calls into numpy.  Forming only D's lower blocks and
+# mirroring them (`reflect`) took D from 8.6 to 5.1 ms, with S at 2.9 ms,
+# measured side by side on a later, quieter host than the figures above.
 _BLOCK = 16
 
 
-def _triangular_product(left: np.ndarray, right: np.ndarray, step: int) -> np.ndarray:
+def _triangular_product(left: np.ndarray, right: np.ndarray, step: int, reflect: bool = False) -> np.ndarray:
     """np.dot(left, right), bit for bit, for long-double lower-triangular
     `left` and upper-triangular `right` whose entries vanish unless
     row - column is a multiple of `step` (1 for D's factors, 2 for S's).
@@ -312,6 +378,14 @@ def _triangular_product(left: np.ndarray, right: np.ndarray, step: int) -> np.nd
     sublattices +0.
     That is about N^3 / 3 multiply-adds for step 1 and N^3 / 12 for step 2,
     against N^3.
+
+    `reflect`, with step 1, asserts right[k, j] = (-1)^(j - k) left[j, k]
+    bit for bit, as for D's factors, whose series at -b differs from the
+    one at b only in sign.  Then term k of out[j, i] is term k of out[i, j]
+    times (-1)^(i - j), the same product summed in the same order, so only
+    the blocks J <= I are formed (about N^3 / 6) and each block row's strict
+    lower part is mirrored above the diagonal, as 0 - x on odd offsets so
+    that a +0 sum stays +0.
     """
     out = np.zeros(left.shape, dtype=np.longdouble)
     for p in range(step):
@@ -319,14 +393,20 @@ def _triangular_product(left: np.ndarray, right: np.ndarray, step: int) -> np.nd
         size = oo.shape[0]
         for i in range(0, size, _BLOCK):
             i_end = min(i + _BLOCK, size)
-            for j in range(0, size, _BLOCK):
+            for j in range(0, i_end if reflect else size, _BLOCK):
                 j_end = min(j + _BLOCK, size)
                 k = min(i_end, j_end)
                 oo[i:i_end, j:j_end] = np.dot(lo[i:i_end, :k], ro[:k, j:j_end])
+            if reflect:
+                mirror = oo[:i, i:i_end]
+                mirror[...] = oo[i:i_end, :i].T
+                for q in range(2):  # i is even, so row - column is odd where the offset within the strip is
+                    odd = mirror[q::2, 1 - q :: 2]
+                    np.subtract(0, odd, out=odd)
     return out
 
 
-def _rotated_power(factors, theta, step: int) -> np.ndarray:
+def _rotated_power(factors, theta, step: int, reflect: bool = False) -> np.ndarray:
     """R(theta) (left @ right)^(2^h) R(theta)^dag as a read-only complex128 matrix.
 
     Only left @ right cancels (at N = 256 the factor entries reach 6e5 for D;
@@ -335,13 +415,13 @@ def _rotated_power(factors, theta, step: int) -> np.ndarray:
     on a nearly unitary matrix and run in float64, and the float theta gives
     complex128 phases (a rotation sums nothing).  The factors are
     triangular and, for S (step 2), parity-definite, so left @ right is the
-    triangular product: about N^3 / 3 long-double multiply-adds for D and
-    N^3 / 12 for S, bit-identical to the dense N^3 product.  `step` comes
-    from the caller and is never read off the entries: alpha = 0 gives a
-    diagonal D.
+    triangular product: about N^3 / 6 long-double multiply-adds for D (its
+    lower blocks, reflected) and N^3 / 12 for S, bit-identical to the dense
+    N^3 product.  `step` and `reflect` come from the caller and are never
+    read off the entries: alpha = 0 gives a diagonal D.
     """
     left, right, halvings = factors
-    mat = _triangular_product(left, right, step).astype(float)
+    mat = _triangular_product(left, right, step, reflect).astype(float)
     for _ in range(halvings):
         mat = mat @ mat
     phase = _phases(theta, mat.shape[0])
@@ -370,7 +450,8 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     |alpha|^2 > N.  Cached: the matrix is read-only and shared.
     """
     alpha = complex(alpha)
-    return FockOperator(_rotated_power(_displacement_factors(abs(alpha), truncation), cmath.phase(alpha), 1))
+    factors = _displacement_factors(abs(alpha), truncation)
+    return FockOperator(_rotated_power(factors, cmath.phase(alpha), 1, reflect=True))
 
 
 @lru_cache(maxsize=1)
@@ -403,14 +484,22 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     number |alpha|^2 + (n + 1/2) cosh 2r - 1/2 exceeds N under either.  S
     is one pair of matrix-vector products and D is 2^h < 2 sqrt(N) pairs:
     O(2^h N^2) instead of O(h N^3).  Cached: the coefficients are read-only.
+
+    The exact truncated column has norm <= 1, so ||c||_2 - 1 <= ||c - c_exact||_2
+    and a column whose norm exceeds 1 by more than 1e-8 raises GuardViolation
+    (at n = 500, alpha = 6+8i, r = 0.5, N = 1024 it is 3e51).
     """
     alpha = complex(alpha)
     d_factors = _displacement_factors(abs(alpha), truncation)
     s_factors = _squeeze_factors(sq.r, truncation)
     coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
     coeffs = _rotated_apply(s_factors, sq.phi / 2, coeffs)
-    coeffs = _rotated_apply(d_factors, cmath.phase(alpha), coeffs)
-    return FockState(_read_only(coeffs.astype(complex)))
+    coeffs = _rotated_apply(d_factors, cmath.phase(alpha), coeffs).astype(complex)
+    excess = float(np.linalg.norm(coeffs)) - 1.0
+    if not excess <= 1e-8:  # a NaN fails it too
+        raise GuardViolation(f"D(alpha) S(z)|n> at n = {n}, N = {truncation}: ||c||_2 - 1 = {excess:.3g} exceeds 1e-8, "
+                             "and the exact truncated column has norm at most 1")
+    return FockState(_read_only(coeffs))
 
 
 def _normal_ordered_series(n: int, u, v, step: int, log_prefactor, truncation: int, subject: str) -> FockState:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -64,6 +65,17 @@ def dense_exponential(gen):
     """exp(G) from one complex eigh of the whole matrix: the reference for the component split."""
     w, v = np.linalg.eigh(0.5j * (gen - gen.conj().T))
     return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def random_tree_generator(rng, size):
+    """Anti-Hermitian generator whose graph is a random spanning tree on `size` levels, with complex weights."""
+    gen = np.zeros((size, size), dtype=complex)
+    for k in range(1, size):
+        i = int(rng.integers(k))
+        weight = rng.uniform(0.1, 3) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        gen[k, i] = weight
+        gen[i, k] = -np.conj(weight)
+    return gen
 
 
 @st.composite
@@ -244,6 +256,63 @@ class TestMatrixExponential:
         assert op.unitarity_defect() < 1e-12
         raw = FockOperator(np.eye(3) * 2.0)
         assert raw.unitarity_defect() == pytest.approx(3.0)
+
+
+class TestTreeBasisReuse:
+    """matrix_exponential reuses the eigenpairs of the last unit tree block of
+    each size when the new unit block is within 4 eps of it, decomposes any
+    other block afresh, and keeps at most three sizes."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(fock, "_TREE_BASES", OrderedDict())
+
+    @pytest.fixture
+    def eigh_sizes(self, monkeypatch):
+        sizes, eigh = [], np.linalg.eigh
+
+        def counted(block):
+            sizes.append(block.shape[0])
+            return eigh(block)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return sizes
+
+    def test_alternating_generators_match_dense_route(self, eigh_sizes):
+        N, rng = 256, np.random.default_rng(11)
+        sequence = [  # (generator, the sizes that need a fresh eigh)
+            (displacement_generator(3.0 - 1.0j, N), [257]),
+            (squeeze_generator(make_squeeze(0.9, 0.4), N), [129, 128]),
+            (displacement_generator(cmath.rect(5.9, -2.0), N), []),
+            (squeeze_generator(make_squeeze(0.05, -3.0), N), []),
+            (random_tree_generator(rng, N + 1), [257]),
+            (displacement_generator(0.3j, N), [257]),
+            (squeeze_generator(make_squeeze(1.18, 1.0), N), []),
+            (displacement_generator(-2.5, N), []),
+            (random_tree_generator(rng, N + 1), [257]),
+            (random_tree_generator(rng, N + 1), [257]),
+            (displacement_generator(1e-3, N), [257]),
+        ]
+        for gen, fresh in sequence:
+            del eigh_sizes[:]
+            out = matrix_exponential(FockOperator(gen))
+            assert eigh_sizes == fresh
+            bound = 1e-13 * max(1.0, np.max(np.abs(gen)) / 256)
+            assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= bound
+            assert out.unitarity_defect() <= 1e-14
+            assert len(fock._TREE_BASES) <= 3
+
+    def test_at_most_three_sizes(self):
+        rng = np.random.default_rng(3)
+        for size in range(2, 10):
+            gen = random_tree_generator(rng, size)
+            assert np.max(np.abs(matrix_exponential(FockOperator(gen)).matrix - dense_exponential(gen))) <= 1e-13
+            assert list(fock._TREE_BASES) == list(range(max(2, size - 2), size + 1))
+
+    def test_cached_arrays_are_read_only(self):
+        matrix_exponential(FockOperator(displacement_generator(1.5, 16)))
+        (_, _, _, x, v), = fock._TREE_BASES.values()
+        assert not x.flags.writeable and not v.flags.writeable
 
 
 class TestDisplacementBch:
@@ -455,6 +524,21 @@ class TestTriangularProduct:
         left = structured_triangle(rng, size, step, lower=True)
         right = structured_triangle(rng, size, step, lower=False)
         assert_same_bits(fock._triangular_product(left, right, step), np.dot(left, right))
+
+    @pytest.mark.parametrize("magnitude, N", [(a, N) for N in (1, 2, 17, 512) for a in (0.0, 0.3, 1.0, 2.5, 5.9)
+                                              if a * a <= N])
+    def test_reflection_matches_dense_product(self, magnitude, N):
+        # D's right factor is its left one at -b, transposed: right[k, j] = (-1)^(j - k) left[j, k]
+        left, right, _ = fock._displacement_factors(magnitude, N)
+        assert_same_bits(fock._triangular_product(left, right, 1, reflect=True), np.dot(left, right))
+
+    @given(size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_reflected_triangles(self, size, seed):
+        left = structured_triangle(np.random.default_rng(seed), size, 1, lower=True)
+        odd = np.subtract.outer(np.arange(size), np.arange(size)) % 2 == 1
+        right = np.where(odd, -left, left).T  # exact zeros become -0 on odd offsets
+        assert_same_bits(fock._triangular_product(left, right, 1, reflect=True), np.dot(left, right))
 
     @given(truncation=st.integers(1, 80), step=st.sampled_from([1, 2]), c=st.floats(-2.0, 2.0),
            per_column=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -685,6 +769,36 @@ class TestTruncationGuards:
         """NaN fails both bounds, and a SqueezeParam refuses a non-finite r or phi."""
         with pytest.raises(ValueError, match=match):
             build()
+
+
+class TestColumnNormGuard:
+    """The exact truncated column D S|n> has norm at most 1, so
+    ||c||_2 - 1 <= ||c - c_exact||_2, and a column more than 1e-8 past norm 1 is refused."""
+
+    def test_large_n_column_is_refused(self):
+        # compare_formalisms used to report a 5e49 deviation here, with no guard
+        spec = StateSpec(500, make_displacement(6 * math.sqrt(2), 8 * math.sqrt(2)), make_squeeze(0.5, 0.0))
+        with pytest.raises(GuardViolation, match=r"n = 500, N = 1024: \|\|c\|\|_2 - 1 = \S+ exceeds 1e-8"):
+            squeezelab.compare_formalisms(spec, 0.0, truncation=1024)
+
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_presets_keep_their_margin(self, index):
+        spec = squeezelab.figure_spec(index)
+        for n in range(4):
+            coeffs = fock.displaced_squeezed_number(n, spec.disp.alpha, spec.sq, 256).coeffs
+            assert np.linalg.norm(coeffs) - 1.0 <= 1e-15
+
+
+class TestLongDoubleWidth:
+    def test_narrow_long_double_is_refused(self, monkeypatch):
+        # what numpy's long double is under MSVC and on macOS arm64
+        monkeypatch.setattr(fock, "_LONG_DOUBLE", np.finfo(np.float64))
+        match = r"np\.finfo\(np\.longdouble\)\.nmant = 52 is below 63"
+        for build in (lambda: fock._exp_ladder_series(0.5, 1, 8, 1), lambda: displacement_bch(0.123, 9),
+                      lambda: squeeze_bch(make_squeeze(0.123, 0.0), 9),
+                      lambda: fock.displaced_squeezed_number(1, 0.0, make_squeeze(0.0), 9)):
+            with pytest.raises(GuardViolation, match=match):
+                build()
 
 
 class TestSynthesize:
