@@ -103,7 +103,9 @@ def check_classical_motion(spec: StateSpec, times) -> float:
 
     The mean is computed by quadrature over the closed-form density, so
     this checks that the density is centered on the classical trajectory,
-    independently of the operator-algebra moments.
+    independently of the operator-algebra moments.  A non-finite density or
+    mean, where the closed form overflows at large n, is a GuardViolation
+    naming n and t.
     """
     amplitude = math.hypot(spec.disp.x0, spec.disp.p0)
     sf = structure_factors(spec.sq)
@@ -112,9 +114,12 @@ def check_classical_motion(spec: StateSpec, times) -> float:
     xs = quad.grid()
     worst = 0.0
     for t in np.asarray(times, dtype=float):
-        rho = density(spec, xs, t)
-        norm = np.trapezoid(rho, xs)
-        mean = np.trapezoid(xs * rho, xs) / norm
+        with np.errstate(all="ignore"):  # an overflow shows up as a non-finite value, which the guard names
+            rho = density(spec, xs, t)
+            mean = np.trapezoid(xs * rho, xs) / np.trapezoid(rho, xs)
+        if not (np.all(np.isfinite(rho)) and np.isfinite(mean)):
+            raise GuardViolation(f"non-finite density or mean at n = {spec.n}, t = {t:.12g}: "
+                                 "the closed form overflows at this n")
         classical = spec.disp.x0 * math.cos(t) + spec.disp.p0 * math.sin(t)
         worst = max(worst, abs(mean - classical))
     return worst

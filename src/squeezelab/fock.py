@@ -13,9 +13,10 @@ scaled to unit size, is within 4 eps of it (see matrix_exponential): at
 N = 256 about 5.5 ms for D and 3 ms for S with one BLAS thread.  The
 factors are triangular (and, for S, parity-definite), so their
 long-double product forms only the terms that can be nonzero, and D's,
-whose right factor is its left one reflected, only its lower blocks:
-about N^3 / 6 multiply-adds for D and N^3 / 12 for S, bit-identical to
-the dense N^3 product.  The same factors also act on |n> directly, for
+whose right factor is made as its left one reflected (a copy with its odd
+diagonals negated, transposed), only its lower blocks: about N^3 / 6
+multiply-adds for D and N^3 / 12 for S, bit-identical to the dense N^3
+product.  The same factors also act on |n> directly, for
 D(alpha) S(z)|n>, and a column more than 1e-8 past norm 1 is refused.
 Long double stays only where terms cancel; the phase rotation and D's
 squarings run in double.  States are mapped back to position space
@@ -51,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardViolation
-from .parameters import SqueezeParam, cosh_sinh
+from .parameters import SqueezeParam, cosh_sinh, finite_time
 from .special import oscillator_eigenfunctions
 
 __all__ = [
@@ -307,11 +308,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _displacement_factors(magnitude: float, truncation: int):
-    """Real (left, right, h) with D(magnitude) = (left @ right)^(2^h).
+    """Real (left, right, 1, True, h) with D(magnitude) = (left @ right)^(2^h).
 
     The raw two-factor product cancels catastrophically once |alpha| sqrt(N)
     is large, so the factors are built at b = |alpha| / 2^h <= 1 and the
     exact D(alpha)^2 = D(2 alpha) restores |alpha|; |alpha|^2 <= N keeps 2^h < 2 sqrt(N).
+
+    left is exp(b a_dag) e^{-b^2/4} and right is exp(-b a) e^{-b^2/4}, made
+    as left reflected: a copy with its odd diagonals negated, transposed, so
+    right[k, j] = (-1)^(j - k) left[j, k] bit for bit (step 1, reflect True).
     """
     if not magnitude * magnitude <= truncation:  # a NaN fails it too
         raise GuardViolation(f"|alpha|^2 = {magnitude * magnitude:.4g} exceeds N = {truncation}: every column k of "
@@ -320,15 +325,16 @@ def _displacement_factors(magnitude: float, truncation: int):
     while b > 1.0:
         b /= 2.0
         halvings += 1
-    scale = np.exp(np.longdouble(-b**2 / 4.0))
-    left = _exp_ladder_series(b, 1, truncation, scale)
-    right = _exp_ladder_series(-b, 1, truncation, scale).T
-    return _read_only(left), _read_only(right), halvings
+    left = _exp_ladder_series(b, 1, truncation, np.exp(np.longdouble(-b**2 / 4.0)))
+    right = left.copy()
+    for j in range(1, truncation + 1, 2):  # the diagonal row - column = j
+        right.reshape(-1)[j * (truncation + 1) :: truncation + 2] *= -1
+    return _read_only(left), _read_only(right.T), 1, True, halvings
 
 
 @lru_cache(maxsize=1)
 def _squeeze_factors(r: float, truncation: int):
-    """Real (left, right, 0) with S(r) = left @ right: one product at every r.
+    """Real (left, right, 2, False, 0) with S(r) = left @ right: one product at every r.
 
     Entry (i, k) sums the same terms at every N; at N = 256 it matches
     squeezed_number_coeffs to 8.4e-17 on columns n <= 16, rows < 64, even at
@@ -344,7 +350,7 @@ def _squeeze_factors(r: float, truncation: int):
     mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)))
     left = _exp_ladder_series(d, 2, truncation, 1)
     right = _exp_ladder_series(-d, 2, truncation, mid).T
-    return _read_only(left), _read_only(right), 0
+    return _read_only(left), _read_only(right), 2, False, 0
 
 
 def _phases(theta, size: int) -> np.ndarray:
@@ -363,10 +369,11 @@ def _phases(theta, size: int) -> np.ndarray:
 _BLOCK = 16
 
 
-def _triangular_product(left: np.ndarray, right: np.ndarray, step: int, reflect: bool = False) -> np.ndarray:
+def _triangular_product(left: np.ndarray, right: np.ndarray, step: int, reflect: bool) -> np.ndarray:
     """np.dot(left, right), bit for bit, for long-double lower-triangular
     `left` and upper-triangular `right` whose entries vanish unless
-    row - column is a multiple of `step` (1 for D's factors, 2 for S's).
+    row - column is a multiple of `step`; the factor builders return their
+    step and reflect with the factors (D: 1, True; S: 2, False).
 
     numpy's long-double dot sums out[i, j] = sum_k left[i, k] right[k, j]
     term by term in increasing k, starting from +0.  Every term with
@@ -380,12 +387,12 @@ def _triangular_product(left: np.ndarray, right: np.ndarray, step: int, reflect:
     against N^3.
 
     `reflect`, with step 1, asserts right[k, j] = (-1)^(j - k) left[j, k]
-    bit for bit, as for D's factors, whose series at -b differs from the
-    one at b only in sign.  Then term k of out[j, i] is term k of out[i, j]
-    times (-1)^(i - j), the same product summed in the same order, so only
-    the blocks J <= I are formed (about N^3 / 6) and each block row's strict
-    lower part is mirrored above the diagonal, as 0 - x on odd offsets so
-    that a +0 sum stays +0.
+    bit for bit, which D's right factor meets by construction: it is made
+    as its left one reflected.  Then term k of out[j, i] is term k of
+    out[i, j] times (-1)^(i - j), the same product summed in the same order,
+    so only the blocks J <= I are formed (about N^3 / 6) and each block
+    row's strict lower part is mirrored above the diagonal, as 0 - x on odd
+    offsets so that a +0 sum stays +0.
     """
     out = np.zeros(left.shape, dtype=np.longdouble)
     for p in range(step):
@@ -406,8 +413,9 @@ def _triangular_product(left: np.ndarray, right: np.ndarray, step: int, reflect:
     return out
 
 
-def _rotated_power(factors, theta, step: int, reflect: bool = False) -> np.ndarray:
-    """R(theta) (left @ right)^(2^h) R(theta)^dag as a read-only complex128 matrix.
+def _rotated_power(factors, theta) -> np.ndarray:
+    """R(theta) (left @ right)^(2^h) R(theta)^dag as a read-only complex128 matrix,
+    for factors (left, right, step, reflect, h) as the factor builders return them.
 
     Only left @ right cancels (at N = 256 the factor entries reach 6e5 for D;
     for S, 1.5e11 on the right and 3e32 on the left at r = 1.2, 1.5e37 at
@@ -416,11 +424,11 @@ def _rotated_power(factors, theta, step: int, reflect: bool = False) -> np.ndarr
     complex128 phases (a rotation sums nothing).  The factors are
     triangular and, for S (step 2), parity-definite, so left @ right is the
     triangular product: about N^3 / 6 long-double multiply-adds for D (its
-    lower blocks, reflected) and N^3 / 12 for S, bit-identical to the dense
-    N^3 product.  `step` and `reflect` come from the caller and are never
-    read off the entries: alpha = 0 gives a diagonal D.
+    lower blocks; its right factor is its left one reflected, so the upper
+    blocks are mirrored) and N^3 / 12 for S, bit-identical to the dense
+    N^3 product.
     """
-    left, right, halvings = factors
+    left, right, step, reflect, halvings = factors
     mat = _triangular_product(left, right, step, reflect).astype(float)
     for _ in range(halvings):
         mat = mat @ mat
@@ -431,7 +439,7 @@ def _rotated_power(factors, theta, step: int, reflect: bool = False) -> np.ndarr
 def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
     """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector;
     the factors act in long double (in float64: 4.5e-9 off at the sweep pool's edge)."""
-    left, right, halvings = factors
+    left, right, _, _, halvings = factors
     phase = _phases(theta, coeffs.size)
     # (re, im) as two real columns, so the real factors apply to both at once
     pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
@@ -450,8 +458,7 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     |alpha|^2 > N.  Cached: the matrix is read-only and shared.
     """
     alpha = complex(alpha)
-    factors = _displacement_factors(abs(alpha), truncation)
-    return FockOperator(_rotated_power(factors, cmath.phase(alpha), 1, reflect=True))
+    return FockOperator(_rotated_power(_displacement_factors(abs(alpha), truncation), cmath.phase(alpha)))
 
 
 @lru_cache(maxsize=1)
@@ -472,7 +479,7 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
     is the oracle's truncation; an N / 4 block just reads more columns.
     """
-    return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), sq.phi / 2, 2))
+    return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), sq.phi / 2))
 
 
 @lru_cache(maxsize=1)
@@ -597,6 +604,6 @@ def synthesize(state: FockState, x):
 
 
 def time_evolve(state: FockState, t: float) -> FockState:
-    """Free-oscillator evolution: c_m -> e^{-i(m + 1/2)t} c_m."""
+    """Free-oscillator evolution: c_m -> e^{-i(m + 1/2)t} c_m; t must be finite."""
     m = np.arange(state.truncation + 1)
-    return FockState(state.coeffs * np.exp(-1j * (m + 0.5) * t))
+    return FockState(state.coeffs * np.exp(-1j * (m + 0.5) * finite_time(t)))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GuardViolation
 from .fock import FockState, time_evolve
-from .parameters import SqueezeParam, cosh_sinh
+from .parameters import SqueezeParam, cosh_sinh, finite_time
 from .states import StateSpec
 
 __all__ = [
@@ -63,8 +63,9 @@ def moments_closed(spec: StateSpec, t: float) -> MomentSet:
     the theta of uncertainty_product keeps var_x var_p equal to it to a
     few ulps.  At r = 0 both variances are exactly n + 1/2; the variances
     do not depend on the displacement.  A product beyond the float range
-    is a guard violation naming n and r.
+    is a guard violation naming n and r, and a non-finite t a ValueError.
     """
+    t = finite_time(t)
     x0, p0 = spec.disp.x0, spec.disp.p0
     floor = math.exp(-2.0 * spec.sq.r)
     swing = 2.0 * cosh_sinh(2.0 * spec.sq.r, spec.sq.r)[1]
@@ -88,10 +89,10 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
     """Delta x^2 Delta p^2 = (n + 1/2)^2 [1 + 4 cosh^2 r sinh^2 r sin^2(2t - phi)].
 
     Independent of the displacement; equals (n + 1/2)^2 exactly whenever
-    sin(2t - phi) = 0 and is pi-periodic in t.
+    sin(2t - phi) = 0 and is pi-periodic in t, which must be finite.
     """
     ch, sh = cosh_sinh(sq.r, sq.r)
-    s = math.sin(2.0 * t - sq.phi)
+    s = math.sin(2.0 * finite_time(t) - sq.phi)
     try:
         product = (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
     except OverflowError:  # n + 1/2, or its square, beyond the float range
@@ -104,12 +105,12 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
 def uncertainty_product_width_form(n: int, s: float, phi: float, t: float) -> float:
     """Equivalent width-factor form with s = e^r:
 
-    (n + 1/2)^2 [1 + (1/4)(s^2 - 1/s^2)^2 sin^2(2t - phi)]
+    (n + 1/2)^2 [1 + (1/4)(s^2 - 1/s^2)^2 sin^2(2t - phi)], t finite
     """
     if s <= 0.0:
         raise ValueError(f"width factor must be positive, got {s}")
     w = s * s - 1.0 / (s * s)
-    sn = math.sin(2.0 * t - phi)
+    sn = math.sin(2.0 * finite_time(t) - phi)
     return (n + 0.5) ** 2 * (1.0 + 0.25 * w * w * sn * sn)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "make_displacement",
     "make_squeeze",
     "cosh_sinh",
+    "finite_time",
     "structure_factors",
     "evolution_factors",
 ]
@@ -41,10 +42,14 @@ _IDENTITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DisplacementParam:
-    """Phase-space displacement by (x0, p0)."""
+    """Phase-space displacement by (x0, p0); a non-finite x0 or p0 is refused."""
 
     x0: float
     p0: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
+            raise ValueError(f"displacement must be finite, got ({self.x0}, {self.p0})")
 
     @property
     def alpha(self) -> complex:
@@ -64,12 +69,8 @@ class SqueezeParam:
 
 
 def make_displacement(x0, p0):
-    """Build a DisplacementParam, rejecting non-finite input."""
-    x0 = float(x0)
-    p0 = float(p0)
-    if not (math.isfinite(x0) and math.isfinite(p0)):
-        raise ValueError(f"displacement must be finite, got ({x0}, {p0})")
-    return DisplacementParam(x0, p0)
+    """Build a DisplacementParam from x0 and p0 as floats."""
+    return DisplacementParam(float(x0), float(p0))
 
 
 def make_squeeze(r, phi=0.0):
@@ -121,6 +122,14 @@ class StructureFactors:
             raise ValueError("F2 + conj(F2) = 2/F4^2 violated")
         if abs(self.f4 - self.script_s * math.sqrt(1.0 + 4.0 * self.kappa ** 2)) > _IDENTITY_TOL * scale:
             raise ValueError("F4 = S sqrt(1 + 4 kappa^2) violated")
+
+
+def finite_time(t) -> float:
+    """t as a float; a non-finite time is refused."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time t must be finite, got {t}")
+    return t
 
 
 def cosh_sinh(x: float, r: float):
@@ -180,8 +189,8 @@ class EvolutionFactors:
 
 
 def evolution_factors(sf: StructureFactors, disp: DisplacementParam, t: float) -> EvolutionFactors:
-    """B = cos t + i F2 sin t, A = (B - 2i sin t / F4^2)/B and c(t)."""
-    t = float(t)
+    """B = cos t + i F2 sin t, A = (B - 2i sin t / F4^2)/B and c(t); t must be finite."""
+    t = finite_time(t)
     cos_t = math.cos(t)
     sin_t = math.sin(t)
     b = cos_t + 1j * sf.f2 * sin_t

@@ -25,6 +25,7 @@ from squeezelab import (
     GuardViolation,
     displaced_number_coeffs,
     displacement_bch,
+    figure_spec,
     ladder_matrices,
     make_squeeze,
     matrix_exponential,
@@ -447,7 +448,7 @@ class TestSqueezeBch:
 def dense_rotated_power(factors, theta):
     """The dense route of the operator builds: np.dot of the factors, the
     float64 squarings, then the complex128 phases of the float theta."""
-    left, right, halvings = factors
+    left, right, *_, halvings = factors
     mat = np.dot(left, right).astype(float)
     for _ in range(halvings):
         mat = mat @ mat
@@ -523,14 +524,14 @@ class TestTriangularProduct:
         rng = np.random.default_rng(seed)
         left = structured_triangle(rng, size, step, lower=True)
         right = structured_triangle(rng, size, step, lower=False)
-        assert_same_bits(fock._triangular_product(left, right, step), np.dot(left, right))
+        assert_same_bits(fock._triangular_product(left, right, step, False), np.dot(left, right))
 
     @pytest.mark.parametrize("magnitude, N", [(a, N) for N in (1, 2, 17, 512) for a in (0.0, 0.3, 1.0, 2.5, 5.9)
                                               if a * a <= N])
     def test_reflection_matches_dense_product(self, magnitude, N):
-        # D's right factor is its left one at -b, transposed: right[k, j] = (-1)^(j - k) left[j, k]
-        left, right, _ = fock._displacement_factors(magnitude, N)
-        assert_same_bits(fock._triangular_product(left, right, 1, reflect=True), np.dot(left, right))
+        # D's right factor is its left one reflected: right[k, j] = (-1)^(j - k) left[j, k]
+        left, right, step, reflect, _ = fock._displacement_factors(magnitude, N)
+        assert_same_bits(fock._triangular_product(left, right, step, reflect), np.dot(left, right))
 
     @given(size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -555,6 +556,56 @@ class TestTriangularProduct:
         for scale in (np.longdouble(0.8), mid):
             assert_same_bits(fock._exp_ladder_series(-0.45, step, 256, scale),
                              exp_ladder_series_loop(-0.45, step, 256, scale))
+
+
+def two_series_displacement_factors(magnitude, N):
+    """D's factors as two ladder series, at b and at -b, the reference for the
+    reflected right factor; the fields after (left, right) are the builder's."""
+    b = magnitude
+    while b > 1.0:
+        b /= 2.0
+    scale = np.exp(np.longdouble(-b**2 / 4.0))
+    left = fock._exp_ladder_series(b, 1, N, scale)
+    right = fock._exp_ladder_series(-b, 1, N, scale).T
+    return (left, right) + fock._displacement_factors(magnitude, N)[2:]
+
+
+# D(alpha) S(z)|n> keys: the four presets at n <= 3 (verify's columns), and BIT_ALPHAS keys
+COLUMN_KEYS = [(n, figure_spec(i).disp.alpha, figure_spec(i).sq, 256) for i in (1, 2, 3, 4) for n in range(4)] + [
+    (0, 0.5, make_squeeze(0.3, 0.5), 1), (2, 1.5, make_squeeze(LN2, 0.0), 3), (5, 2.7, make_squeeze(1.2, 2.0), 16),
+    (7, BIT_ALPHAS[5], make_squeeze(0.3, -1.0), 63), (40, 6.0, make_squeeze(0.7, 1.0), 256)]
+
+
+class TestFactorPairs:
+    """Each factor builder returns (left, right, step, reflect, h); D's right
+    factor is its left one reflected, equal to a second series at -b."""
+
+    def test_shape_fields(self):
+        assert fock._displacement_factors(0.5, 8)[2:4] == (1, True)
+        assert fock._squeeze_factors(0.3, 8)[2:4] == (2, False)
+
+    @pytest.mark.parametrize("N", [1, 2, 17, 256])
+    @pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.0])
+    def test_reflected_right_factor_is_the_minus_b_series(self, b, N):
+        _, right, *_ = fock._displacement_factors(b, N)
+        assert_same_bits(right, two_series_displacement_factors(b, N)[1])
+        assert right.T.flags.c_contiguous  # np.dot in _rotated_apply reads it in the series' order
+
+    def test_one_series_per_displacement_build(self, monkeypatch):
+        calls = []
+        series = fock._exp_ladder_series
+        monkeypatch.setattr(fock, "_exp_ladder_series", lambda *args: calls.append(args) or series(*args))
+        fock._displacement_factors.cache_clear()
+        fock._displacement_factors(2.5, 64)
+        fock._displacement_factors.cache_clear()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n, alpha, sq, N", COLUMN_KEYS)
+    def test_column_matches_two_series_factors(self, n, alpha, sq, N):
+        coeffs = number_state(n, N).coeffs.astype(np.clongdouble)
+        coeffs = fock._rotated_apply(fock._squeeze_factors(sq.r, N), sq.phi / 2, coeffs)
+        coeffs = fock._rotated_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
+        assert_same_bits(fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, coeffs.astype(complex))
 
 
 class TestDisplacedNumberCoeffs:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from squeezelab import (
     FIGURE_PRESETS,
+    compare_formalisms,
+    evolution_factors,
     FockState,
     GuardViolation,
     StateSpec,
@@ -20,6 +22,7 @@ from squeezelab import (
     moments_closed,
     moments_numeric,
     number_state,
+    structure_factors,
     time_evolve,
     uncertainty_product,
     uncertainty_product_width_form,
@@ -110,6 +113,21 @@ class TestUncertaintyProduct:
     def test_width_form_rejects_bad_width(self):
         with pytest.raises(ValueError):
             uncertainty_product_width_form(0, -1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda t: evolution_factors(structure_factors(make_squeeze(0.3, 0.2)), make_displacement(1.0, 0.5), t),
+    lambda t: time_evolve(number_state(1, 8), t),
+    lambda t: moments_closed(spec(1, 1.0, 0.5, 0.3, 0.2), t),
+    lambda t: uncertainty_product(1, make_squeeze(0.3, 0.2), t),
+    lambda t: uncertainty_product_width_form(1, math.exp(0.3), 0.2, t),
+    lambda t: compare_formalisms(spec(1, 1.0, 0.5, 0.3, 0.2), t),
+], ids=["evolution_factors", "time_evolve", "moments_closed", "uncertainty_product", "width_form",
+        "compare_formalisms"])
+def test_non_finite_time_refused(call, t):
+    with pytest.raises(ValueError, match=f"^time t must be finite, got {t}$"):
+        call(t)
 
 
 class TestNumericMoments:

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 from squeezelab import (
     DegenerateEvolutionError,
+    DisplacementParam,
     GuardViolation,
     evolution_factors,
     make_displacement,
@@ -45,6 +47,11 @@ class TestDisplacement:
             make_displacement(bad, 0.0)
         with pytest.raises(ValueError):
             make_displacement(0.0, bad)
+
+    @pytest.mark.parametrize("x0, p0", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.5)])
+    def test_non_finite_rejected_when_built_directly(self, x0, p0):
+        with pytest.raises(ValueError, match=re.escape(f"displacement must be finite, got ({x0}, {p0})")):
+            DisplacementParam(x0, p0)
 
 
 class TestSqueeze:
