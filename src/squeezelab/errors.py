@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["GuardViolation", "DegenerateEvolutionError"]
+
 
 class GuardViolation(ValueError):
     """A numerical guard was violated (truncation, parameter range, window size).

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import GuardViolation
 from .fock import FockState, time_evolve
-from .parameters import SqueezeParam, cosh_sinh, finite_time
+from .parameters import SqueezeParam, _finite, check_quantum_number, cosh_sinh, finite_time
 from .states import StateSpec
 
 __all__ = [
@@ -89,8 +89,10 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
     """Delta x^2 Delta p^2 = (n + 1/2)^2 [1 + 4 cosh^2 r sinh^2 r sin^2(2t - phi)].
 
     Independent of the displacement; equals (n + 1/2)^2 exactly whenever
-    sin(2t - phi) = 0 and is pi-periodic in t, which must be finite.
+    sin(2t - phi) = 0 and is pi-periodic in t, which must be finite.  n
+    must be a non-negative integer, as in StateSpec.
     """
+    check_quantum_number(n)
     ch, sh = cosh_sinh(sq.r, sq.r)
     s = math.sin(2.0 * finite_time(t) - sq.phi)
     try:
@@ -105,8 +107,11 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
 def uncertainty_product_width_form(n: int, s: float, phi: float, t: float) -> float:
     """Equivalent width-factor form with s = e^r:
 
-    (n + 1/2)^2 [1 + (1/4)(s^2 - 1/s^2)^2 sin^2(2t - phi)], t finite
+    (n + 1/2)^2 [1 + (1/4)(s^2 - 1/s^2)^2 sin^2(2t - phi)], with n a
+    non-negative integer and s, phi and t finite
     """
+    check_quantum_number(n)
+    s, phi = _finite("width factor s and phase phi", s, phi)
     if s <= 0.0:
         raise ValueError(f"width factor must be positive, got {s}")
     w = s * s - 1.0 / (s * s)

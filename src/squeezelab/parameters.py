@@ -20,6 +20,7 @@ and, for evolution to time t,
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DegenerateEvolutionError, GuardViolation
@@ -31,8 +32,6 @@ __all__ = [
     "EvolutionFactors",
     "make_displacement",
     "make_squeeze",
-    "cosh_sinh",
-    "finite_time",
     "structure_factors",
     "evolution_factors",
 ]
@@ -40,16 +39,35 @@ __all__ = [
 _IDENTITY_TOL = 1e-12
 
 
+def _finite(what, *values):
+    """values as a tuple of floats; ValueError naming what if one is not finite or float() cannot hold it."""
+    try:
+        floats = tuple(map(float, values))
+    except OverflowError:  # as float(10**400)
+        raise ValueError(f"{what} must be finite, got a number beyond the float range") from None
+    if not all(map(math.isfinite, floats)):
+        shown = ", ".join(map(str, floats))
+        raise ValueError(f"{what} must be finite, got {shown if len(floats) == 1 else f'({shown})'}")
+    return floats
+
+
+def check_quantum_number(n):
+    """Refuse, with a ValueError, a quantum number n that is not a non-negative integer."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"quantum number n must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError(f"quantum number must be non-negative, got {n}")
+
+
 @dataclass(frozen=True)
 class DisplacementParam:
-    """Phase-space displacement by (x0, p0); a non-finite x0 or p0 is refused."""
+    """Phase-space displacement by (x0, p0); an x0 or p0 that is not finite, or that float() cannot hold, is refused."""
 
     x0: float
     p0: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.p0)):
-            raise ValueError(f"displacement must be finite, got ({self.x0}, {self.p0})")
+        _finite("displacement", self.x0, self.p0)
 
     @property
     def alpha(self) -> complex:
@@ -58,19 +76,21 @@ class DisplacementParam:
 
 @dataclass(frozen=True)
 class SqueezeParam:
-    """Squeeze z = r e^{i phi} with r >= 0 and phi in (-pi, pi]; a non-finite r or phi is refused."""
+    """Squeeze z = r e^{i phi} with r >= 0 and phi in (-pi, pi].
+
+    An r or phi that is not finite, or that float() cannot hold, is refused.
+    """
 
     r: float
     phi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.phi)):
-            raise ValueError(f"squeeze parameters must be finite, got ({self.r}, {self.phi})")
+        _finite("squeeze parameters", self.r, self.phi)
 
 
 def make_displacement(x0, p0):
     """Build a DisplacementParam from x0 and p0 as floats."""
-    return DisplacementParam(float(x0), float(p0))
+    return DisplacementParam(*_finite("displacement", x0, p0))
 
 
 def make_squeeze(r, phi=0.0):
@@ -79,10 +99,7 @@ def make_squeeze(r, phi=0.0):
     The phase is wrapped into (-pi, pi].  A negative real squeeze is
     expressed by the caller as (|z|, pi), not by a negative r.
     """
-    r = float(r)
-    phi = float(phi)
-    if not (math.isfinite(r) and math.isfinite(phi)):
-        raise ValueError(f"squeeze parameters must be finite, got ({r}, {phi})")
+    r, phi = _finite("squeeze parameters", r, phi)
     if r < 0.0:
         raise ValueError(f"squeeze magnitude must be non-negative, got {r}")
     phi = math.remainder(phi, 2.0 * math.pi)  # lands in [-pi, pi]
@@ -126,10 +143,7 @@ class StructureFactors:
 
 def finite_time(t) -> float:
     """t as a float; a non-finite time is refused."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time t must be finite, got {t}")
-    return t
+    return _finite("time t", t)[0]
 
 
 def cosh_sinh(x: float, r: float):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardViolation
+from .parameters import _finite
 
 __all__ = [
     "QuadratureSpec",
@@ -100,13 +101,14 @@ def oscillator_eigenfunctions(n_max, x):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Sampling window and resolution for composite quadrature."""
+    """Sampling window and resolution for composite quadrature; a bound that is not finite is refused."""
 
     lower: float
     upper: float
     points: int
 
     def __post_init__(self):
+        _finite("quadrature window", self.lower, self.upper)
         if not (self.lower < self.upper):
             raise ValueError(f"quadrature window requires lower < upper, got [{self.lower}, {self.upper}]")
         if self.points < 2:

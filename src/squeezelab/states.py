@@ -10,7 +10,6 @@ just in modulus.
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,8 @@ from .parameters import (
     DisplacementParam,
     SqueezeParam,
     StructureFactors,
+    _finite,
+    check_quantum_number,
     evolution_factors,
     structure_factors,
 )
@@ -50,10 +51,7 @@ class StateSpec:
     sq: SqueezeParam
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"quantum number n must be an integer, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"quantum number must be non-negative, got {self.n}")
+        check_quantum_number(self.n)
 
 
 @dataclass(frozen=True)
@@ -68,9 +66,9 @@ class GridSpec:
     nt: int
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "t_min", "t_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"grid bound {name} must be finite, got {getattr(self, name)}")
+        bounds = {
+            name: _finite(f"grid bound {name}", getattr(self, name))[0] for name in ("x_min", "x_max", "t_min", "t_max")
+        }
         if not (self.x_min < self.x_max):
             raise ValueError(f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.nx < 2:
@@ -80,9 +78,9 @@ class GridSpec:
         if self.nt < 1:
             raise ValueError(f"grid needs nt >= 1, got {self.nt}")
         for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
-            if not math.isfinite(getattr(self, hi) - getattr(self, lo)):
+            if not math.isfinite(bounds[hi] - bounds[lo]):
                 raise ValueError(
-                    f"grid window [{lo}, {hi}] = [{getattr(self, lo)}, {getattr(self, hi)}] is wider than the largest float"
+                    f"grid window [{lo}, {hi}] = [{bounds[lo]}, {bounds[hi]}] is wider than the largest float"
                 )
 
     def x_values(self):
@@ -225,40 +223,40 @@ def density(spec: StateSpec, x, t: float = 0.0):
           / (sqrt(pi) |B| F4),   w = X / (F4 B sqrt(A))
 
     This is an independent code path from |psi_squeezed_number_evolved|^2;
-    the two are required to agree and tests enforce it.
+    the two are required to agree and tests enforce it.  Where the closed
+    form overflows, at large n, a non-finite value is a GuardViolation
+    naming n and t.
     """
     sf = structure_factors(spec.sq)
     ef = evolution_factors(sf, spec.disp, t)
     a, b, c = ef.a_factor, ef.b_factor, ef.x_shift
-    x = np.asarray(x, dtype=float)
-    big_x = x - c
     abs_b2 = (b * b.conjugate()).real
-    w = big_x / (sf.f4 * b * np.sqrt(a))
-    h = normalized_hermite(spec.n, w)
-    return (
-        abs(a) ** spec.n
-        * (h * np.conjugate(h)).real
-        * np.exp(-big_x * big_x / (sf.f4 ** 2 * abs_b2))
-        / (math.sqrt(math.pi) * abs(b) * sf.f4)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows up as a non-finite value, named below
+        big_x = np.asarray(x, dtype=float) - c
+        h = normalized_hermite(spec.n, big_x / (sf.f4 * b * np.sqrt(a)))
+        values = (
+            abs(a) ** spec.n
+            * (h * np.conjugate(h)).real
+            * np.exp(-big_x * big_x / (sf.f4 ** 2 * abs_b2))
+            / (math.sqrt(math.pi) * abs(b) * sf.f4)
+        )
+    if not np.all(np.isfinite(values)):
+        raise GuardViolation(
+            f"non-finite density values at quantum number n = {spec.n}, t = {t:.12g}: "
+            "the closed form overflows at this n"
+        )
+    return values
 
 
 def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> np.ndarray:
     """rho sampled on the (t, x) grid as an (nt, nx) array, row-major in t.
 
     Each fixed-t row must integrate to 1 (trapezoid rule over the x
-    window) within ROW_NORMALIZATION_TOL, and every value must be finite
-    and non-negative.
+    window) within ROW_NORMALIZATION_TOL.  Every value is finite (density
+    refuses the rest) and non-negative, as each factor of density is.
     """
     xs = grid.x_values()
-    # An overflow here shows up as a non-finite value, which the guard names.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.array([density(spec, xs, t) for t in grid.t_values()])
-    if not np.all(np.isfinite(values)):
-        raise GuardViolation(
-            f"non-finite density values at quantum number n = {spec.n}: "
-            "the closed form overflows at this n"
-        )
+    values = np.array([density(spec, xs, t) for t in grid.t_values()])
     norms = np.trapezoid(values, xs, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if not worst <= ROW_NORMALIZATION_TOL:
@@ -266,6 +264,4 @@ def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> np.ndarra
             f"density rows integrate to 1 +/- {worst:.2e} over [{grid.x_min}, {grid.x_max}]; "
             "widen the x window or refine nx"
         )
-    if np.any(values < 0.0):
-        raise GuardViolation("negative density encountered")
     return values

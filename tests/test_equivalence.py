@@ -297,6 +297,11 @@ class TestNormalization:
         with pytest.raises(GuardViolation):
             check_normalization(figure_spec(1), 0.0, QuadratureSpec(-6.0, 6.0, 1001))
 
+    def test_overflow_is_named_not_blamed_on_the_window(self):
+        # the closed-form density overflows at n = 400; the window is not at fault
+        with pytest.raises(GuardViolation, match="n = 400, t = 0.7: the closed form overflows at this n"):
+            check_normalization(spec(n=400, r=0.5, phi=0.3), 0.7, QuadratureSpec(-60.0, 60.0, 2001))
+
 
 class TestClassicalMotion:
     TIMES = np.linspace(0.0, 2.0 * math.pi, 17)
@@ -313,5 +318,5 @@ class TestClassicalMotion:
 
     def test_non_finite_density_is_a_guard(self):
         # at n = 150 the closed-form density overflows on 3224 of the 6001 samples at t = 0
-        with np.errstate(all="ignore"), pytest.raises(GuardViolation, match=r"at n = 150, t = 0: "):
+        with np.errstate(all="ignore"), pytest.raises(GuardViolation, match=r"n = 150, t = 0: "):
             check_classical_motion(spec(n=150, x0=1.0, p0=0.5, r=0.3, phi=0.2), (0.0, 0.7))

@@ -13,6 +13,7 @@ from squeezelab import (
     evolution_factors,
     FockState,
     GuardViolation,
+    MomentSet,
     StateSpec,
     displaced_number_coeffs,
     figure_spec,
@@ -113,6 +114,36 @@ class TestUncertaintyProduct:
     def test_width_form_rejects_bad_width(self):
         with pytest.raises(ValueError):
             uncertainty_product_width_form(0, -1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "n, match",
+        [(-1, "^quantum number must be non-negative, got -1$"), (1.5, "^quantum number n must be an integer, got 1.5$")],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [lambda n: uncertainty_product(n, make_squeeze(0.3, 0.1), 0.3),
+         lambda n: uncertainty_product_width_form(n, math.exp(0.3), 0.1, 0.3),
+         lambda n: spec(n)],
+        ids=["uncertainty_product", "width_form", "StateSpec"],
+    )
+    def test_quantum_number_refused_as_in_state_spec(self, call, n, match):
+        with pytest.raises(ValueError, match=match):
+            call(n)
+
+    @pytest.mark.parametrize("s, phi", [(math.nan, 0.1), (2.0, math.inf), (10**400, 0.1)], ids=["nan", "inf", "10**400"])
+    def test_width_form_refuses_non_finite_parameters(self, s, phi):
+        with pytest.raises(ValueError, match="^width factor s and phase phi must be finite, got "):
+            uncertainty_product_width_form(1, s, phi, 0.3)
+
+
+class TestMomentSetRefusals:
+    def test_non_positive_variance(self):
+        with pytest.raises(ValueError, match=r"^variances must be positive, got \(0.0, 1.0\)$"):
+            MomentSet(0.0, 0.0, 0.0, 1.0)
+
+    def test_below_the_quantum_bound(self):
+        with pytest.raises(ValueError, match="below the quantum bound 1/4"):
+            MomentSet(0.0, 0.0, 0.4, 0.5)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

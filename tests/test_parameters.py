@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from squeezelab import (
     DegenerateEvolutionError,
     DisplacementParam,
     GuardViolation,
+    SqueezeParam,
+    StructureFactors,
     evolution_factors,
     make_displacement,
     make_squeeze,
     structure_factors,
 )
+from squeezelab.parameters import finite_time
 
 LN2 = math.log(2.0)
 
@@ -77,7 +81,49 @@ class TestSqueeze:
         assert sq.r == 0.0 and sq.phi == 0.0
 
 
+class TestFiniteNumbers:
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: DisplacementParam(10**400, 0), "displacement"),
+            (lambda: SqueezeParam(10**400, 0), "squeeze parameters"),
+            (lambda: make_displacement(10**400, 0), "displacement"),
+            (lambda: make_squeeze(10**400), "squeeze parameters"),
+            (lambda: finite_time(10**400), "time t"),
+        ],
+        ids=["DisplacementParam", "SqueezeParam", "make_displacement", "make_squeeze", "finite_time"],
+    )
+    def test_int_beyond_the_float_range(self, build, what):
+        # float() cannot hold 10**400: a ValueError naming the parameter, not a bare OverflowError
+        with pytest.raises(ValueError, match=f"^{what} must be finite, got a number beyond the float range$"):
+            build()
+
+    def test_messages_show_the_converted_floats(self):
+        with pytest.raises(ValueError, match=r"^squeeze magnitude must be non-negative, got -1.0$"):
+            make_squeeze(-1)
+        with pytest.raises(ValueError, match=r"^squeeze parameters must be finite, got \(1.0, nan\)$"):
+            make_squeeze(1, "nan")
+        assert make_displacement(1, 2) == DisplacementParam(1.0, 2.0)
+        assert finite_time(3) == 3.0 and type(finite_time(3)) is float
+
+
 class TestStructureFactors:
+    @pytest.mark.parametrize(
+        "field, change, match",
+        [
+            ("script_s", lambda v: -v, "S > 0 and F4 > 0"),
+            ("f3", lambda v: 1.1 * v, "F3 is not a phase"),
+            ("f1", lambda v: 1.1 * v, r"conj\(F1\) F1 = F4\^2 violated"),
+            ("f2", lambda v: v + 0.1, r"F2 \+ conj\(F2\) = 2/F4\^2 violated"),
+            ("kappa", lambda v: v + 0.1, r"F4 = S sqrt\(1 \+ 4 kappa\^2\) violated"),
+        ],
+    )
+    def test_identity_refused_when_built_directly(self, field, change, match):
+        sf = structure_factors(make_squeeze(LN2, math.pi / 2))
+        assert isinstance(replace(sf), StructureFactors)
+        with pytest.raises(ValueError, match=match):
+            replace(sf, **{field: change(getattr(sf, field))})
+
     def test_identity_squeeze(self):
         sf = structure_factors(make_squeeze(0.0, 0.0))
         assert sf.script_s == 1.0

@@ -159,8 +159,21 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             QuadratureSpec(-1.0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "lower, upper", [(-math.inf, 40.0), (-40.0, math.nan), (-(10**400), 40)], ids=["-inf", "nan", "-10**400"]
+    )
+    def test_bound_that_is_not_finite_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="^quadrature window must be finite, got "):
+            QuadratureSpec(lower, upper, 4001)
+
     def test_non_finite_integrand_rejected(self):
         spec = QuadratureSpec(-1.0, 1.0, 101)
         with np.errstate(divide="ignore"):
             with pytest.raises(ValueError):
                 integrate(lambda x: 1.0 / x, spec)
+
+
+@pytest.mark.parametrize("build", [normalized_hermite, oscillator_eigenfunctions])
+def test_negative_order_rejected(build):
+    with pytest.raises(ValueError, match="must be non-negative, got -1"):
+        build(-1, 0.0)

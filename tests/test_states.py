@@ -13,6 +13,7 @@ from squeezelab import (
     StateSpec,
     density,
     density_surface,
+    figure_spec,
     make_displacement,
     make_squeeze,
     psi_displaced_number_evolved,
@@ -237,6 +238,14 @@ class TestDensitySurface:
             with pytest.raises(GuardViolation, match="non-finite density.*n = 400"):
                 density_surface(sp, grid)
 
+    def test_density_refuses_non_finite_values(self):
+        # the same state through the public density: a guard naming n and t, never a NaN
+        xs = np.linspace(-60.0, 60.0, 2001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GuardViolation, match="n = 400, t = 0.7: the closed form overflows at this n"):
+                density(spec(n=400, r=0.5, phi=0.3), xs, 0.7)
+
 
 class TestValidation:
     def test_negative_quantum_number(self):
@@ -273,6 +282,14 @@ class TestValidation:
         x_min, x_max, t_min, t_max = bounds
         with pytest.raises(ValueError, match="must be finite"):
             GridSpec(x_min, x_max, 10, t_min, t_max, 2)
+
+    def test_int_bound_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="^grid bound x_min must be finite, got a number beyond the float range$"):
+            GridSpec(10**400, 1, 3, 0, 1, 2)
+
+    def test_figure_preset_out_of_range(self):
+        with pytest.raises(ValueError, match="^figure preset must be 1..4, got 5$"):
+            figure_spec(5)
 
     def test_window_wider_than_the_largest_float(self):
         with pytest.raises(ValueError, match=r"grid window \[x_min, x_max\]"):
