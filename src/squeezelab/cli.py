@@ -162,9 +162,9 @@ def _write(out, fh, pieces):
             fh.truncate()
         fh.flush()
     except OSError as exc:
-        if out == "-":
-            # interpreter exit flushes stdout again: let that flush go nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # closing a file, or interpreter exit for stdout, flushes the unwritten
+        # bytes again: let that flush go nowhere, so this error is the one reported
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fh.fileno())
         raise OutputError(f"cannot write --out {out}: {exc}") from exc
 
 

@@ -52,7 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardViolation
-from .parameters import SqueezeParam, cosh_sinh, finite_time
+from .parameters import SqueezeParam, check_quantum_number, cosh_sinh, finite_time
 from .special import oscillator_eigenfunctions
 
 __all__ = [
@@ -124,6 +124,7 @@ class FockOperator:
 def number_state(n: int, truncation: int) -> FockState:
     if not 0 <= n <= truncation:
         raise ValueError(f"need 0 <= n <= truncation, got n={n}, truncation={truncation}")
+    check_quantum_number(n)
     c = np.zeros(truncation + 1, dtype=complex)
     c[n] = 1.0
     return FockState(c)

@@ -39,14 +39,28 @@ class MomentSet:
     def __post_init__(self):
         if not (self.var_x > 0.0 and self.var_p > 0.0):
             raise ValueError(f"variances must be positive, got ({self.var_x}, {self.var_p})")
-        if self.var_x * self.var_p < 0.25 - 1e-12:
-            raise ValueError(
-                f"uncertainty product {self.var_x * self.var_p} below the quantum bound 1/4"
-            )
+        if self.product < 0.25 - 1e-12:
+            raise ValueError(f"uncertainty product {self.product} below the quantum bound 1/4")
 
     @property
     def product(self) -> float:
         return self.var_x * self.var_p
+
+
+def _uncertainty_form(form, what, n, squeeze):
+    """form(), one of the paper's uncertainty forms: the product itself, or a MomentSet that holds it.
+
+    Where the product leaves the float range (or n + 1/2 does, for an int n
+    beyond it, or 1/s^2 for a tiny width factor s), a GuardViolation names
+    what overflows, n and the squeeze.
+    """
+    try:
+        value = form()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(getattr(value, "product", value)):
+        raise GuardViolation(f"{what} at n = {n}, {squeeze}")
+    return value
 
 
 def moments_closed(spec: StateSpec, t: float) -> MomentSet:
@@ -70,19 +84,12 @@ def moments_closed(spec: StateSpec, t: float) -> MomentSet:
     floor = math.exp(-2.0 * spec.sq.r)
     swing = 2.0 * cosh_sinh(2.0 * spec.sq.r, spec.sq.r)[1]
     half = 0.5 * (2.0 * t - spec.sq.phi)
-    try:
-        scale = spec.n + 0.5
-    except OverflowError:  # an integer n beyond the float range
-        scale = math.inf
-    moments = MomentSet(
+    return _uncertainty_form(lambda: MomentSet(
         mean_x=x0 * math.cos(t) + p0 * math.sin(t),
         mean_p=p0 * math.cos(t) - x0 * math.sin(t),
-        var_x=scale * (floor + swing * math.cos(half) ** 2),
-        var_p=scale * (floor + swing * math.sin(half) ** 2),
-    )
-    if not math.isfinite(moments.product):
-        raise GuardViolation(f"moments overflow at n = {spec.n}, squeeze magnitude r = {spec.sq.r:g}")
-    return moments
+        var_x=(spec.n + 0.5) * (floor + swing * math.cos(half) ** 2),
+        var_p=(spec.n + 0.5) * (floor + swing * math.sin(half) ** 2),
+    ), "moments overflow", spec.n, f"squeeze magnitude r = {spec.sq.r:g}")
 
 
 def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
@@ -95,28 +102,30 @@ def uncertainty_product(n: int, sq: SqueezeParam, t: float) -> float:
     check_quantum_number(n)
     ch, sh = cosh_sinh(sq.r, sq.r)
     s = math.sin(2.0 * finite_time(t) - sq.phi)
-    try:
-        product = (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s)
-    except OverflowError:  # n + 1/2, or its square, beyond the float range
-        product = math.inf
-    if not math.isfinite(product):
-        raise GuardViolation(f"uncertainty product overflows at n = {n}, squeeze magnitude r = {sq.r:g}")
-    return product
+    return _uncertainty_form(
+        lambda: (n + 0.5) ** 2 * (1.0 + 4.0 * ch * ch * sh * sh * s * s),
+        "uncertainty product overflows", n, f"squeeze magnitude r = {sq.r:g}",
+    )
 
 
 def uncertainty_product_width_form(n: int, s: float, phi: float, t: float) -> float:
     """Equivalent width-factor form with s = e^r:
 
     (n + 1/2)^2 [1 + (1/4)(s^2 - 1/s^2)^2 sin^2(2t - phi)], with n a
-    non-negative integer and s, phi and t finite
+    non-negative integer and s, phi and t finite; a product beyond the
+    float range is a guard violation naming n and s, as in uncertainty_product
     """
     check_quantum_number(n)
     s, phi = _finite("width factor s and phase phi", s, phi)
     if s <= 0.0:
         raise ValueError(f"width factor must be positive, got {s}")
-    w = s * s - 1.0 / (s * s)
     sn = math.sin(2.0 * finite_time(t) - phi)
-    return (n + 0.5) ** 2 * (1.0 + 0.25 * w * w * sn * sn)
+
+    def product():
+        w = s * s - 1.0 / (s * s)
+        return (n + 0.5) ** 2 * (1.0 + 0.25 * w * w * sn * sn)
+
+    return _uncertainty_form(product, "uncertainty product overflows", n, f"width factor s = {s:g}")
 
 
 def moments_numeric(state: FockState, t: float) -> MomentSet:

@@ -52,8 +52,12 @@ def _finite(what, *values):
 
 
 def check_quantum_number(n):
-    """Refuse, with a ValueError, a quantum number n that is not a non-negative integer."""
-    if not isinstance(n, numbers.Integral):
+    """Refuse, with a ValueError, a level index n that is not a non-negative integer.
+
+    The one check for a quantum number, a Hermite order and n_max.  A bool
+    is refused: numpy reads it as a mask, not as level 0 or 1.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise ValueError(f"quantum number n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"quantum number must be non-negative, got {n}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardViolation
-from .parameters import _finite
+from .parameters import _finite, check_quantum_number
 
 __all__ = [
     "QuadratureSpec",
@@ -34,8 +34,7 @@ def hermite(n, w):
     which is stable for the orders used here and accepts real or complex
     scalars and arrays.
     """
-    if n < 0:
-        raise ValueError(f"Hermite order must be non-negative, got {n}")
+    check_quantum_number(n)
     h0 = 1.0 + 0.0 * w  # promotes to the dtype/shape of w
     if n == 0:
         return h0
@@ -77,8 +76,7 @@ def normalized_hermite(n, w):
     The normalized combination is what wavefunction formulas need; keeping
     it in one piece avoids overflow of H_n and n! for large n.
     """
-    if n < 0:
-        raise ValueError(f"Hermite order must be non-negative, got {n}")
+    check_quantum_number(n)
     for row in _normalized_hermite_rows(n, w):
         pass
     return row
@@ -90,8 +88,7 @@ def oscillator_eigenfunctions(n_max, x):
     The normalized_hermite recurrence seeded with psi_0 keeps every row of
     order one, so large n does not overflow.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
+    check_quantum_number(n_max)
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
     for k, row in enumerate(_normalized_hermite_rows(n_max, x, PI_FOURTH_ROOT_INV * np.exp(-0.5 * x * x))):
@@ -101,16 +98,22 @@ def oscillator_eigenfunctions(n_max, x):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Sampling window and resolution for composite quadrature; a bound that is not finite is refused."""
+    """Sampling window and resolution for composite quadrature.
+
+    A bound that is not finite is refused, and so is a window wider than the
+    largest float, as in GridSpec.
+    """
 
     lower: float
     upper: float
     points: int
 
     def __post_init__(self):
-        _finite("quadrature window", self.lower, self.upper)
+        lower, upper = _finite("quadrature window", self.lower, self.upper)
         if not (self.lower < self.upper):
             raise ValueError(f"quadrature window requires lower < upper, got [{self.lower}, {self.upper}]")
+        if not math.isfinite(upper - lower):
+            raise ValueError(f"quadrature window [{lower}, {upper}] is wider than the largest float")
         if self.points < 2:
             raise ValueError(f"quadrature needs at least 2 points, got {self.points}")
 

@@ -22,6 +22,7 @@ from .parameters import (
     _finite,
     check_quantum_number,
     evolution_factors,
+    finite_time,
     structure_factors,
 )
 from .special import PI_FOURTH_ROOT_INV, normalized_hermite
@@ -199,8 +200,9 @@ def psi_displaced_number_evolved(n: int, disp: DisplacementParam, x, t: float):
                 exp[i (x - c(t)/2)(p0 cos t - x0 sin t)]
 
     with X = x - c(t).  The packet keeps its shape and follows the
-    classical trajectory c(t) = x0 cos t + p0 sin t.
+    classical trajectory c(t) = x0 cos t + p0 sin t; t must be finite.
     """
+    t = finite_time(t)
     x0, p0 = disp.x0, disp.p0
     cos_t, sin_t = math.cos(t), math.sin(t)
     c = x0 * cos_t + p0 * sin_t

@@ -474,6 +474,25 @@ class TestConfigAndErrors:
             "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"
         )
 
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        outputs = []
+        for name, text in (("plain.cfg", "n = 1\nx0 = 3.0\nnx = 21\n"),
+                           ("commented.cfg", "# a comment\nn = 1\n\n   \n  # indented comment\nx0 = 3.0\nnx = 21\n")):
+            cfg = tmp_path / name
+            cfg.write_text(text)
+            assert run(["state", "--config", str(cfg), "--out", "-"]) == EXIT_OK
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.startswith("x,re,im\n") and outputs[0].err == ""
+
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nx = 3\nx0 = 1.0\nn=abc\n")
+        assert run(["state", "--config", str(cfg), "--out", "-"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"squeezelab: configuration error: {cfg}:3: bad value for n: 'abc'\n"
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
@@ -678,6 +697,26 @@ class TestUnwritableOutput:
             assert proc.wait(timeout=60) == EXIT_CONFIG
             assert proc.stderr.read().decode() == "squeezelab: cannot write --out -: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["state", "--nx", "3"], ["verify", "--preset", "1"], ["moments"]],
+                             ids=["state", "verify", "moments"])
+    def test_full_device(self, argv):
+        # the write fails at the flush; closing the file must not flush again and replace the error
+        result = run_process([*argv, "--out", "/dev/full"])
+        assert (result.returncode, result.stdout) == (EXIT_CONFIG, b"")
+        assert result.stderr.decode() == "squeezelab: cannot write --out /dev/full: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_in_process(self, capsys):
+        assert run(["state", "--nx", "3", "--out", "/dev/full"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "squeezelab: cannot write --out /dev/full: [Errno 28] No space left on device\n"
+
+    def test_stdout_none_in_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert run(["state", "--nx", "3", "--out", "-"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "squeezelab: cannot write --out -: stdout is closed\n"
+
     def test_closed_stdout(self):
         # file descriptor 1 closed at start leaves sys.stdout None
         result = subprocess.run(**child_kwargs(["state", "--nx", "3", "--out", "-"]),
@@ -840,6 +879,15 @@ class TestNegativeExponentValues:
             code = run(["state", "--nx", "3", *pair, "--out", "-"])
             results.append((code, *capsys.readouterr()))
         assert results[0] == results[1]
+
+    def test_word_after_a_float_flag_is_a_usage_error(self, capsys):
+        # a value that is not a number is left to argparse, which names it
+        with pytest.raises(SystemExit) as exc:
+            run(["state", "--nx", "3", "--xmin", "abc", "--out", "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "squeezelab state: error: argument --xmin: invalid float value: 'abc'"
 
     @pytest.mark.parametrize(
         "argv",

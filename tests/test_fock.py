@@ -774,6 +774,18 @@ class TestSeriesContract:
         with pytest.raises(ValueError, match="need 0 <= n <= truncation"):
             call(n, 64)
 
+    @pytest.mark.parametrize("call", [
+        number_state,
+        lambda n, N: displaced_number_coeffs(n, 1.0 - 0.5j, N),
+        lambda n, N: squeezed_number_coeffs(n, make_squeeze(0.5, 0.4), N),
+        lambda n, N: squeezelab.displaced_squeezed_number(n, 1.0 - 0.5j, make_squeeze(0.5, 0.4), N),
+    ], ids=["number_state", "D", "S", "DS"])
+    @pytest.mark.parametrize("n", [1.5, True], ids=["1.5", "True"])
+    def test_n_that_is_not_an_integer_is_value_error(self, call, n):
+        # numpy would read True as a mask and set every coefficient to 1
+        with pytest.raises(ValueError, match=f"^quantum number n must be an integer, got {n!r}$"):
+            call(n, 64)
+
 
 class TestTruncationGuards:
     """The operator route refuses exactly the inputs under which every column

@@ -1,6 +1,7 @@
 """Moments and uncertainty-product tests: closed form against the ladder algebra."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from squeezelab import (
     moments_closed,
     moments_numeric,
     number_state,
+    psi_displaced_number_evolved,
     structure_factors,
     time_evolve,
     uncertainty_product,
@@ -117,7 +119,8 @@ class TestUncertaintyProduct:
 
     @pytest.mark.parametrize(
         "n, match",
-        [(-1, "^quantum number must be non-negative, got -1$"), (1.5, "^quantum number n must be an integer, got 1.5$")],
+        [(-1, "^quantum number must be non-negative, got -1$"), (1.5, "^quantum number n must be an integer, got 1.5$"),
+         (True, "^quantum number n must be an integer, got True$")],
     )
     @pytest.mark.parametrize(
         "call",
@@ -134,6 +137,12 @@ class TestUncertaintyProduct:
     def test_width_form_refuses_non_finite_parameters(self, s, phi):
         with pytest.raises(ValueError, match="^width factor s and phase phi must be finite, got "):
             uncertainty_product_width_form(1, s, phi, 0.3)
+
+    @pytest.mark.parametrize("n, s", [(10**400, 2.0), (1, 1e-200), (1, 1e200)], ids=["n=10**400", "s=1e-200", "s=1e200"])
+    def test_width_form_overflow_is_a_guard_violation(self, n, s):
+        # as uncertainty_product refuses it: not a bare OverflowError, a ZeroDivisionError or inf
+        with pytest.raises(GuardViolation, match=f"^{re.escape(f'uncertainty product overflows at n = {n}, width factor s = {s:g}')}$"):
+            uncertainty_product_width_form(n, s, 0.1, 0.3)
 
 
 class TestMomentSetRefusals:
@@ -154,8 +163,9 @@ class TestMomentSetRefusals:
     lambda t: uncertainty_product(1, make_squeeze(0.3, 0.2), t),
     lambda t: uncertainty_product_width_form(1, math.exp(0.3), 0.2, t),
     lambda t: compare_formalisms(spec(1, 1.0, 0.5, 0.3, 0.2), t),
+    lambda t: psi_displaced_number_evolved(1, make_displacement(1.0, 0.5), np.linspace(-4.0, 4.0, 9), t),
 ], ids=["evolution_factors", "time_evolve", "moments_closed", "uncertainty_product", "width_form",
-        "compare_formalisms"])
+        "compare_formalisms", "psi_displaced_number_evolved"])
 def test_non_finite_time_refused(call, t):
     with pytest.raises(ValueError, match=f"^time t must be finite, got {t}$"):
         call(t)

@@ -166,6 +166,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="^quadrature window must be finite, got "):
             QuadratureSpec(lower, upper, 4001)
 
+    def test_window_wider_than_the_largest_float_rejected(self):
+        # numpy's linspace of such a window is [nan, inf, inf, inf, 1e308]
+        with pytest.raises(ValueError, match=r"^quadrature window \[-1e\+308, 1e\+308\] is wider than the largest float$"):
+            QuadratureSpec(-1e308, 1e308, 5)
+
+    def test_widest_window_within_the_float_range_admitted(self):
+        assert np.all(np.isfinite(QuadratureSpec(-8e307, 8e307, 5).grid()))
+
     def test_non_finite_integrand_rejected(self):
         spec = QuadratureSpec(-1.0, 1.0, 101)
         with np.errstate(divide="ignore"):
@@ -173,7 +181,15 @@ class TestIntegrate:
                 integrate(lambda x: 1.0 / x, spec)
 
 
-@pytest.mark.parametrize("build", [normalized_hermite, oscillator_eigenfunctions])
+@pytest.mark.parametrize("build", [normalized_hermite, oscillator_eigenfunctions, hermite])
 def test_negative_order_rejected(build):
     with pytest.raises(ValueError, match="must be non-negative, got -1"):
         build(-1, 0.0)
+
+
+@pytest.mark.parametrize("order", [2.5, True], ids=["2.5", "True"])
+@pytest.mark.parametrize("build", [hermite, normalized_hermite, oscillator_eigenfunctions])
+def test_order_that_is_not_an_integer_rejected(build, order):
+    # a bool is refused too: numpy would read it as a mask, not as order 0 or 1
+    with pytest.raises(ValueError, match=f"^quantum number n must be an integer, got {order!r}$"):
+        build(order, np.array([0.0, 0.5]))
