@@ -22,7 +22,13 @@ Long double stays only where terms cancel; the phase rotation and D's
 squarings run in double.  States are mapped back to position space
 through the oscillator eigenfunctions.
 
-Truncation to the basis {|0>, ..., |N>} is never hidden.  The factors
+Truncation to the basis {|0>, ..., |N>} is never hidden.  One rule owns
+N: check_truncation admits an integer (not a bool) from 1 to
+MAX_TRUNCATION = 4095, the largest N whose four long-double factor
+matrices fit in 1 GiB, and number_state, ladder_matrices and the D and S
+factor builders run it before they allocate, so every entry point that
+takes N refuses the same values; the caches keyed by a caller's N are
+typed, so 16.0 or True never hits an entry that 16 filled.  The factors
 refuse |alpha|^2 > N (D) and sinh^2 r > N (S): their columns' least mean
 photon number, where a state on levels 0..N has mean at most N.  States
 report their leakage 1 - sum |c_m|^2 (its float64 floor, 1e-16 of weight,
@@ -45,6 +51,7 @@ what float64 holds.
 
 import cmath
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,7 +128,23 @@ class FockOperator:
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(n))))
 
 
+# The largest N whose four long-double factor matrices, 64 (N+1)^2 bytes, fit in 1 GiB.
+MAX_TRUNCATION = math.isqrt(2**30 // 64) - 1
+
+
+def check_truncation(N) -> None:
+    """Refuse, with a ValueError, a truncation N that is not an integer from 1 to MAX_TRUNCATION.
+
+    The one check for N, run before anything of size N is allocated.  A
+    bool is refused, as in check_quantum_number; a numpy integer passes.
+    """
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or not 1 <= N <= MAX_TRUNCATION:
+        raise ValueError(f"truncation N must be an integer from 1 to {MAX_TRUNCATION}, the largest whose factor "
+                         f"matrices fit in 1 GiB, got {N!r}")
+
+
 def number_state(n: int, truncation: int) -> FockState:
+    check_truncation(truncation)
     if not 0 <= n <= truncation:
         raise ValueError(f"need 0 <= n <= truncation, got n={n}, truncation={truncation}")
     check_quantum_number(n)
@@ -132,8 +155,7 @@ def number_state(n: int, truncation: int) -> FockState:
 
 def ladder_matrices(truncation: int):
     """Annihilation and creation matrices (a, a_dag) with a|m> = sqrt(m)|m-1>."""
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    check_truncation(truncation)
     a = np.zeros((truncation + 1, truncation + 1), dtype=complex)
     m = np.arange(1, truncation + 1)
     a[m - 1, m] = np.sqrt(m)
@@ -307,7 +329,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # shared by the matrices and the columns.
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _displacement_factors(magnitude: float, truncation: int):
     """Real (left, right, 1, True, h) with D(magnitude) = (left @ right)^(2^h).
 
@@ -319,6 +341,7 @@ def _displacement_factors(magnitude: float, truncation: int):
     as left reflected: a copy with its odd diagonals negated, transposed, so
     right[k, j] = (-1)^(j - k) left[j, k] bit for bit (step 1, reflect True).
     """
+    check_truncation(truncation)
     if not magnitude * magnitude <= truncation:  # a NaN fails it too
         raise GuardViolation(f"|alpha|^2 = {magnitude * magnitude:.4g} exceeds N = {truncation}: every column k of "
                              "D(alpha) has mean photon number |alpha|^2 + k, so none fits in the N + 1 levels")
@@ -333,7 +356,7 @@ def _displacement_factors(magnitude: float, truncation: int):
     return _read_only(left), _read_only(right.T), 1, True, halvings
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def _squeeze_factors(r: float, truncation: int):
     """Real (left, right, 2, False, 0) with S(r) = left @ right: one product at every r.
 
@@ -342,6 +365,7 @@ def _squeeze_factors(r: float, truncation: int):
     r = 3.5, so sinh^2 r <= N guards truncation only.  Squaring S(r/2), as D
     doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
     """
+    check_truncation(truncation)
     cosh_r, sinh_r = cosh_sinh(r, r)
     if not sinh_r * sinh_r <= truncation:  # a NaN fails it too
         raise GuardViolation(f"sinh^2 r = {sinh_r * sinh_r:.4g} at r = {r:g} exceeds N = {truncation}: every column "
@@ -449,7 +473,7 @@ def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
     return pair.view(np.clongdouble)[:, 0] * phase
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     """Displacement operator from its normal-ordered factorization.
 
@@ -462,7 +486,7 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     return FockOperator(_rotated_power(_displacement_factors(abs(alpha), truncation), cmath.phase(alpha)))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     """Squeeze operator from its normal-ordered factorization.
 
@@ -483,7 +507,7 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), sq.phi / 2))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncation: int) -> FockState:
     """D(alpha) S(z)|n> with the factors of squeeze_bch and displacement_bch
     applied to |n> in turn, never multiplied into matrices.

@@ -138,7 +138,7 @@ def moments_numeric(state: FockState, t: float) -> MomentSet:
     would silently bias the second moments.
     """
     leak = state.leakage
-    if abs(leak) > MOMENT_LEAKAGE_LIMIT:
+    if not abs(leak) <= MOMENT_LEAKAGE_LIMIT:  # a NaN fails it too
         raise GuardViolation(
             f"truncation leakage {leak:.3e} too large for trustworthy moments "
             f"(limit {MOMENT_LEAKAGE_LIMIT:g}); increase the truncation"

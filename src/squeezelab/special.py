@@ -44,21 +44,26 @@ def hermite(n, w):
     return h1
 
 
-def _normalized_hermite_rows(n, w, seed=None):
-    """seed H_k(w) / sqrt(2^k k!) for k = 0 .. n, one row at a time.
-
-    A seed of None stands for 1 and is never multiplied in: a complex
-    multiply by 1 flips signed zeros and turns inf into nan.
+def _check_recurrence(n, w):
+    """Refuse an order n that check_quantum_number refuses, or a recurrence to n on w's samples that costs too much.
 
     A step costs about as much as 500 samples (~5 us of numpy calls) plus
     ~10 ns per sample, so n (samples + 500) > 1e8, about a second of
-    recurrence, raises GuardViolation.
+    recurrence, raises GuardViolation.  The callers of
+    _normalized_hermite_rows run it before they allocate anything of size n.
     """
-    samples = np.size(w)
-    if n * (samples + 500) > 1e8:
-        raise GuardViolation(
-            f"Hermite recurrence to n = {n} on {samples} samples exceeds the cost bound n (samples + 500) <= 1e8"
-        )
+    check_quantum_number(n)
+    if n * (np.size(w) + 500) > 1e8:
+        raise GuardViolation(f"Hermite recurrence to n = {n} on {np.size(w)} samples exceeds the cost bound "
+                             "n (samples + 500) <= 1e8")
+
+
+def _normalized_hermite_rows(n, w, seed=None):
+    """seed H_k(w) / sqrt(2^k k!) for k = 0 .. n, one row at a time, for an n that _check_recurrence admits.
+
+    A seed of None stands for 1 and is never multiplied in: a complex
+    multiply by 1 flips signed zeros and turns inf into nan.
+    """
     prev = 1.0 + 0.0 * w if seed is None else seed  # promotes to the dtype/shape of w
     yield prev
     if n == 0:
@@ -76,7 +81,7 @@ def normalized_hermite(n, w):
     The normalized combination is what wavefunction formulas need; keeping
     it in one piece avoids overflow of H_n and n! for large n.
     """
-    check_quantum_number(n)
+    _check_recurrence(n, w)
     for row in _normalized_hermite_rows(n, w):
         pass
     return row
@@ -88,7 +93,7 @@ def oscillator_eigenfunctions(n_max, x):
     The normalized_hermite recurrence seeded with psi_0 keeps every row of
     order one, so large n does not overflow.
     """
-    check_quantum_number(n_max)
+    _check_recurrence(n_max, x)
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
     for k, row in enumerate(_normalized_hermite_rows(n_max, x, PI_FOURTH_ROOT_INV * np.exp(-0.5 * x * x))):

@@ -32,7 +32,7 @@ from squeezelab import (
     synthesize,
     time_evolve,
 )
-from squeezelab import cli
+from squeezelab import cli, fock
 from squeezelab.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, EXIT_VERIFY, MAX_TABLE_ROWS, build_parser, main
 from squeezelab.equivalence import DEFAULT_TRUNCATION, compare_formalisms, operator_state
 
@@ -322,7 +322,10 @@ class TestVerifyCommand:
         assert run(["verify", "--preset", "1", "--N", value, "--out", "-"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"squeezelab: configuration error: --N must be >= 1, got {value}\n"
+        assert captured.err == (
+            "squeezelab: configuration error: truncation N must be an integer from 1 to 4095, the largest whose factor "
+            f"matrices fit in 1 GiB, got {value}\n"
+        )
 
     @pytest.mark.parametrize("value", ["4096", "100000000000"])
     def test_truncation_above_memory_bound_is_config_error(self, capsys, value):
@@ -333,7 +336,8 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"squeezelab: configuration error: --N must be <= 4095 for its factor matrices to fit in 1 GiB, got {value}\n"
+            "squeezelab: configuration error: truncation N must be an integer from 1 to 4095, the largest whose factor "
+            f"matrices fit in 1 GiB, got {value}\n"
         )
 
     def test_default_truncation_is_the_library_default(self):
@@ -737,7 +741,7 @@ class TestUnwritableOutput:
         "argv, via_config",
         [
             (["verify", "--preset", "all"], False),
-            (["verify", "--preset", "1", "--N", str(cli.VERIFY_MAX_N)], False),
+            (["verify", "--preset", "1", "--N", str(fock.MAX_TRUNCATION)], False),
             *((argv, via_config) for argv in (["density"], ["figure", "1"], ["state"], ["moments"], ["uncertainty"])
               for via_config in (False, True)),
         ],
@@ -762,7 +766,7 @@ class TestUnwritableOutput:
         )
 
     @pytest.mark.parametrize("argv", [["density"], ["figure", "1"], ["state"], ["moments"], ["uncertainty"],
-                                      ["verify", "--preset", "1", "--N", str(cli.VERIFY_MAX_N)]])
+                                      ["verify", "--preset", "1", "--N", str(fock.MAX_TRUNCATION)]])
     @pytest.mark.parametrize("existing", [False, True])
     def test_trailing_slash_refused_before_any_work(self, capsys, monkeypatch, tmp_path, argv, existing):
         calls = []

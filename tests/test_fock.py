@@ -7,8 +7,10 @@ constructions and the coefficient expansions are held against it.
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -785,6 +787,46 @@ class TestSeriesContract:
         # numpy would read True as a mask and set every coefficient to 1
         with pytest.raises(ValueError, match=f"^quantum number n must be an integer, got {n!r}$"):
             call(n, 64)
+
+
+# Every public entry point that takes the truncation N, called with N; the
+# column and compare_formalisms' state has |alpha|^2 = 0.5 and sinh^2 r = 0.09.
+TRUNCATION_ENTRY_POINTS = {
+    "number_state": lambda N: number_state(0, N),
+    "ladder_matrices": lambda N: ladder_matrices(N),
+    "displacement_bch": lambda N: displacement_bch(0.5 - 0.5j, N),
+    "squeeze_bch": lambda N: squeeze_bch(make_squeeze(0.3, 0.2), N),
+    "displaced_squeezed_number": lambda N: fock.displaced_squeezed_number(1, 0.5 - 0.5j, make_squeeze(0.3, 0.2), N),
+    "displaced_number_coeffs": lambda N: displaced_number_coeffs(1, 0.5 - 0.5j, N),
+    "squeezed_number_coeffs": lambda N: squeezed_number_coeffs(1, make_squeeze(0.3, 0.2), N),
+    "compare_formalisms": lambda N: squeezelab.compare_formalisms(
+        StateSpec(1, make_displacement(1.0, 0.0), make_squeeze(0.3, 0.2)), truncation=N),
+}
+
+
+class TestTruncationOwner:
+    """fock.check_truncation is the one rule for N, and every entry point runs it
+    before it allocates, whatever the one-entry caches hold."""
+
+    @pytest.mark.parametrize("after_int", [False, True], ids=["cold", "after_N_16"])
+    @pytest.mark.parametrize("N", [2.5, 16.0, True, 0, -1, 4096, 10**12],
+                             ids=["2.5", "16.0", "True", "0", "-1", "4096", "1e12"])
+    @pytest.mark.parametrize("entry", TRUNCATION_ENTRY_POINTS)
+    def test_refused_by_the_owner(self, entry, N, after_int):
+        call = TRUNCATION_ENTRY_POINTS[entry]
+        if after_int:
+            call(16)  # a cache keyed by N == 16 or True == 1 must not answer for a refused N
+        message = ("truncation N must be an integer from 1 to 4095, the largest whose factor matrices fit in 1 GiB, "
+                   f"got {N!r}")
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(N)
+        assert time.perf_counter() - began < 1.0
+
+    @pytest.mark.parametrize("N", [np.int64(16), 1], ids=["int64", "1"])
+    @pytest.mark.parametrize("entry", TRUNCATION_ENTRY_POINTS)
+    def test_admitted(self, entry, N):
+        TRUNCATION_ENTRY_POINTS[entry](N)
 
 
 class TestTruncationGuards:

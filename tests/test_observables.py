@@ -197,6 +197,12 @@ class TestNumericMoments:
         with pytest.raises(GuardViolation):
             moments_numeric(state, 0.0)
 
+    def test_nan_coefficient_is_a_leakage_refusal(self):
+        # its leakage is NaN, which a "> limit" test lets through to the variances
+        state = FockState(np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(GuardViolation, match="^truncation leakage nan too large"):
+            moments_numeric(state, 0.0)
+
 
 def dense_moments(state, t):
     """(mean_x, mean_p, var_x, var_p) from the (N+1)^2 ladder matrices: the reference algebra."""

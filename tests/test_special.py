@@ -1,6 +1,7 @@
 """Special-function and quadrature tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +186,14 @@ class TestIntegrate:
 def test_negative_order_rejected(build):
     with pytest.raises(ValueError, match="must be non-negative, got -1"):
         build(-1, 0.0)
+
+
+@pytest.mark.parametrize("build", [normalized_hermite, oscillator_eigenfunctions])
+def test_recurrence_cost_refused_before_the_table(build):
+    # a (10**15 + 1) x 1 eigenfunction table would be 7.11 PiB
+    message = f"Hermite recurrence to n = {10**15} on 1 samples exceeds the cost bound n (samples + 500) <= 1e8"
+    with pytest.raises(GuardViolation, match=f"^{re.escape(message)}$"):
+        build(10**15, [0.0])
 
 
 @pytest.mark.parametrize("order", [2.5, True], ids=["2.5", "True"])
