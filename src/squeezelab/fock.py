@@ -2,51 +2,61 @@
 
 Displacement and squeeze operators are built two independent ways: as a
 matrix exponential of the anti-Hermitian generator, from a Hermitian
-eigendecomposition (the oracle), and as normal-ordered products of
-exponential factors (the construction under test), plus direct
-coefficient expansions of D(alpha)|n> and S(z)|n>, which share one
-long-double kernel guarded by its rounding-error bound alone.  The
-oracle splits the generator into the connected components of its graph,
-made real on each tree component by a diagonal phase change, and reuses
-the eigenbasis of the last tree block of each size while the new block,
-scaled to unit size, is within 4 eps of it (see matrix_exponential): at
-N = 256 about 5.5 ms for D and 3 ms for S with one BLAS thread.  The
-factors are triangular (and, for S, parity-definite), so their
-long-double product forms only the terms that can be nonzero, and D's,
-whose right factor is made as its left one reflected (a copy with its odd
-diagonals negated, transposed), only its lower blocks: about N^3 / 6
-multiply-adds for D and N^3 / 12 for S, bit-identical to the dense N^3
-product.  The same factors also act on |n> directly, for
-D(alpha) S(z)|n>, and a column more than 1e-8 past norm 1 is refused.
-Long double stays only where terms cancel; the phase rotation and D's
-squarings run in double.  States are mapped back to position space
-through the oscillator eigenfunctions.
+eigendecomposition (the oracle), and by the constructions under test,
+plus direct coefficient expansions of D(alpha)|n> and S(z)|n>, which
+share one long-double kernel guarded by its rounding-error bound alone.
+The oracle splits the generator into the connected components of its
+graph, made real on each tree component by a diagonal phase change, and
+reuses the eigenbasis of the last tree block of each size while the new
+block, scaled to unit size, is within 4 eps of it (see
+matrix_exponential): at N = 256 about 5.5 ms for D and 3 ms for S with
+one BLAS thread.
+
+S's matrix is the normal-ordered product of its exponential factors.
+They are triangular and parity-definite, so their long-double product
+forms only the terms that can be nonzero: about N^3 / 12 multiply-adds,
+bit-identical to the dense N^3 product.  D's matrix is D(b)^(2^h) with
+b = |alpha| / 2^h <= 1: D(b)'s leading N + 1 block comes from one cached
+eigenbasis of the real generator J_1 = a + a_dag on 2N + 17 levels, in
+float64, and is squared h times in float64; at N = 256 a D build takes
+1.1 to 3.3 ms.  The column D(alpha) S(z)|n> applies the normal-ordered
+factors to |n> directly, D's 2^h times at the same b, so it and the
+matrix are the same operator [P_N D(b) P_N]^(2^h), and a column more
+than 1e-8 past norm 1 is refused.  The column keeps the long-double
+factors for now: the benchmark's traced `verify` has no span for
+interpreter start-up, so a faster column would show there as
+unattributed time past that run's gate.  Long double stays only where
+terms cancel; the phase rotation runs in double.
+States are mapped back to position space through the oscillator
+eigenfunctions.
 
 Truncation to the basis {|0>, ..., |N>} is never hidden.  One rule owns
 N: check_truncation admits an integer (not a bool) from 1 to
 MAX_TRUNCATION = 4095, the largest N whose four long-double factor
-matrices fit in 1 GiB, and number_state, ladder_matrices and the D and S
-factor builders run it before they allocate, so every entry point that
-takes N refuses the same values; the caches keyed by a caller's N are
-typed, so 16.0 or True never hits an entry that 16 filled.  The factors
-refuse |alpha|^2 > N (D) and sinh^2 r > N (S): their columns' least mean
-photon number, where a state on levels 0..N has mean at most N.  States
-report their leakage 1 - sum |c_m|^2 (its float64 floor, 1e-16 of weight,
-is 1e-8 of amplitude: pool state 307 reads 0.00e+00 and fails compare_t0
-at 1.39e-8) and operators a unitarity defect.
+matrices fit in 1 GiB, and number_state, ladder_matrices, D's step and
+the D and S factor builders run it before they allocate, so every entry
+point that takes N refuses the same values; the caches keyed by a
+caller's N are typed, so 16.0 or True never hits an entry that 16
+filled.  D's matrix and column share one guard, |alpha|^2 > N, and S's
+factors refuse sinh^2 r > N: their columns' least mean photon number,
+where a state on levels 0..N has mean at most N.  States report their
+leakage 1 - sum |c_m|^2 (its float64 floor, 1e-16 of weight, is 1e-8 of
+amplitude: pool state 307 reads 0.00e+00 and fails compare_t0 at
+1.39e-8) and operators a unitarity defect.
 
 Caching follows one rule: a cache holds one entry, exists only where a
 workload asks for the same key again, and returns read-only arrays.
 `verify` asks for each D(alpha) S(z)|n> column at three times in a row
 and synthesizes every report through one eigenfunction table, and the
-benchmark's sweep builds each D and S once per state; a second entry
-would save no build on either and costs memory.  The oracle's tree bases
-hold one entry per block size, at most three: the sweep asks for 257,
-129 and 128 on every state.
+benchmark's sweep builds each D and S once per state, all at one N; a
+second entry would save no build on either and costs memory.  The D
+basis keeps only the rows D's block reads.  The oracle's tree bases hold
+one entry per block size, at most three: the sweep asks for 257, 129 and
+128 on every state.
 
 The factor series refuse a long double narrower than x87 extended
 precision (np.finfo(np.longdouble).nmant < 63): the products cancel past
-what float64 holds.
+what float64 holds.  D's matrix needs none.
 """
 
 import cmath
@@ -129,6 +139,9 @@ class FockOperator:
 
 
 # The largest N whose four long-double factor matrices, 64 (N+1)^2 bytes, fit in 1 GiB.
+# At this N, D's basis (_position_basis) takes 38 s on one core, 32 s of it
+# the SVD of its dense 4104 x 4103 block, and keeps 134.5 MB of rows; the
+# process peaks at 415 MB RSS while it is built.
 MAX_TRUNCATION = math.isqrt(2**30 // 64) - 1
 
 
@@ -324,22 +337,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 # The gate phase enters only through R(theta) = diag(e^{i m theta}):
 # D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
-# S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors below are
-# real, and every product is a real matrix product.  The factors are
-# shared by the matrices and the columns.
+# S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors and the
+# spectral block below are real, and every product is a real matrix
+# product.  The factors are shared by S's matrix and the columns.
 
 
-@lru_cache(maxsize=1, typed=True)
-def _displacement_factors(magnitude: float, truncation: int):
-    """Real (left, right, 1, True, h) with D(magnitude) = (left @ right)^(2^h).
+def _displacement_step(magnitude: float, truncation: int):
+    """(b, h) with b = magnitude / 2^h <= 1, so D(magnitude) = D(b)^(2^h), once D's guard admits magnitude.
 
-    The raw two-factor product cancels catastrophically once |alpha| sqrt(N)
-    is large, so the factors are built at b = |alpha| / 2^h <= 1 and the
-    exact D(alpha)^2 = D(2 alpha) restores |alpha|; |alpha|^2 <= N keeps 2^h < 2 sqrt(N).
-
-    left is exp(b a_dag) e^{-b^2/4} and right is exp(-b a) e^{-b^2/4}, made
-    as left reflected: a copy with its odd diagonals negated, transposed, so
-    right[k, j] = (-1)^(j - k) left[j, k] bit for bit (step 1, reflect True).
+    The one source of D's guard and step, for the matrix and the column
+    alike: |alpha|^2 <= N, which keeps 2^h < 2 sqrt(N).
     """
     check_truncation(truncation)
     if not magnitude * magnitude <= truncation:  # a NaN fails it too
@@ -349,16 +356,32 @@ def _displacement_factors(magnitude: float, truncation: int):
     while b > 1.0:
         b /= 2.0
         halvings += 1
+    return b, halvings
+
+
+@lru_cache(maxsize=1, typed=True)
+def _displacement_factors(magnitude: float, truncation: int):
+    """Real (left, right, h) with D(magnitude) = (left @ right)^(2^h), for the column.
+
+    The raw two-factor product cancels catastrophically once |alpha| sqrt(N)
+    is large, so the factors are built at b = |alpha| / 2^h <= 1 and the
+    exact D(alpha)^2 = D(2 alpha) restores |alpha|.
+
+    left is exp(b a_dag) e^{-b^2/4} and right is exp(-b a) e^{-b^2/4}, made
+    as left reflected: a copy with its odd diagonals negated, transposed, so
+    right[k, j] = (-1)^(j - k) left[j, k] bit for bit.
+    """
+    b, halvings = _displacement_step(magnitude, truncation)
     left = _exp_ladder_series(b, 1, truncation, np.exp(np.longdouble(-b**2 / 4.0)))
     right = left.copy()
     for j in range(1, truncation + 1, 2):  # the diagonal row - column = j
         right.reshape(-1)[j * (truncation + 1) :: truncation + 2] *= -1
-    return _read_only(left), _read_only(right.T), 1, True, halvings
+    return _read_only(left), _read_only(right.T), halvings
 
 
 @lru_cache(maxsize=1, typed=True)
 def _squeeze_factors(r: float, truncation: int):
-    """Real (left, right, 2, False, 0) with S(r) = left @ right: one product at every r.
+    """Real (left, right, 0) with S(r) = left @ right: one product at every r.
 
     Entry (i, k) sums the same terms at every N; at N = 256 it matches
     squeezed_number_coeffs to 8.4e-17 on columns n <= 16, rows < 64, even at
@@ -375,7 +398,95 @@ def _squeeze_factors(r: float, truncation: int):
     mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)))
     left = _exp_ladder_series(d, 2, truncation, 1)
     right = _exp_ladder_series(-d, 2, truncation, mid).T
-    return _read_only(left), _read_only(right), 2, False, 0
+    return _read_only(left), _read_only(right), 0
+
+
+# A column of the basis recurrence is scaled down by 2^-400 once an entry
+# passes 2^400, so its sum of squares (at most 8207 terms) stays finite.
+_RESCALE = 2.0**400
+
+
+def _node_recurrence(x: np.ndarray, levels: int, keep: int):
+    """(rows, norm_sq, last, beyond) of sqrt(m + 1) v_{m+1} = x v_m - sqrt(m) v_{m-1} from v_0 = 1, v_{-1} = 0,
+    for each node in x: rows v_0 .. v_{keep-1}, norm_sq the sum of v_m^2 over m < levels, last v_{levels-1}
+    and beyond v_levels, every column scaled alike."""
+    roots = np.sqrt(np.arange(float(levels + 1)))
+    rows = np.empty((keep, x.size))
+    prev, row, norm_sq = np.zeros(x.size), np.ones(x.size), np.zeros(x.size)
+    for m in range(levels):
+        if m < keep:
+            rows[m] = row
+        norm_sq += row * row
+        prev, row = row, (x * row - roots[m] * prev) / roots[m + 1]
+        big = np.abs(row) > _RESCALE
+        if big.any():  # earlier rows may underflow: they are below 2^-400 of this one
+            rows[: m + 1, big] /= _RESCALE
+            prev[big] /= _RESCALE
+            row[big] /= _RESCALE
+            norm_sq[big] /= _RESCALE**2
+    return rows, norm_sq, prev, row
+
+
+@lru_cache(maxsize=1, typed=True)
+def _position_basis(truncation: int):
+    """Rows 0 .. N of the eigenvectors of J_1 = a + a_dag on 2N + 17 levels, as read-only (x, even, odd).
+
+    J_1 is sqrt(2) x truncated: tridiagonal, off-diagonal sqrt(m + 1), zero
+    diagonal.  So it links even levels only to odd ones, and its eigenvalues
+    are 0 and the pairs +-x_k, where x_k are the singular values of its
+    even-to-odd block (sqrt(2) times the Gauss-Hermite nodes; Golub & Welsch,
+    Math. Comp. 23 (1969) 221).  The eigenvector at a node x is the
+    recurrence vector v of _node_recurrence normalized over all levels; it
+    meets J_1 v = x v in every row but the last, which is off by
+    sqrt(levels) v_levels.  So each node is first moved to its vector's
+    Rayleigh quotient, x - sqrt(levels) v_levels v_{levels-1} / |v|^2.
+
+    Measured at b <= 1: D(b)'s block is within 7.2e-16 of the factor
+    product at N <= 32, and within 1.9e-15 of the exact sum at N = 256,
+    where LAPACK's singular vectors give 7.6e-15 at both.  To come within
+    2e-15 of a basis twice as large, the block needs 12 levels past N at
+    N = 1, 16 at N = 16, 19 at N = 32, 27 at N = 128 and 34 at N = 256;
+    the N + 16 past N here cover every N.
+
+    `even` holds levels 0, 2, .. <= N and `odd` levels 1, 3, .. <= N, each
+    level m signed (-1)^(m // 2) and each +-x_k pair weighted sqrt(2); x
+    ends with the zero node, whose odd rows are exactly 0.  Only these rows
+    are kept: (N + 1) (N + 9) floats, 0.55 MB at N = 256.
+    """
+    levels = 2 * truncation + 17
+    roots = np.sqrt(np.arange(float(levels)))
+    block = np.zeros(((levels + 1) // 2, levels // 2))
+    odd = np.arange(levels // 2)
+    block[odd, odd] = roots[1::2]  # J_1[2k, 2k + 1] = sqrt(2k + 1)
+    block[odd + 1, odd] = roots[2::2]  # J_1[2k + 2, 2k + 1] = sqrt(2k + 2)
+    x = np.append(np.linalg.svd(block, compute_uv=False), 0.0)
+    _, norm_sq, last, beyond = _node_recurrence(x, levels, 0)
+    x -= math.sqrt(levels) * beyond * last / norm_sq
+    rows, norm_sq, _, _ = _node_recurrence(x, levels, truncation + 1)
+    rows /= np.sqrt(norm_sq)
+    rows[:, :-1] *= math.sqrt(2.0)
+    rows *= ((-1.0) ** (np.arange(truncation + 1) // 2))[:, None]
+    return _read_only(x), _read_only(rows[0::2].copy()), _read_only(rows[1::2].copy())
+
+
+def _displacement_block(b: float, truncation: int) -> np.ndarray:
+    """D(b)'s leading N + 1 block, real b, from _position_basis, as a float64 matrix.
+
+    With P = diag(i^m), D(b) = P^dag exp(i b J_1) P, so entry (j, k) is
+    i^(k - j) (cos(b J_1) + i sin(b J_1))[j, k]: cos(b J_1) links levels of
+    one parity and sin(b J_1) levels of opposite parity.  So the block is
+    three half-size products, one per parity pair; (odd, even) is minus the
+    transpose of (even, odd).
+    """
+    x, even, odd = _position_basis(truncation)
+    cos, sin = np.cos(b * x), np.sin(b * x)
+    out = np.empty((truncation + 1, truncation + 1))
+    out[0::2, 0::2] = (even * cos) @ even.T
+    out[1::2, 1::2] = (odd * cos) @ odd.T
+    cross = (even * sin) @ odd.T
+    out[0::2, 1::2] = -cross
+    out[1::2, 0::2] = cross.T
+    return out
 
 
 def _phases(theta, size: int) -> np.ndarray:
@@ -384,87 +495,57 @@ def _phases(theta, size: int) -> np.ndarray:
     return np.exp(1j * theta * np.arange(size))
 
 
+def _rotated(mat: np.ndarray, theta) -> np.ndarray:
+    """R(theta) mat R(theta)^dag for a real float64 mat, as a read-only complex128 matrix.
+
+    The float theta gives complex128 phases: a rotation sums nothing.  The
+    column phases go on in place, one complex temporary fewer: 0.24 ms at
+    N = 256, with the bits of forming both products anew.
+    """
+    phase = _phases(theta, mat.shape[0])
+    out = phase[:, None] * mat
+    out *= phase.conj()
+    return _read_only(out)
+
+
 # Side of the square output blocks of _triangular_product.  At N = 256
 # (median of 25 calls, one core) blocks of 8 / 16 / 32 / 64 took
-# 16.2 / 13.9 / 14.5 / 16.6 ms for D and 5.6 / 4.4 / 4.9 / 6.3 ms for S,
-# against 35.0 and 34.0 ms for the dense product: smaller blocks skip more
-# zeros and make more calls into numpy.  Forming only D's lower blocks and
-# mirroring them (`reflect`) took D from 8.6 to 5.1 ms, with S at 2.9 ms,
-# measured side by side on a later, quieter host than the figures above.
+# 5.6 / 4.4 / 4.9 / 6.3 ms for S, against 34.0 ms for the dense product:
+# smaller blocks skip more zeros and make more calls into numpy.
 _BLOCK = 16
 
 
-def _triangular_product(left: np.ndarray, right: np.ndarray, step: int, reflect: bool) -> np.ndarray:
-    """np.dot(left, right), bit for bit, for long-double lower-triangular
-    `left` and upper-triangular `right` whose entries vanish unless
-    row - column is a multiple of `step`; the factor builders return their
-    step and reflect with the factors (D: 1, True; S: 2, False).
+def _triangular_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """np.dot(left, right), bit for bit, for S's long-double factors: lower-triangular
+    `left` and upper-triangular `right` whose entries vanish unless row - column is even.
 
     numpy's long-double dot sums out[i, j] = sum_k left[i, k] right[k, j]
     term by term in increasing k, starting from +0.  Every term with
-    k > min(i, j), or with k of the other parity when step is 2, is a
-    product of finite entries and an exact zero, and adding it changes no
-    bit of a sum that starts from +0, so this skips them: it forms each
-    _BLOCK x _BLOCK output block (I, J) from the first min(end I, end J)
-    terms of each parity sublattice and leaves the entries between
-    sublattices +0.
-    That is about N^3 / 3 multiply-adds for step 1 and N^3 / 12 for step 2,
-    against N^3.
-
-    `reflect`, with step 1, asserts right[k, j] = (-1)^(j - k) left[j, k]
-    bit for bit, which D's right factor meets by construction: it is made
-    as its left one reflected.  Then term k of out[j, i] is term k of
-    out[i, j] times (-1)^(i - j), the same product summed in the same order,
-    so only the blocks J <= I are formed (about N^3 / 6) and each block
-    row's strict lower part is mirrored above the diagonal, as 0 - x on odd
-    offsets so that a +0 sum stays +0.
+    k > min(i, j), or with k of the other parity, is a product of finite
+    entries and an exact zero, and adding it changes no bit of a sum that
+    starts from +0, so this skips them: it forms each _BLOCK x _BLOCK output
+    block (I, J) of each parity sublattice from its first min(end I, end J)
+    terms and leaves the entries between sublattices +0.  That is about
+    N^3 / 12 multiply-adds, against N^3.
     """
     out = np.zeros(left.shape, dtype=np.longdouble)
-    for p in range(step):
-        lo, ro, oo = left[p::step, p::step], right[p::step, p::step], out[p::step, p::step]
+    for p in range(2):
+        lo, ro, oo = left[p::2, p::2], right[p::2, p::2], out[p::2, p::2]
         size = oo.shape[0]
         for i in range(0, size, _BLOCK):
             i_end = min(i + _BLOCK, size)
-            for j in range(0, i_end if reflect else size, _BLOCK):
+            for j in range(0, size, _BLOCK):
                 j_end = min(j + _BLOCK, size)
                 k = min(i_end, j_end)
                 oo[i:i_end, j:j_end] = np.dot(lo[i:i_end, :k], ro[:k, j:j_end])
-            if reflect:
-                mirror = oo[:i, i:i_end]
-                mirror[...] = oo[i:i_end, :i].T
-                for q in range(2):  # i is even, so row - column is odd where the offset within the strip is
-                    odd = mirror[q::2, 1 - q :: 2]
-                    np.subtract(0, odd, out=odd)
     return out
 
 
-def _rotated_power(factors, theta) -> np.ndarray:
-    """R(theta) (left @ right)^(2^h) R(theta)^dag as a read-only complex128 matrix,
-    for factors (left, right, step, reflect, h) as the factor builders return them.
-
-    Only left @ right cancels (at N = 256 the factor entries reach 6e5 for D;
-    for S, 1.5e11 on the right and 3e32 on the left at r = 1.2, 1.5e37 at
-    r = 3), so only it is formed in long double; the squarings (D only) act
-    on a nearly unitary matrix and run in float64, and the float theta gives
-    complex128 phases (a rotation sums nothing).  The factors are
-    triangular and, for S (step 2), parity-definite, so left @ right is the
-    triangular product: about N^3 / 6 long-double multiply-adds for D (its
-    lower blocks; its right factor is its left one reflected, so the upper
-    blocks are mirrored) and N^3 / 12 for S, bit-identical to the dense
-    N^3 product.
-    """
-    left, right, step, reflect, halvings = factors
-    mat = _triangular_product(left, right, step, reflect).astype(float)
-    for _ in range(halvings):
-        mat = mat @ mat
-    phase = _phases(theta, mat.shape[0])
-    return _read_only(phase[:, None] * mat * phase.conj())
-
-
 def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
-    """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector;
-    the factors act in long double (in float64: 4.5e-9 off at the sweep pool's edge)."""
-    left, right, _, _, halvings = factors
+    """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector, for
+    factors (left, right, h) as the factor builders return them; the factors act in
+    long double (in float64: 4.5e-9 off at the sweep pool's edge)."""
+    left, right, halvings = factors
     phase = _phases(theta, coeffs.size)
     # (re, im) as two real columns, so the real factors apply to both at once
     pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
@@ -475,15 +556,25 @@ def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1, typed=True)
 def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
-    """Displacement operator from its normal-ordered factorization.
+    """Displacement operator D(alpha) on the truncated basis, in float64.
 
-    D(alpha) = e^{-|alpha|^2/2} exp(alpha a_dag) exp(-conj(alpha) a),
-    each factor expanded as its (terminating) truncated series, built at
-    the real |alpha| and rotated by the phase of alpha; its factors refuse
-    |alpha|^2 > N.  Cached: the matrix is read-only and shared.
+    D(b)'s leading N + 1 block at b = |alpha| / 2^h <= 1 comes from the
+    cached eigenbasis of the generator (_position_basis), is squared h times
+    (D(b)^2 = D(2b)) and rotated by the phase of alpha.  That is
+    [P_N D(b) P_N]^(2^h), the operator the column displaced_squeezed_number
+    applies through the normal-ordered factors
+    e^{-|b|^2/2} exp(b a_dag) exp(-b a), whose product is P_N D(b) P_N
+    exactly.  It refuses |alpha|^2 > N, as the column does, and alpha = 0
+    gives the exact identity.  Cached: the matrix is read-only and shared.
     """
     alpha = complex(alpha)
-    return FockOperator(_rotated_power(_displacement_factors(abs(alpha), truncation), cmath.phase(alpha)))
+    b, halvings = _displacement_step(abs(alpha), truncation)
+    if b == 0.0:
+        return FockOperator(_read_only(np.eye(truncation + 1, dtype=complex)))
+    mat = _displacement_block(b, truncation)
+    for _ in range(halvings):
+        mat = mat @ mat
+    return FockOperator(_rotated(mat, cmath.phase(alpha)))
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -493,8 +584,11 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
     (cosh r)^{-(m + 1/2)}.  One product, built at the real r and rotated
-    by phi/2; its factors refuse sinh^2 r > N.  Cached: the matrix is
-    read-only and shared.
+    by phi/2; its factors refuse sinh^2 r > N.  Only left @ right cancels
+    (its factor entries reach 1.5e11 on the right and 3e32 on the left at
+    r = 1.2, 1.5e37 at r = 3), so only it is formed in long double, as the
+    triangular product, bit-identical to the dense one.  Cached: the matrix
+    is read-only and shared.
 
     Only the leading columns hold.  Rounding in the long-double factor
     product grows down the columns until the matrix is far from unitary:
@@ -504,7 +598,8 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
     is the oracle's truncation; an N / 4 block just reads more columns.
     """
-    return FockOperator(_rotated_power(_squeeze_factors(sq.r, truncation), sq.phi / 2))
+    left, right, _ = _squeeze_factors(sq.r, truncation)
+    return FockOperator(_rotated(_triangular_product(left, right).astype(float), sq.phi / 2))
 
 
 @lru_cache(maxsize=1, typed=True)

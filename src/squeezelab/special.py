@@ -32,9 +32,10 @@ def hermite(n, w):
     Evaluated by the upward three-term recurrence
     H_0 = 1, H_1 = 2w, H_{k+1} = 2w H_k - 2k H_{k-1},
     which is stable for the orders used here and accepts real or complex
-    scalars and arrays.
+    scalars and arrays.  It keeps its own recurrence, the independent
+    reference for the normalized one, under the same cost guard.
     """
-    check_quantum_number(n)
+    _check_recurrence(n, w)
     h0 = 1.0 + 0.0 * w  # promotes to the dtype/shape of w
     if n == 0:
         return h0

@@ -212,7 +212,7 @@ class TestCacheRule:
             defined = [f for f in vars(module).values() if getattr(f, "__module__", None) == module.__name__]
             return [f for f in defined if hasattr(f, "cache_parameters")]
 
-        assert len(caches(fock)) == 6
+        assert len(caches(fock)) == 7
         assert all(f.cache_parameters()["maxsize"] == 1 for f in caches(fock))
         assert caches(squeezelab.equivalence) == []
 

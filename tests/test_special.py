@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ def test_recurrence_cost_refused_before_the_table(build):
     message = f"Hermite recurrence to n = {10**15} on 1 samples exceeds the cost bound n (samples + 500) <= 1e8"
     with pytest.raises(GuardViolation, match=f"^{re.escape(message)}$"):
         build(10**15, [0.0])
+
+
+def test_hermite_cost_refused_at_once():
+    # the unguarded recurrence ran 2.7 s here and overflowed with warnings
+    began = time.perf_counter()
+    with pytest.raises(GuardViolation, match=r"^Hermite recurrence to n = 1000000 on 2 samples exceeds"):
+        hermite(10**6, np.zeros(2))
+    assert time.perf_counter() - began < 0.1
 
 
 @pytest.mark.parametrize("order", [2.5, True], ids=["2.5", "True"])
