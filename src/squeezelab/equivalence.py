@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardViolation
+from .errors import guard
 from .parameters import evolution_factors, structure_factors
 from .special import QuadratureSpec, integrate
 from .states import DEFAULT_GRID, StateSpec, density, psi_squeezed_number_evolved
@@ -88,12 +88,8 @@ def check_normalization(spec: StateSpec, t: float, quad: QuadratureSpec) -> floa
     ef = evolution_factors(sf, spec.disp, t)
     width = sf.f4 * max(1.0, abs(ef.b_factor)) * math.sqrt(spec.n + 0.5)
     edge_density = float(density(spec, quad.lower, t) + density(spec, quad.upper, t))
-    tail_estimate = edge_density * 2.0 * width
-    if tail_estimate > 1e-10:
-        raise GuardViolation(
-            f"quadrature window [{quad.lower}, {quad.upper}] too small: "
-            f"estimated tail mass {tail_estimate:.2e}"
-        )
+    guard(f"estimated tail mass outside the quadrature window [{quad.lower}, {quad.upper}]",
+          edge_density * 2.0 * width, 1e-10, "the window is too small")
     total = integrate(lambda xs: density(spec, xs, t), quad)
     return abs(total - 1.0)
 

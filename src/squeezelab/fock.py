@@ -68,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GuardViolation
+from .errors import GuardViolation, guard
 from .parameters import SqueezeParam, check_quantum_number, cosh_sinh, finite_time
 from .special import oscillator_eigenfunctions
 
@@ -208,10 +208,7 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
         raise ValueError("matrix exponential of non-finite entries")
     scale = float(np.max(np.abs(m)))
     asymmetry = float(np.max(np.abs(m + m.conj().T)))
-    if asymmetry > 1e-12 * scale:
-        raise GuardViolation(
-            f"generator is not anti-Hermitian: ||G + G^dag||_max / ||G||_max = {asymmetry / scale:.3g} exceeds 1e-12"
-        )
+    guard("||G + G^dag||_max", asymmetry, 1e-12 * scale, "the generator is not anti-Hermitian to 1e-12 ||G||_max")
     h = 0.5j * (m - m.conj().T)
     phase, components = _gauged_components(h)
     out = np.zeros_like(h)
@@ -349,9 +346,8 @@ def _displacement_step(magnitude: float, truncation: int):
     alike: |alpha|^2 <= N, which keeps 2^h < 2 sqrt(N).
     """
     check_truncation(truncation)
-    if not magnitude * magnitude <= truncation:  # a NaN fails it too
-        raise GuardViolation(f"|alpha|^2 = {magnitude * magnitude:.4g} exceeds N = {truncation}: every column k of "
-                             "D(alpha) has mean photon number |alpha|^2 + k, so none fits in the N + 1 levels")
+    guard("|alpha|^2", magnitude * magnitude, truncation,
+          "every column k of D(alpha) has mean photon number |alpha|^2 + k, so none fits in the N + 1 levels")
     b, halvings = magnitude, 0
     while b > 1.0:
         b /= 2.0
@@ -390,9 +386,8 @@ def _squeeze_factors(r: float, truncation: int):
     """
     check_truncation(truncation)
     cosh_r, sinh_r = cosh_sinh(r, r)
-    if not sinh_r * sinh_r <= truncation:  # a NaN fails it too
-        raise GuardViolation(f"sinh^2 r = {sinh_r * sinh_r:.4g} at r = {r:g} exceeds N = {truncation}: every column "
-                             "of S(z) has mean photon number at least sinh^2 r, so none fits in the N + 1 levels")
+    guard("sinh^2 r", sinh_r * sinh_r, truncation, f"at r = {r:g} every column of S(z) has mean photon number "
+          "at least sinh^2 r, so none fits in the N + 1 levels")
     d = 0.5 * math.tanh(r)
     m = np.arange(truncation + 1, dtype=np.longdouble)
     mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)))
@@ -622,10 +617,8 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
     coeffs = _rotated_apply(s_factors, sq.phi / 2, coeffs)
     coeffs = _rotated_apply(d_factors, cmath.phase(alpha), coeffs).astype(complex)
-    excess = float(np.linalg.norm(coeffs)) - 1.0
-    if not excess <= 1e-8:  # a NaN fails it too
-        raise GuardViolation(f"D(alpha) S(z)|n> at n = {n}, N = {truncation}: ||c||_2 - 1 = {excess:.3g} exceeds 1e-8, "
-                             "and the exact truncated column has norm at most 1")
+    guard(f"D(alpha) S(z)|n> at n = {n}, N = {truncation}: ||c||_2 - 1", float(np.linalg.norm(coeffs)) - 1.0, 1e-8,
+          "the exact truncated column has norm at most 1")
     return FockState(_read_only(coeffs))
 
 
@@ -654,11 +647,8 @@ def _normal_ordered_series(n: int, u, v, step: int, log_prefactor, truncation: i
         magnitude = np.where(present, np.exp(sum(logs)), 0)
     weight = sum(np.abs(part) for part in logs) + j * abs(arg_u) + k * abs(arg_v) + j.size + 4
     error = (np.finfo(np.longdouble).eps * weight + np.finfo(float).eps / 2) * magnitude
-    bound = float(np.max(np.sum(error, axis=0)))
-    if not bound <= 1e-8:
-        raise GuardViolation(
-            f"{subject}, n = {n}, N = {truncation}: series rounding-error bound {bound:.3g} exceeds 1e-8"
-        )
+    guard(f"{subject}, n = {n}, N = {truncation}: series rounding-error bound", float(np.max(np.sum(error, axis=0))),
+          1e-8)
     coeffs = np.zeros(truncation + 1, dtype=complex)
     turns = _phases(arg_u, j.size)[j] * _phases(arg_v, truncation + 1)[k]  # long-double angles and turns
     coeffs[ms] = np.sum(magnitude * turns, axis=0)

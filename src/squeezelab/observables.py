@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardViolation
+from .errors import GuardViolation, guard
 from .fock import FockState, time_evolve
 from .parameters import SqueezeParam, _finite, check_quantum_number, cosh_sinh, finite_time
 from .states import StateSpec
@@ -137,12 +137,8 @@ def moments_numeric(state: FockState, t: float) -> MomentSet:
     states whose truncation leakage exceeds 1e-10, since the missing weight
     would silently bias the second moments.
     """
-    leak = state.leakage
-    if not abs(leak) <= MOMENT_LEAKAGE_LIMIT:  # a NaN fails it too
-        raise GuardViolation(
-            f"truncation leakage {leak:.3e} too large for trustworthy moments "
-            f"(limit {MOMENT_LEAKAGE_LIMIT:g}); increase the truncation"
-        )
+    guard("|truncation leakage|", abs(state.leakage), MOMENT_LEAKAGE_LIMIT,
+          "too large for trustworthy moments; increase the truncation")
     c = time_evolve(state, t).coeffs
     root = np.sqrt(np.arange(1, c.size))
     ac = np.append(root * c[1:], 0)

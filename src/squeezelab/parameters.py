@@ -63,6 +63,18 @@ def check_quantum_number(n):
         raise ValueError(f"quantum number must be non-negative, got {n}")
 
 
+def _sample_count(owner, field, value, minimum):
+    """Refuse, with a ValueError naming field, a sample count that is not an integer of at least minimum.
+
+    The one check for GridSpec's nx and nt and QuadratureSpec's points.  A
+    bool is refused, as in check_quantum_number; a numpy integer passes.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{owner} needs an integer {field}, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{owner} needs {field} >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class DisplacementParam:
     """Phase-space displacement by (x0, p0); an x0 or p0 that is not finite, or that float() cannot hold, is refused."""
@@ -213,7 +225,9 @@ def evolution_factors(sf: StructureFactors, disp: DisplacementParam, t: float) -
     sin_t = math.sin(t)
     b = cos_t + 1j * sf.f2 * sin_t
     if abs(b) < 1e-14:
-        raise DegenerateEvolutionError(f"|B| = {abs(b):.3g} at t = {t} is within the rounding of cos t and sin t")
+        raise DegenerateEvolutionError(
+            f"|B| = {abs(b):.3g} at t = {t} is below 1e-14, within the rounding of cos t and sin t"
+        )
     a = (b - 2j * sin_t / sf.f4 ** 2) / b
     center = disp.x0 * cos_t + disp.p0 * sin_t
     return EvolutionFactors(a, b, center)

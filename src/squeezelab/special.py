@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardViolation
-from .parameters import _finite, check_quantum_number
+from .errors import guard
+from .parameters import _finite, _sample_count, check_quantum_number
 
 __all__ = [
     "QuadratureSpec",
@@ -54,9 +54,7 @@ def _check_recurrence(n, w):
     _normalized_hermite_rows run it before they allocate anything of size n.
     """
     check_quantum_number(n)
-    if n * (np.size(w) + 500) > 1e8:
-        raise GuardViolation(f"Hermite recurrence to n = {n} on {np.size(w)} samples exceeds the cost bound "
-                             "n (samples + 500) <= 1e8")
+    guard(f"Hermite recurrence to n = {n} on {np.size(w)} samples: cost n (samples + 500)", n * (np.size(w) + 500), 1e8)
 
 
 def _normalized_hermite_rows(n, w, seed=None):
@@ -120,8 +118,7 @@ class QuadratureSpec:
             raise ValueError(f"quadrature window requires lower < upper, got [{self.lower}, {self.upper}]")
         if not math.isfinite(upper - lower):
             raise ValueError(f"quadrature window [{lower}, {upper}] is wider than the largest float")
-        if self.points < 2:
-            raise ValueError(f"quadrature needs at least 2 points, got {self.points}")
+        _sample_count("quadrature", "points", self.points, 2)
 
     def grid(self):
         return np.linspace(self.lower, self.upper, self.points)

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GuardViolation
+from .errors import GuardViolation, guard
 from .parameters import (
     DisplacementParam,
     SqueezeParam,
     StructureFactors,
     _finite,
+    _sample_count,
     check_quantum_number,
     evolution_factors,
     finite_time,
@@ -72,12 +73,10 @@ class GridSpec:
         }
         if not (self.x_min < self.x_max):
             raise ValueError(f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.nx < 2:
-            raise ValueError(f"grid needs nx >= 2, got {self.nx}")
+        _sample_count("grid", "nx", self.nx, 2)
         if not (self.t_min <= self.t_max):
             raise ValueError(f"grid requires t_min <= t_max, got [{self.t_min}, {self.t_max}]")
-        if self.nt < 1:
-            raise ValueError(f"grid needs nt >= 1, got {self.nt}")
+        _sample_count("grid", "nt", self.nt, 1)
         for lo, hi in (("x_min", "x_max"), ("t_min", "t_max")):
             if not math.isfinite(bounds[hi] - bounds[lo]):
                 raise ValueError(
@@ -260,10 +259,6 @@ def density_surface(spec: StateSpec, grid: GridSpec = DEFAULT_GRID) -> np.ndarra
     xs = grid.x_values()
     values = np.array([density(spec, xs, t) for t in grid.t_values()])
     norms = np.trapezoid(values, xs, axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if not worst <= ROW_NORMALIZATION_TOL:
-        raise GuardViolation(
-            f"density rows integrate to 1 +/- {worst:.2e} over [{grid.x_min}, {grid.x_max}]; "
-            "widen the x window or refine nx"
-        )
+    guard(f"density rows' largest |integral - 1| over [{grid.x_min}, {grid.x_max}]", float(np.max(np.abs(norms - 1.0))),
+          ROW_NORMALIZATION_TOL, "widen the x window or refine nx")
     return values

@@ -311,7 +311,7 @@ class TestVerifyCommand:
         out = tmp_path / "reports.json"
         assert run(["verify", "--preset", "1", "--N", "1024", "--out", str(out)]) == EXIT_GUARD
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "n = 500, N = 1024: ||c||_2 - 1 = " in err and "exceeds 1e-8" in err
+        assert err.count("\n") == 1 and "n = 500, N = 1024: ||c||_2 - 1 = " in err and "exceeds 1e-08" in err
         assert not out.exists()
 
     def test_bad_preset_is_config_error(self):
@@ -589,7 +589,7 @@ class TestConfigAndErrors:
         # |alpha|^2 = 32 exceeds N = 31: no column of D(alpha) fits
         assert run(["verify", "--preset", "1", "--N", "31", "--out", str(tmp_path / "x")]) == EXIT_GUARD
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "|alpha|^2 = 32 exceeds N = 31" in err and "mean photon number" in err
+        assert err.count("\n") == 1 and "|alpha|^2 = 32 exceeds 31: " in err and "mean photon number" in err
 
     def test_squeeze_near_cancellation_runs(self, tmp_path):
         # S = cosh r - sinh r ~ 7e-5 here: F2 + conj(F2) = 2/F4^2 holds only relatively

@@ -200,7 +200,7 @@ class TestNumericMoments:
     def test_nan_coefficient_is_a_leakage_refusal(self):
         # its leakage is NaN, which a "> limit" test lets through to the variances
         state = FockState(np.array([np.nan, 0.0, 0.0]))
-        with pytest.raises(GuardViolation, match="^truncation leakage nan too large"):
+        with pytest.raises(GuardViolation, match=r"^\|truncation leakage\| = nan exceeds 1e-10: too large"):
             moments_numeric(state, 0.0)
 
 

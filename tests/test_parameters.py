@@ -235,5 +235,5 @@ class TestEvolutionFactors:
         # is 6.1e-17, the float value of cos(pi/2): only rounding is left
         sf = structure_factors(make_squeeze(40.0, 0.0))
         with pytest.raises(DegenerateEvolutionError, match=r"\|B\| = 6.1\de-17 at t = 1.5707963267948966 is "
-                                                            r"within the rounding of cos t and sin t"):
+                                                            r"below 1e-14, within the rounding of cos t and sin t"):
             evolution_factors(sf, make_displacement(0.0, 0.0), math.pi / 2)

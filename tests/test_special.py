@@ -161,6 +161,18 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             QuadratureSpec(-1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("points, message", [
+        (2.5, "^quadrature needs an integer points, got 2.5$"),
+        (True, "^quadrature needs an integer points, got True$"),
+        (1, "^quadrature needs points >= 2, got 1$"),
+    ])
+    def test_points_must_be_an_integer(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            QuadratureSpec(0.0, 1.0, points)
+
+    def test_numpy_integer_points(self):
+        assert QuadratureSpec(0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
+
     @pytest.mark.parametrize(
         "lower, upper", [(-math.inf, 40.0), (-40.0, math.nan), (-(10**400), 40)], ids=["-inf", "nan", "-10**400"]
     )
@@ -192,15 +204,23 @@ def test_negative_order_rejected(build):
 @pytest.mark.parametrize("build", [normalized_hermite, oscillator_eigenfunctions])
 def test_recurrence_cost_refused_before_the_table(build):
     # a (10**15 + 1) x 1 eigenfunction table would be 7.11 PiB
-    message = f"Hermite recurrence to n = {10**15} on 1 samples exceeds the cost bound n (samples + 500) <= 1e8"
+    message = f"Hermite recurrence to n = {10**15} on 1 samples: cost n (samples + 500) = 5.01e+17 exceeds 1e+08"
     with pytest.raises(GuardViolation, match=f"^{re.escape(message)}$"):
         build(10**15, [0.0])
+
+
+@pytest.mark.parametrize("build", [normalized_hermite, oscillator_eigenfunctions, hermite])
+def test_recurrence_cost_past_the_float_range_is_a_guard(build):
+    # n (samples + 500) is an int that float() cannot hold
+    with pytest.raises(GuardViolation, match=r"cost n \(samples \+ 500\) = 5.010e\+402 exceeds 1e\+08$"):
+        build(10**400, [0.0])
 
 
 def test_hermite_cost_refused_at_once():
     # the unguarded recurrence ran 2.7 s here and overflowed with warnings
     began = time.perf_counter()
-    with pytest.raises(GuardViolation, match=r"^Hermite recurrence to n = 1000000 on 2 samples exceeds"):
+    message = "Hermite recurrence to n = 1000000 on 2 samples: cost n (samples + 500) = 5.02e+08 exceeds 1e+08"
+    with pytest.raises(GuardViolation, match=f"^{re.escape(message)}$"):
         hermite(10**6, np.zeros(2))
     assert time.perf_counter() - began < 0.1
 

@@ -276,6 +276,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, 10, 0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("nx, nt, message", [
+        (5.5, 3, "^grid needs an integer nx, got 5.5$"),
+        (5, 2.0, "^grid needs an integer nt, got 2.0$"),
+        (5, True, "^grid needs an integer nt, got True$"),
+        (np.int64(1), 3, "^grid needs nx >= 2, got 1$"),
+        (5, -1, "^grid needs nt >= 1, got -1$"),
+    ])
+    def test_sample_count_must_be_an_integer(self, nx, nt, message):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(-1.0, 1.0, nx, 0.0, 1.0, nt)
+
+    def test_numpy_integer_sample_counts(self):
+        grid = GridSpec(-1.0, 1.0, np.int64(3), 0.0, 1.0, np.int32(2))
+        assert grid.x_values().tolist() == [-1.0, 0.0, 1.0] and grid.t_values().tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("bounds", [(math.nan, 1.0, 0.0, 1.0), (-1.0, math.inf, 0.0, 1.0),
                                         (-1.0, 1.0, -math.inf, 1.0), (-1.0, 1.0, math.nan, math.nan)])
     def test_non_finite_bound(self, bounds):
