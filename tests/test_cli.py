@@ -643,6 +643,12 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and reason in captured.err
 
+    def test_state_past_the_float_range_is_the_cost_guard(self, capsys):
+        assert run(["state", "--n", str(10**400), "--nx", "3", "--out", "-"]) == EXIT_GUARD
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.endswith("exceeds 1e+08\n")
+
     def test_stdout_output(self, capsys):
         assert run(["uncertainty", "--nt", "3"]) == EXIT_OK
         captured = capsys.readouterr()

@@ -490,7 +490,8 @@ class TestSqueezeBch:
 def dense_rotated_power(factors, theta):
     """The dense factor route: np.dot of the long-double factors, the
     float64 squarings, then the complex128 phases of the float theta."""
-    left, right, halvings = factors
+    left, right = factors[:2]
+    halvings = factors[2] if len(factors) == 3 else 0  # D's (left, right, h); S's (left, right)
     mat = np.dot(left, right).astype(float)
     for _ in range(halvings):
         mat = mat @ mat
@@ -621,13 +622,13 @@ COLUMN_KEYS = [(n, figure_spec(i).disp.alpha, figure_spec(i).sq, 256) for i in (
 
 
 class TestFactorPairs:
-    """Each factor builder returns (left, right, h); D's right factor is its
-    left one reflected, equal to a second series at -b."""
+    """D's factor builder returns (left, right, h) and S's (left, right); D's
+    right factor is its left one reflected, equal to a second series at -b."""
 
     def test_shape_fields(self):
         assert fock._displacement_factors(0.5, 8)[2] == 0
         assert fock._displacement_factors(2.7, 16)[2] == 2
-        assert fock._squeeze_factors(0.3, 8)[2] == 0
+        assert len(fock._squeeze_factors(0.3, 8)) == 2
 
     @pytest.mark.parametrize("N", [1, 2, 17, 256])
     @pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.0])
@@ -647,10 +648,20 @@ class TestFactorPairs:
 
     @pytest.mark.parametrize("n, alpha, sq, N", COLUMN_KEYS)
     def test_column_matches_two_series_factors(self, n, alpha, sq, N):
-        coeffs = number_state(n, N).coeffs.astype(np.clongdouble)
-        coeffs = fock._rotated_apply(fock._squeeze_factors(sq.r, N), sq.phi / 2, coeffs)
+        # S's stage is column n of S's one product; D's is the two-series factor pair
+        coeffs = squeeze_bch(sq, N).matrix[:, n].astype(np.clongdouble)
         coeffs = fock._rotated_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
         assert_same_bits(fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, coeffs.astype(complex))
+
+    def test_column_leaves_its_squeeze_build_cached(self):
+        # the column builds S through squeeze_bch under the caller's own (sq, N) key
+        sq = make_squeeze(0.45, -0.8)
+        squeeze_bch.cache_clear()
+        fock.displaced_squeezed_number.cache_clear()
+        fock.displaced_squeezed_number(3, 1.0 - 0.5j, sq, 64)
+        hits = squeeze_bch.cache_info().hits
+        squeeze_bch(sq, 64)
+        assert squeeze_bch.cache_info().hits == hits + 1
 
 
 class TestDisplacedNumberCoeffs:
@@ -825,9 +836,10 @@ class TestSeriesContract:
         lambda n, N: squeezed_number_coeffs(n, make_squeeze(0.5, 0.4), N),
         lambda n, N: squeezelab.displaced_squeezed_number(n, 1.0 - 0.5j, make_squeeze(0.5, 0.4), N),
     ], ids=["number_state", "D", "S", "DS"])
-    @pytest.mark.parametrize("n", [1.5, True], ids=["1.5", "True"])
+    @pytest.mark.parametrize("n", [1.5, True, "1", None], ids=["1.5", "True", "str", "None"])
     def test_n_that_is_not_an_integer_is_value_error(self, call, n):
-        # numpy would read True as a mask and set every coefficient to 1
+        # numpy would read True as a mask and set every coefficient to 1; a str or None
+        # met the range test's comparison first, a bare TypeError
         with pytest.raises(ValueError, match=f"^quantum number n must be an integer, got {n!r}$"):
             call(n, 64)
 
@@ -928,6 +940,12 @@ class TestColumnNormGuard:
         spec = StateSpec(500, make_displacement(6 * math.sqrt(2), 8 * math.sqrt(2)), make_squeeze(0.5, 0.0))
         with pytest.raises(GuardViolation, match=r"n = 500, N = 1024: \|\|c\|\|_2 - 1 = \S+ exceeds 1e-08"):
             squeezelab.compare_formalisms(spec, 0.0, truncation=1024)
+
+    @pytest.mark.parametrize("n, r", [(100, 1.0), (110, 1.0), (150, 0.7), (210, 0.3)])
+    def test_trailing_squeeze_columns_are_refused(self, n, r):
+        # column n of S's product is far past norm 1 here (its rounding grows down the columns)
+        with pytest.raises(GuardViolation, match=rf"n = {n}, N = 256: \|\|c\|\|_2 - 1 = \S+ exceeds 1e-08"):
+            fock.displaced_squeezed_number(n, 0.5, make_squeeze(r, 0.0), 256)
 
     @pytest.mark.parametrize("index", [1, 2, 3, 4])
     def test_presets_keep_their_margin(self, index):

@@ -257,6 +257,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="quantum number n must be an integer"):
             spec(n=n)
 
+    @pytest.mark.parametrize("build", [
+        lambda sp: psi_squeezed_number(sp, [0.0]),
+        lambda sp: psi_squeezed_number_evolved(sp, [0.0], 0.5),
+        lambda sp: psi_displaced_number_evolved(sp.n, sp.disp, [0.0], 0.5),
+        lambda sp: density(sp, [0.0], 0.5),
+    ], ids=["psi_squeezed_number", "psi_squeezed_number_evolved", "psi_displaced_number_evolved", "density"])
+    def test_n_past_the_float_range_is_the_hermite_cost_guard(self, build):
+        # n meets a power or a float only after normalized_hermite's cost guard has run
+        with pytest.raises(GuardViolation, match=r"cost n \(samples \+ 500\) = 5.010e\+402 exceeds 1e\+08$"):
+            build(spec(n=10**400, x0=0.3, p0=0.2, r=0.3, phi=0.1))
+
     def test_numpy_integer_quantum_number(self):
         sp, plain = spec(n=np.int64(2), x0=1.0, r=LN2), spec(n=2, x0=1.0, r=LN2)
         assert np.array_equal(density(sp, XS, 0.4), density(plain, XS, 0.4))
