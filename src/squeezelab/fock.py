@@ -50,10 +50,13 @@ workload asks for the same key again, and returns read-only arrays.
 `verify` asks for each D(alpha) S(z)|n> column at three times in a row
 and synthesizes every report through one eigenfunction table, and the
 benchmark's sweep builds each D and S once per state, all at one N; a
-second entry would save no build on either and costs memory.  The D
-basis keeps only the rows D's block reads.  The oracle's tree bases hold
-one entry per block size, at most three: the sweep asks for 257, 129 and
-128 on every state.
+second entry would save no build on either and costs memory.  S is
+cached once, as its real product at (r, N) (_squeeze_matrix): phi enters
+only through the 0.24 ms rotation R(phi/2), so `verify`'s four presets,
+all at r = ln 2, form one product, and squeeze_bch and S's factors keep
+nothing of their own.  The D basis keeps only the rows D's block reads.
+The oracle's tree bases hold one entry per block size, at most three:
+the sweep asks for 257, 129 and 128 on every state.
 
 The factor series refuse a long double narrower than x87 extended
 precision (np.finfo(np.longdouble).nmant < 63): the products cancel past
@@ -70,7 +73,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GuardViolation, guard
-from .parameters import SqueezeParam, check_quantum_number, cosh_sinh, finite_time
+from .parameters import SqueezeParam, _finite, check_quantum_number, cosh_sinh, finite_time
 from .special import oscillator_eigenfunctions
 
 __all__ = [
@@ -377,12 +380,10 @@ def _displacement_factors(magnitude: float, truncation: int):
     return _read_only(left), _read_only(right.T), halvings
 
 
-@lru_cache(maxsize=1, typed=True)
 def _squeeze_factors(r: float, truncation: int):
-    """Real (left, right) with S(r) = left @ right: one product at every r, formed by squeeze_bch alone.
+    """Real (left, right) with S(r) = left @ right: one product at every r, formed by _squeeze_matrix alone.
 
-    Cached for `verify`, whose four presets all ask for r = ln 2.  Entry
-    (i, k) sums the same terms at every N; at N = 256 it matches
+    Entry (i, k) sums the same terms at every N; at N = 256 it matches
     squeezed_number_coeffs to 8.4e-17 on columns n <= 16, rows < 64, even at
     r = 3.5, so sinh^2 r <= N guards truncation only.  Squaring S(r/2), as D
     doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
@@ -397,6 +398,12 @@ def _squeeze_factors(r: float, truncation: int):
     left = _exp_ladder_series(d, 2, truncation, 1)
     right = _exp_ladder_series(-d, 2, truncation, mid).T
     return _read_only(left), _read_only(right)
+
+
+@lru_cache(maxsize=1, typed=True)
+def _squeeze_matrix(r: float, truncation: int) -> np.ndarray:
+    """S(r)'s one product, real and read-only: cached for `verify`, whose four presets all ask for r = ln 2."""
+    return _read_only(_triangular_product(*_squeeze_factors(r, truncation)).astype(float))
 
 
 # A column of the basis recurrence is scaled down by 2^-400 once an entry
@@ -563,10 +570,12 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     [P_N D(b) P_N]^(2^h), the operator the column displaced_squeezed_number
     applies through the normal-ordered factors
     e^{-|b|^2/2} exp(b a_dag) exp(-b a), whose product is P_N D(b) P_N
-    exactly.  It refuses |alpha|^2 > N, as the column does, and alpha = 0
-    gives the exact identity.  Cached: the matrix is read-only and shared.
+    exactly.  It refuses an alpha with a part that is not finite
+    (parameters._finite) and |alpha|^2 > N, as the column does, and
+    alpha = 0 gives the exact identity.  Cached: the matrix is read-only
+    and shared.
     """
-    alpha = complex(alpha)
+    alpha = complex(*_finite("displacement alpha", alpha.real, alpha.imag))
     b, halvings = _displacement_step(abs(alpha), truncation)
     if b == 0.0:
         return FockOperator(_read_only(np.eye(truncation + 1, dtype=complex)))
@@ -576,7 +585,6 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     return FockOperator(_rotated(mat, cmath.phase(alpha)))
 
 
-@lru_cache(maxsize=1, typed=True)
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     """Squeeze operator from its normal-ordered factorization.
 
@@ -586,9 +594,9 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     by phi/2; its factors refuse sinh^2 r > N.  Only left @ right cancels
     (its factor entries reach 1.5e11 on the right and 3e32 on the left at
     r = 1.2, 1.5e37 at r = 3), so only it is formed in long double, as the
-    triangular product, bit-identical to the dense one.  Cached: the matrix
-    is read-only and shared, also with displaced_squeezed_number, which
-    takes its column n.
+    triangular product, bit-identical to the dense one, and cached at
+    (r, N) alone by _squeeze_matrix; each call rotates it anew into a
+    read-only matrix, whose column n displaced_squeezed_number takes.
 
     Only the leading columns hold.  Rounding in the long-double factor
     product grows down the columns until the matrix is far from unitary:
@@ -598,7 +606,7 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
     is the oracle's truncation; an N / 4 block just reads more columns.
     """
-    return FockOperator(_rotated(_triangular_product(*_squeeze_factors(sq.r, truncation)).astype(float), sq.phi / 2))
+    return FockOperator(_rotated(_squeeze_matrix(sq.r, truncation), sq.phi / 2))
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -606,19 +614,19 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     """D(alpha) S(z)|n>: column n of squeeze_bch, with displacement_bch's
     normal-ordered factors applied to it, never multiplied into a matrix.
 
-    D's guard runs first, then S's through squeeze_bch, then n's checks,
-    before n indexes the column; the column's mean photon number
-    |alpha|^2 + (n + 1/2) cosh 2r - 1/2 exceeds N under either guard.  S
-    is squeeze_bch's own product, O(N^3 / 12) and shared with it through
-    its cache, so S is formed once; D is 2^h < 2 sqrt(N) pairs of
-    matrix-vector products, O(2^h N^2) instead of O(h N^3).  Cached: the
-    coefficients are read-only.
+    alpha's finiteness check and D's guard run first, then S's through
+    squeeze_bch, then n's checks, before n indexes the column; the
+    column's mean photon number |alpha|^2 + (n + 1/2) cosh 2r - 1/2
+    exceeds N under either guard.  S is squeeze_bch's own product,
+    O(N^3 / 12) and formed once per (r, N) by _squeeze_matrix's cache; D
+    is 2^h < 2 sqrt(N) pairs of matrix-vector products, O(2^h N^2) instead
+    of O(h N^3).  Cached: the coefficients are read-only.
 
     The exact truncated column has norm <= 1, so ||c||_2 - 1 <= ||c - c_exact||_2
     and a column whose norm exceeds 1 by more than 1e-8 raises GuardViolation
     (at n = 500, alpha = 6+8i, r = 0.5, N = 1024 it is 3e51).
     """
-    alpha = complex(alpha)
+    alpha = complex(*_finite("displacement alpha", alpha.real, alpha.imag))
     d_factors = _displacement_factors(abs(alpha), truncation)
     s_matrix = squeeze_bch(sq, truncation).matrix  # positional: the benchmark's tracer keys builds by (sq, N)
     number_state(n, truncation)  # n's checks, before n indexes a column
@@ -668,10 +676,11 @@ def displaced_number_coeffs(n: int, alpha: complex, truncation: int) -> FockStat
           sqrt(m! n!) / ((m-n+j)! j! (n-j)!)
 
     with j running over max(0, n-m) .. n: a finite sum, so any 0 <= n <= N
-    and alpha are admitted, and the rounding-error bound is the only guard.
+    and finite alpha are admitted, and the rounding-error bound is the only
+    guard.
     """
     state = number_state(n, truncation)
-    alpha = complex(alpha)
+    alpha = complex(*_finite("displacement alpha", alpha.real, alpha.imag))
     if alpha == 0:
         return state
     a = np.clongdouble(alpha)

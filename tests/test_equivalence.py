@@ -212,9 +212,23 @@ class TestCacheRule:
             defined = [f for f in vars(module).values() if getattr(f, "__module__", None) == module.__name__]
             return [f for f in defined if hasattr(f, "cache_parameters")]
 
-        assert len(caches(fock)) == 7
+        assert sorted(f.__name__ for f in caches(fock)) == [
+            "_displacement_factors", "_eigenfunction_table", "_position_basis", "_squeeze_matrix",
+            "displaced_squeezed_number", "displacement_bch"]
         assert all(f.cache_parameters()["maxsize"] == 1 for f in caches(fock))
         assert caches(squeezelab.equivalence) == []
+
+    def test_verify_states_form_one_squeeze_product(self, monkeypatch):
+        # S's product depends on r alone, and all four presets have r = ln 2
+        products = []
+        product = fock._triangular_product
+        monkeypatch.setattr(fock, "_triangular_product", lambda *args: products.append(1) or product(*args))
+        fock._squeeze_matrix.cache_clear()
+        fock.displaced_squeezed_number.cache_clear()
+        for index in (1, 2, 3, 4):
+            for n in range(4):
+                compare_formalisms(replace(figure_spec(index), n=n), 0.0, truncation=256, tolerance=1e-8)
+        assert len(products) == 1
 
     def test_verify_builds_one_table_and_sixteen_columns(self, monkeypatch):
         tables = []

@@ -187,7 +187,7 @@ class TestMatrixExponential:
         lambda N: squeeze_generator(make_squeeze(3.0, 0.0), N),
     ], ids=["D(4+4i)", "S(ln2)", "S(1.2, phi=1)", "S(3)"])
     def test_matches_scipy_expm(self, build):
-        from scipy.linalg import expm
+        expm = pytest.importorskip("scipy.linalg").expm
 
         gen = build(256)
         out = matrix_exponential(FockOperator(gen))
@@ -197,7 +197,7 @@ class TestMatrixExponential:
     @given(drawn=sparse_generators())
     @settings(max_examples=150, deadline=None)
     def test_sparse_generators_match_dense_routes(self, drawn):
-        from scipy.linalg import expm
+        expm = pytest.importorskip("scipy.linalg").expm
 
         kind, gen = drawn
         out = matrix_exponential(FockOperator(gen))
@@ -653,15 +653,24 @@ class TestFactorPairs:
         coeffs = fock._rotated_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
         assert_same_bits(fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, coeffs.astype(complex))
 
-    def test_column_leaves_its_squeeze_build_cached(self):
-        # the column builds S through squeeze_bch under the caller's own (sq, N) key
+    def test_column_leaves_its_squeeze_build_cached(self, monkeypatch):
+        # the column builds S through squeeze_bch, whose product _squeeze_matrix keeps at (r, N)
         sq = make_squeeze(0.45, -0.8)
-        squeeze_bch.cache_clear()
+        products = []
+        product = fock._triangular_product
+        monkeypatch.setattr(fock, "_triangular_product", lambda *args: products.append(1) or product(*args))
+        fock._squeeze_matrix.cache_clear()
         fock.displaced_squeezed_number.cache_clear()
         fock.displaced_squeezed_number(3, 1.0 - 0.5j, sq, 64)
-        hits = squeeze_bch.cache_info().hits
+        assert len(products) == 1
         squeeze_bch(sq, 64)
-        assert squeeze_bch.cache_info().hits == hits + 1
+        assert len(products) == 1
+
+    def test_squeeze_builds_are_read_only_and_equal(self):
+        sq = make_squeeze(0.45, -0.8)
+        first, second = squeeze_bch(sq, 64).matrix, squeeze_bch(sq, 64).matrix
+        assert not first.flags.writeable and not second.flags.writeable
+        assert_same_bits(first, second)
 
 
 class TestDisplacedNumberCoeffs:
@@ -912,22 +921,38 @@ class TestTruncationGuards:
     @pytest.mark.parametrize(
         "build, match",
         [
-            (lambda: displacement_bch(complex("nan"), 16), r"\|alpha\|\^2 = nan"),
-            (lambda: displacement_bch(complex(1.0, float("nan")), 16), r"\|alpha\|\^2 = nan"),
+            (lambda: displacement_bch(complex("nan"), 16), r"alpha must be finite, got \(nan, 0.0\)"),
+            (lambda: displacement_bch(complex(1.0, float("nan")), 16), r"alpha must be finite, got \(1.0, nan\)"),
             (lambda: squeeze_bch(SqueezeParam(float("nan"), 0.0), 16), r"must be finite, got \(nan, 0.0\)"),
             (lambda: squeeze_bch(SqueezeParam(0.5, float("nan")), 16), r"must be finite, got \(0.5, nan\)"),
             (lambda: fock.displaced_squeezed_number(0, complex("nan"), make_squeeze(0.1, 0.0), 16),
-             r"\|alpha\|\^2 = nan"),
+             r"alpha must be finite, got \(nan, 0.0\)"),
             (lambda: fock.displaced_squeezed_number(0, 0.5, SqueezeParam(0.3, float("nan")), 16),
              r"must be finite, got \(0.3, nan\)"),
             # no SqueezeParam carries a NaN r to the S bound, but the bound refuses one
             (lambda: fock._squeeze_factors(float("nan"), 16), r"sinh\^2 r = nan exceeds 16: at r = nan"),
+            (lambda: displacement_bch(complex(0.0, -math.inf), 16), r"alpha must be finite, got \(0.0, -inf\)"),
+            (lambda: fock.displaced_squeezed_number(0, math.inf, make_squeeze(0.1, 0.0), 16),
+             r"alpha must be finite, got \(inf, 0.0\)"),
+            (lambda: displaced_number_coeffs(1, complex("nan"), 16), r"alpha must be finite, got \(nan, 0.0\)"),
+            (lambda: displaced_number_coeffs(1, complex(math.inf, 1.0), 16), r"alpha must be finite, got \(inf, 1.0\)"),
+            (lambda: displaced_number_coeffs(1, 10**400, 16), r"alpha must be finite, got a number beyond the float"),
         ],
-        ids=["D_nan", "D_nan_imag", "S_nan_r", "S_nan_phi", "column_nan_alpha", "column_nan_phi", "S_factors_nan_r"],
+        ids=["D_nan", "D_nan_imag", "S_nan_r", "S_nan_phi", "column_nan_alpha", "column_nan_phi", "S_factors_nan_r",
+             "D_inf_imag", "column_inf_alpha", "series_nan_alpha", "series_inf_alpha", "series_alpha_past_float"],
     )
     def test_nan_is_refused(self, build, match):
-        """NaN fails both bounds, and a SqueezeParam refuses a non-finite r or phi."""
+        """A non-finite alpha part is refused by parameters._finite before any arithmetic, a SqueezeParam
+        refuses a non-finite r or phi, and NaN fails S's bound."""
         with pytest.raises(ValueError, match=match):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: displacement_bch(1e200, 16),
+        lambda: fock.displaced_squeezed_number(0, complex(1e200, 1e200), make_squeeze(0.1, 0.0), 16),
+    ], ids=["D", "column"])
+    def test_finite_alpha_whose_square_overflows_is_a_mean_photon_guard(self, build):
+        with pytest.raises(GuardViolation, match=r"\|alpha\|\^2 = inf exceeds 16: every column k of D\(alpha\)"):
             build()
 
 
