@@ -5,12 +5,11 @@ matrix exponential of the anti-Hermitian generator, from a Hermitian
 eigendecomposition (the oracle), and by the constructions under test,
 plus direct coefficient expansions of D(alpha)|n> and S(z)|n>, which
 share one long-double kernel guarded by its rounding-error bound alone.
-The oracle splits the generator into the connected components of its
-graph, made real on each tree component by a diagonal phase change, and
-reuses the eigenbasis of the last tree block of each size while the new
-block, scaled to unit size, is within 4 eps of it (see
-matrix_exponential): at N = 256 about 5.5 ms for D and 3 ms for S with
-one BLAS thread.
+The oracle takes a D or S generator one chain of levels at a time (one
+chain for D, one per parity for S), made real and tridiagonal by a
+diagonal phase change, and reuses the eigenbasis of the last chain of
+each size while the new chain, scaled to unit size, is within 4 eps of it
+(see matrix_exponential); any other generator gets one dense eigh.
 
 S's matrix is the normal-ordered product of its exponential factors.
 They are triangular and parity-definite, so their long-double product
@@ -55,7 +54,7 @@ cached once, as its real product at (r, N) (_squeeze_matrix): phi enters
 only through the 0.24 ms rotation R(phi/2), so `verify`'s four presets,
 all at r = ln 2, form one product, and squeeze_bch and S's factors keep
 nothing of their own.  The D basis keeps only the rows D's block reads.
-The oracle's tree bases hold one entry per block size, at most three:
+The oracle's chain bases hold one entry per chain size, at most three:
 the sweep asks for 257, 129 and 128 on every state.
 
 The factor series refuse a long double narrower than x87 extended
@@ -186,116 +185,95 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     to rounding.  G must be skew to rounding, ||G + G^dag||_max <= 1e-12
     ||G||_max; its skew part (G - G^dag) / 2 is what gets exponentiated.
 
-    H is decomposed one connected component of its off-diagonal graph at a
-    time; entries between components are exactly 0.  A diagonal phase change
-    P makes every spanning-tree edge of P^dag H P real and positive, so a
-    component that is a tree is decomposed as the real symmetric |H|, and
-    any other component keeps its complex block.  The D generator is one
-    path and the S generator two, one per parity.
+    A chain generator, whose nonzeros all lie on the off-diagonals +-s of a
+    zero diagonal (s = 1 for D, 2 for S), goes one chain at a time: each
+    residue class mod s is a path, and a diagonal phase change makes it a
+    real symmetric tridiagonal J (see _chain_exponential).  Entries between
+    chains are exactly 0.  Any other generator gets one dense complex eigh.
+    At N = 256, with one BLAS thread and the chain bases cached, D costs
+    about 1.7 ms and S about 1.3 ms.
 
-    A tree block is decomposed as s U with s = max |block|, and the unit
-    block U reuses the cached eigenpairs (x, V) of the last unit block of
-    its size, as (s x, V), when the two differ by at most 4 eps in the max
-    row-sum norm: a positive scale keeps the eigenvectors, so after the gauge
-    every D and S generator of one N has the same unit blocks to rounding.
-    ||e^{-iA} - e^{-iB}||_2 <= ||A - B||_2 for Hermitian A and B, and a
-    symmetric matrix's row-sum norm bounds its 2-norm, so reuse moves the
-    result by at most 4 eps s (8.5e-14 at s = 96); any other block gets a
-    fresh eigh that replaces the entry.  A tree block is rebuilt as the two
-    real products (V cos w) V^T and (V sin w) V^T.  At N = 256, with one
-    BLAS thread and the bases cached, D costs about 5.5 ms and S about
-    3 ms, against 12.3 ms and 5.8 ms with a fresh real eigh per call,
-    measured side by side.
+    Nothing of the construction under test is called: the oracle works on
+    the N + 1 levels it is given, takes its vectors from LAPACK and does no
+    squaring.
     """
     m = op.matrix
-    if not np.all(np.isfinite(m)):
+    scale = float(np.max(np.abs(m)))  # inf or NaN exactly when an entry is
+    if not math.isfinite(scale):
         raise ValueError("matrix exponential of non-finite entries")
-    scale = float(np.max(np.abs(m)))
-    asymmetry = float(np.max(np.abs(m + m.conj().T)))
+    adjoint = np.ascontiguousarray(m.T).conj()  # at N = 256 a tenth of m.conj().T.copy()'s time
+    asymmetry = float(np.max(np.abs(m + adjoint)))
     guard("||G + G^dag||_max", asymmetry, 1e-12 * scale, "the generator is not anti-Hermitian to 1e-12 ||G||_max")
-    h = 0.5j * (m - m.conj().T)
-    phase, components = _gauged_components(h)
-    out = np.zeros_like(h)
-    for nodes, is_tree in components:
-        p = phase[nodes]
-        block = h[np.ix_(nodes, nodes)]
-        if is_tree:  # the gauge makes every edge |H_ji|, so the block is real
-            block = np.abs(block)
-            np.fill_diagonal(block, h[nodes, nodes].real)
-            w, v = _tree_eigh(block)
-            turn = np.empty(block.shape, dtype=complex)
-            turn.real = (v * np.cos(w)) @ v.T
-            turn.imag = (v * -np.sin(w)) @ v.T
-        else:
-            w, v = np.linalg.eigh(p.conj()[:, None] * block * p)
-            turn = (v * np.exp(-1j * w)) @ v.conj().T
-        turn *= p[:, None]
-        turn *= p.conj()
-        out[np.ix_(nodes, nodes)] = turn
-    return FockOperator(out)
+    skew = m != adjoint  # where H = (i/2)(G - G^dag) may be nonzero: a symmetric pattern
+    del adjoint  # 1 MB at N = 256, which the sweep's peak RSS would otherwise carry
+    first = int(np.argmax(skew))  # skew is symmetric, so its first True lies on or above the diagonal
+    step = first % m.shape[0] - first // m.shape[0]
+    if step > 0 and np.count_nonzero(skew) == 2 * np.count_nonzero(np.diagonal(skew, step)):
+        return FockOperator(_chain_exponential(m, step))
+    w, v = np.linalg.eigh(0.5j * (m - m.conj().T))
+    return FockOperator((v * np.exp(-1j * w)) @ v.conj().T)
 
 
-# The last unit tree block of each size, as (rows, cols, values) of its
-# nonzeros (a tree has fewer than 3 a row on average, so V is nearly all the memory),
-# with its read-only eigenpairs (x, V); at most three sizes, the sweep's
-# 257 (D) and 129 and 128 (S) at N = 256.
-_TREE_BASES = OrderedDict()
-_TREE_BASES_SIZES = 3
+# The last unit chain of each size, as its off-diagonal, with its read-only
+# eigenvalues and the even and odd rows of its eigenvectors; at most three
+# sizes, the sweep's 257 (D) and 129 and 128 (S) at N = 256.
+_CHAIN_BASES = OrderedDict()
+_CHAIN_BASES_SIZES = 3
 
 
-def _tree_eigh(block: np.ndarray):
-    """eigh of a real symmetric block as (s x, V), with (x, V) from _TREE_BASES when its unit block is within 4 eps."""
-    scale = float(np.max(np.abs(block))) or 1.0
-    unit = block / scale
-    size = unit.shape[0]
-    cached = _TREE_BASES.get(size)
+def _chain_basis(unit: np.ndarray):
+    """(x, V_even, V_odd) of the tridiagonal with zero diagonal and off-diagonal `unit`, from
+    _CHAIN_BASES when the cached unit chain of its size is within 4 eps in the max row-sum norm."""
+    size = unit.size + 1
+    cached = _CHAIN_BASES.get(size)
     if cached is not None:
-        rows, cols, values, x, v = cached
-        unit_gap = unit.copy()
-        unit_gap[rows, cols] -= values
-        if np.max(np.sum(np.abs(unit_gap), axis=1)) <= 4 * np.finfo(float).eps:
-            return scale * x, v
-    x, v = np.linalg.eigh(unit)
-    rows, cols = np.nonzero(unit)
-    _TREE_BASES.pop(size, None)
-    _TREE_BASES[size] = (rows, cols, unit[rows, cols], _read_only(x), _read_only(v))
-    while len(_TREE_BASES) > _TREE_BASES_SIZES:
-        _TREE_BASES.popitem(last=False)
-    return scale * x, v
+        gap = np.abs(unit - cached[0])  # row j sums gap[j - 1] + gap[j]; the last row's gap[-1] is no larger
+        if np.max(gap + np.append(0.0, gap[:-1]), initial=0.0) <= 4 * np.finfo(float).eps:
+            return cached[1:]
+    x, v = np.linalg.eigh(np.diag(unit, 1) + np.diag(unit, -1))
+    _CHAIN_BASES.pop(size, None)
+    _CHAIN_BASES[size] = tuple(_read_only(a) for a in (unit, x, v[0::2].copy(), v[1::2].copy()))
+    while len(_CHAIN_BASES) > _CHAIN_BASES_SIZES:
+        _CHAIN_BASES.popitem(last=False)
+    return _CHAIN_BASES[size][1:]
 
 
-def _gauged_components(h: np.ndarray):
-    """Connected components of the graph of h's off-diagonal nonzeros, and unit phases p.
+def _chain_exponential(m: np.ndarray, step: int) -> np.ndarray:
+    """exp((m - m^dag) / 2) = exp(-i H) where H = (i/2)(m - m^dag) has all its nonzeros on its off-diagonals +-step.
 
-    One breadth-first walk gives each component as (nodes, is_tree), and
-    sets p along its spanning tree so that conj(p_j) h[j, i] p_i = |h[j, i]|
-    on every tree edge.  A component is a tree when its edge count is its
-    node count - 1; then every edge is a tree edge.
+    Chain c holds levels c, c + step, ...; its edges e_j = H[c + (j+1) step,
+    c + j step].  The phases p_0 = 1, p_(j+1) = p_j e_j / |e_j|, renormalised
+    to |p| = 1 against drift along the chain (6.8e-14 of unitarity at
+    N = 256 without), make P^dag H P the real J with off-diagonal |e_j|.
+    J is s U with s = max |e_j|, and the unit chain U reuses the cached
+    eigenpairs (x, V) as (s x, V) (_chain_basis):
+    ||e^{-iA} - e^{-iB}||_2 <= ||A - B||_2 for Hermitian A and B, and a
+    symmetric matrix's row-sum norm bounds its 2-norm, so reuse moves the
+    result by at most 4 eps s (8.5e-14 at s = 96).  J is bipartite (even
+    against odd chain positions), so cos(J) links only one colour and
+    sin(J) only both: e^{-iJ} is the three products (V_e cos w) V_e^T,
+    (V_o cos w) V_o^T and (V_e sin w) V_o^T of V's colour rows.
     """
-    n = h.shape[0]
-    neighbours = [[] for _ in range(n)]
-    rows, cols = np.nonzero(h)
-    for j, i in zip(rows.tolist(), cols.tolist()):
-        if i != j:
-            neighbours[i].append(j)
-    phase = np.ones(n, dtype=complex)
-    seen = [False] * n
-    components = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        order, ends = [root], 0
-        for i in order:  # the walk appends to the list it runs over
-            ends += len(neighbours[i])
-            for j in neighbours[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    p = h[j, i] * phase[i]
-                    phase[j] = p / abs(p)  # unit to rounding: the path to j can be N edges long
-                    order.append(j)
-        components.append((np.array(order), ends // 2 == len(order) - 1))
-    return phase, components
+    out = np.zeros(m.shape, dtype=complex)
+    phase = np.empty(m.shape[0], dtype=complex)
+    edges = 0.5j * (np.diagonal(m, -step) - np.diagonal(m, step).conj())
+    for c in range(step):
+        chain = edges[c::step]
+        weight = np.abs(chain)
+        turns = np.divide(chain, weight, out=np.ones_like(chain), where=weight > 0)  # an absent edge splits J
+        p = np.cumprod(np.concatenate(([1.0], turns)))
+        phase[c::step] = p / np.abs(p)
+        scale = float(np.max(weight, initial=0.0)) or 1.0
+        x, even, odd = _chain_basis(weight / scale)
+        cos, sin = np.cos(scale * x), np.sin(scale * x)
+        out.real[c::2 * step, c::2 * step] = (even * cos) @ even.T
+        out.real[c + step::2 * step, c + step::2 * step] = (odd * cos) @ odd.T
+        cross = (even * -sin) @ odd.T
+        out.imag[c::2 * step, c + step::2 * step] = cross
+        out.imag[c + step::2 * step, c::2 * step] = cross.T
+    out *= phase[:, None]
+    out *= phase.conj()
+    return out
 
 
 # The platform's long double, which the factor series refuse when it is narrower than x87 extended precision.

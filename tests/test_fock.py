@@ -65,7 +65,7 @@ def squeeze_exact(sq, truncation):
 
 
 def dense_exponential(gen):
-    """exp(G) from one complex eigh of the whole matrix: the reference for the component split."""
+    """exp(G) from one complex eigh of the whole matrix: the reference for the chain route."""
     w, v = np.linalg.eigh(0.5j * (gen - gen.conj().T))
     return (v * np.exp(-1j * w)) @ v.conj().T
 
@@ -199,13 +199,11 @@ class TestMatrixExponential:
     def test_sparse_generators_match_dense_routes(self, drawn):
         expm = pytest.importorskip("scipy.linalg").expm
 
-        kind, gen = drawn
+        _, gen = drawn
         out = matrix_exponential(FockOperator(gen))
         assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
         assert np.max(np.abs(out.matrix - expm(gen))) <= 1e-13
         assert out.unitarity_defect() <= 1e-14
-        trees = [is_tree for _, is_tree in fock._gauged_components(0.5j * (gen - gen.conj().T))[1]]
-        assert all(trees) == (kind != "cycle")
 
     @pytest.mark.parametrize("N", [1, 2, 16, 256, 512])
     @pytest.mark.parametrize("build", [
@@ -262,14 +260,32 @@ class TestMatrixExponential:
         assert raw.unitarity_defect() == pytest.approx(3.0)
 
 
-class TestTreeBasisReuse:
-    """matrix_exponential reuses the eigenpairs of the last unit tree block of
-    each size when the new unit block is within 4 eps of it, decomposes any
-    other block afresh, and keeps at most three sizes."""
+def three_cycle_generator():
+    """Anti-Hermitian 3 x 3 generator on a triangle with complex weights: a cycle no phase change makes real."""
+    gen = np.zeros((3, 3), dtype=complex)
+    for (i, j), weight in zip([(1, 0), (2, 1), (2, 0)], [1.0 + 0.5j, -0.3 + 2.0j, 0.7j]):
+        gen[i, j] = weight
+        gen[j, i] = -np.conj(weight)
+    return gen
+
+
+def band_generator(rng, size, step):
+    """Anti-Hermitian generator with complex weights on the off-diagonals +-step and nowhere else."""
+    weights = rng.uniform(0.1, 3, size - step) * np.exp(1j * rng.uniform(-np.pi, np.pi, size - step))
+    gen = np.diag(weights, -step)
+    return gen - gen.conj().T
+
+
+class TestChainBasisReuse:
+    """matrix_exponential takes a D or S generator one chain at a time,
+    reuses the eigenpairs of the last unit chain of each size when the new
+    unit chain is within 4 eps of it, decomposes any other chain afresh,
+    keeps at most three sizes, and sends every other generator to one dense
+    eigh that leaves the chain cache alone."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(fock, "_TREE_BASES", OrderedDict())
+        monkeypatch.setattr(fock, "_CHAIN_BASES", OrderedDict())
 
     @pytest.fixture
     def eigh_sizes(self, monkeypatch):
@@ -284,39 +300,73 @@ class TestTreeBasisReuse:
 
     def test_alternating_generators_match_dense_route(self, eigh_sizes):
         N, rng = 256, np.random.default_rng(11)
-        sequence = [  # (generator, the sizes that need a fresh eigh)
-            (displacement_generator(3.0 - 1.0j, N), [257]),
-            (squeeze_generator(make_squeeze(0.9, 0.4), N), [129, 128]),
-            (displacement_generator(cmath.rect(5.9, -2.0), N), []),
-            (squeeze_generator(make_squeeze(0.05, -3.0), N), []),
-            (random_tree_generator(rng, N + 1), [257]),
-            (displacement_generator(0.3j, N), [257]),
-            (squeeze_generator(make_squeeze(1.18, 1.0), N), []),
-            (displacement_generator(-2.5, N), []),
-            (random_tree_generator(rng, N + 1), [257]),
-            (random_tree_generator(rng, N + 1), [257]),
-            (displacement_generator(1e-3, N), [257]),
+        nudged = displacement_generator(1.0 - 2.0j, N)
+        nudged[100, 99] *= 1 + 1e-12
+        nudged[99, 100] *= 1 + 1e-12
+        sequence = [  # (generator, the sizes that need a fresh eigh, whether it takes the dense route)
+            (displacement_generator(3.0 - 1.0j, N), [257], False),
+            (squeeze_generator(make_squeeze(0.9, 0.4), N), [129, 128], False),
+            (displacement_generator(cmath.rect(5.9, -2.0), N), [], False),
+            (squeeze_generator(make_squeeze(0.05, -3.0), N), [], False),
+            (random_tree_generator(rng, N + 1), [257], True),
+            (three_cycle_generator(), [3], True),
+            (displacement_generator(0.3j, N), [], False),
+            (nudged, [257], False),  # one edge 1e-12 off D's unit chain: past the 4 eps reuse rule
+            (displacement_generator(2.0, N), [257], False),
+            (squeeze_generator(make_squeeze(1.18, 1.0), N), [], False),
+            (random_tree_generator(rng, N + 1), [257], True),
+            (displacement_generator(-2.5, N), [], False),
+            (displacement_generator(1e-3, N), [], False),
         ]
-        for gen, fresh in sequence:
+        for step, (gen, fresh, dense) in enumerate(sequence):
             del eigh_sizes[:]
+            before = dict(fock._CHAIN_BASES)
             out = matrix_exponential(FockOperator(gen))
             assert eigh_sizes == fresh
+            if dense:
+                assert list(fock._CHAIN_BASES) == list(before)
+                assert all(fock._CHAIN_BASES[size] is entry for size, entry in before.items())
             bound = 1e-13 * max(1.0, np.max(np.abs(gen)) / 256)
             assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= bound
             assert out.unitarity_defect() <= 1e-14
-            assert len(fock._TREE_BASES) <= 3
+            assert sorted(fock._CHAIN_BASES) == ([257] if step == 0 else [128, 129, 257])
+
+    @pytest.mark.parametrize("size, step", [(2, 1), (7, 3), (9, 8), (40, 2), (61, 5)])
+    def test_band_generators_match_dense_route(self, size, step):
+        gen = band_generator(np.random.default_rng(size), size, step)
+        out = matrix_exponential(FockOperator(gen))
+        assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
+        assert out.unitarity_defect() <= 1e-14
+        assert sorted(fock._CHAIN_BASES) == sorted({len(range(c, size, step)) for c in range(step)})
+
+    def test_absent_edge_splits_the_chain(self):
+        gen = displacement_generator(2.0 - 1.0j, 16)
+        gen[9, 8] = gen[8, 9] = 0.0
+        out = matrix_exponential(FockOperator(gen))
+        assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
+        assert np.max(np.abs(out.matrix[:9, 9:])) == 0.0
 
     def test_at_most_three_sizes(self):
-        rng = np.random.default_rng(3)
-        for size in range(2, 10):
-            gen = random_tree_generator(rng, size)
+        for N in range(1, 9):
+            gen = displacement_generator(1.0 + 0.5j * N, N)
             assert np.max(np.abs(matrix_exponential(FockOperator(gen)).matrix - dense_exponential(gen))) <= 1e-13
-            assert list(fock._TREE_BASES) == list(range(max(2, size - 2), size + 1))
+            assert list(fock._CHAIN_BASES) == list(range(max(2, N - 1), N + 2))
 
     def test_cached_arrays_are_read_only(self):
-        matrix_exponential(FockOperator(displacement_generator(1.5, 16)))
-        (_, _, _, x, v), = fock._TREE_BASES.values()
-        assert not x.flags.writeable and not v.flags.writeable
+        matrix_exponential(FockOperator(squeeze_generator(make_squeeze(0.5, 0.2), 16)))
+        assert list(fock._CHAIN_BASES) == [9, 8]
+        for entry in fock._CHAIN_BASES.values():
+            assert not any(array.flags.writeable for array in entry)
+
+    def test_calls_nothing_of_the_construction_under_test(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the oracle called the construction it referees")
+
+        for name in ("_position_basis", "_displacement_block", "_squeeze_matrix"):
+            monkeypatch.setattr(fock, name, refuse)
+        for gen in (displacement_generator(4.0 + 4.0j, 64), squeeze_generator(make_squeeze(1.2, 1.0), 64)):
+            out = matrix_exponential(FockOperator(gen))
+            assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
 
 
 class TestDisplacementBch:
