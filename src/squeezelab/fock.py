@@ -12,14 +12,16 @@ each size while the new chain, scaled to unit size, is within 4 eps of it
 (see matrix_exponential); any other generator gets one dense eigh.
 
 S's matrix is the normal-ordered product of its exponential factors.
-They are triangular and parity-definite, so their long-double product
-forms only the terms that can be nonzero: about N^3 / 12 multiply-adds,
-bit-identical to the dense N^3 product.  D's matrix is D(b)^(2^h) with
-b = |alpha| / 2^h <= 1: D(b)'s leading N + 1 block comes from one cached
-eigenbasis of the real generator J_1 = a + a_dag on 2N + 17 levels, in
-float64, and is squared h times in float64; at N = 256 a D build takes
-1.1 to 3.3 ms.  S has one product: the column D(alpha) S(z)|n> takes
-column n of S's matrix and applies D's normal-ordered factors to it, 2^h
+S(r)^T = S(-r) = R(pi/2) S(r) R(pi/2)^dag makes the right factor the left
+one's signed transpose, so one long-double series H, triangular and
+parity-definite, gives S = H diag(sign) H^T diag(sign); the product forms
+only the terms of its upper triangle that can be nonzero, about N^3 / 24
+multiply-adds, bit-identical to the dense N^3 product.  D's matrix is
+D(b)^(2^h) with b = |alpha| / 2^h <= 1: D(b)'s leading N + 1 block comes
+from one cached eigenbasis of the real generator J_1 = a + a_dag on
+2N + 17 levels, in float64, and is squared h times in float64; at N = 256
+a D build takes 1.1 to 3.3 ms.  S has one product: the column
+D(alpha) S(z)|n> takes column n of S's matrix and applies D's normal-ordered factors to it, 2^h
 times at the same b, so its D and the matrix are the same operator
 [P_N D(b) P_N]^(2^h), and a column more than 1e-8 past norm 1 is
 refused.  The column keeps D's long-double factors for now: the
@@ -32,8 +34,8 @@ eigenfunctions.
 
 Truncation to the basis {|0>, ..., |N>} is never hidden.  One rule owns
 N: check_truncation admits an integer (not a bool) from 1 to
-MAX_TRUNCATION = 4095, the largest N whose four long-double factor
-matrices fit in 1 GiB, and number_state, ladder_matrices, D's step and
+MAX_TRUNCATION = 4095, the largest N whose column build fits in 1 GiB
+(see MAX_TRUNCATION), and number_state, ladder_matrices, D's step and
 the D and S factor builders run it before they allocate, so every entry
 point that takes N refuses the same values; the caches keyed by a
 caller's N are typed, so 16.0 or True never hits an entry that 16
@@ -133,18 +135,22 @@ class FockOperator:
 
         Truncating an operator to N + 1 levels makes this nonzero.  For
         squeeze_bch it is rounding in the long-double factor product
-        instead, and it is huge: at N = 256 it reads 3.6e8 at r = 0.3,
-        1.6e35 at r = 0.7 and 1.6e36 at r = 1, from the trailing columns,
+        instead, and it is huge: at N = 256 it reads 3.2e8 at r = 0.3,
+        9e34 at r = 0.7 and 2.6e36 at r = 1, from the trailing columns,
         while the leading columns hold.  So it is no health figure for S.
         """
         n = self.matrix.shape[0]
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(n))))
 
 
-# The largest N whose four long-double factor matrices, 64 (N+1)^2 bytes, fit in 1 GiB.
-# At this N, D's basis (_position_basis) takes 38 s on one core, 32 s of it
-# the SVD of its dense 4104 x 4103 block, and keeps 134.5 MB of rows; the
-# process peaks at 415 MB RSS while it is built.
+# The largest N for which 64 (N+1)^2 bytes fit in 1 GiB.  A column build
+# (displaced_squeezed_number) peaks at 56 (N+1)^2 bytes of arrays
+# (tracemalloc, N = 1023): D's two long-double factors (_displacement_factors,
+# cached, 32), S's one long-double series (_squeeze_factors, 16, freed once
+# S's float64 matrix is formed) and that matrix (8).  At this N, D's basis
+# (_position_basis) takes 38 s on one core, 32 s of it the SVD of its dense
+# 4104 x 4103 block, and keeps 134.5 MB of rows; the process peaks at
+# 415 MB RSS while it is built.
 MAX_TRUNCATION = math.isqrt(2**30 // 64) - 1
 
 
@@ -359,29 +365,52 @@ def _displacement_factors(magnitude: float, truncation: int):
 
 
 def _squeeze_factors(r: float, truncation: int):
-    """Real (left, right) with S(r) = left @ right: one product at every r, formed by _squeeze_matrix alone.
+    """Real (half, sign) with S(r) = half diag(sign) half^T diag(sign), formed by _squeeze_matrix alone.
 
-    Entry (i, k) sums the same terms at every N; at N = 256 it matches
-    squeezed_number_coeffs to 8.4e-17 on columns n <= 16, rows < 64, even at
-    r = 3.5, so sinh^2 r <= N guards truncation only.  Squaring S(r/2), as D
-    doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
+    half is exp(d a_dag^2) (cosh r)^{-(a_dag a + 1/2) / 2} and sign_m = (-1)^(m // 2).  S's right
+    factor exp(-d a^2) is the transpose of exp(-d a_dag^2), whose entry (m, k) is sign_m sign_k times
+    exp(d a_dag^2)'s, and the middle diagonal commutes with diag(sign), so half of it goes to each side.
+    Entry (i, k) sums the same terms at every N; at N = 300 it matches squeezed_number_coeffs to
+    6.1e-17 on columns n <= 16, rows < 64, even at r = 3.5, so sinh^2 r <= N guards truncation only.
+    Squaring S(r/2), as D doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
     """
     check_truncation(truncation)
     cosh_r, sinh_r = cosh_sinh(r, r)
     guard("sinh^2 r", sinh_r * sinh_r, truncation, f"at r = {r:g} every column of S(z) has mean photon number "
           "at least sinh^2 r, so none fits in the N + 1 levels")
-    d = 0.5 * math.tanh(r)
     m = np.arange(truncation + 1, dtype=np.longdouble)
-    mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)))
-    left = _exp_ladder_series(d, 2, truncation, 1)
-    right = _exp_ladder_series(-d, 2, truncation, mid).T
-    return _read_only(left), _read_only(right)
+    root_mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)) / 2)
+    sign = np.ones(truncation + 1)  # not (-1.0) ** (m // 2): a ufunc verify runs nowhere else adds 64 KB to its RSS
+    sign[2::4] = sign[3::4] = -1.0
+    return _read_only(_exp_ladder_series(0.5 * math.tanh(r), 2, truncation, root_mid)), sign
 
 
 @lru_cache(maxsize=1, typed=True)
 def _squeeze_matrix(r: float, truncation: int) -> np.ndarray:
-    """S(r)'s one product, real and read-only: cached for `verify`, whose four presets all ask for r = ln 2."""
-    return _read_only(_triangular_product(*_squeeze_factors(r, truncation)).astype(float))
+    """S(r) as a real read-only float64 matrix: cached for `verify`, whose four presets all ask for r = ln 2.
+
+    half links only levels of one parity and is lower-triangular on each parity sublattice, so
+    P = half diag(sign) half^T is formed there one block of rows [s, e) at a time, against every
+    column >= s, from the first e terms.  The terms it skips are exact zeros, and numpy's
+    long-double dot sums the rest term by term in increasing k from +0, so an entry is the same
+    at every N.  Term k of P[i, j] is sign_k half[i, k] half[j, k], the same bits as P[j, i]'s,
+    so each block is exactly symmetric and its transpose fills the lower triangle: about N^3 / 24
+    multiply-adds, and S[k, i] = (-1)^((i - k) / 2) S[i, k] exactly.  Each block is rounded to
+    float64 as it is stored.  Blocks of 8 rows skip more zeros than 16 and cost fewer calls into
+    numpy than 4: at N = 256, one BLAS thread, blocks of 4 / 8 / 16 / 32 rows took
+    1.8 / 1.75 / 1.86 / 2.2 ms (medians of 25 builds).
+    """
+    half, sign = _squeeze_factors(r, truncation)
+    mat = np.zeros(half.shape)
+    for p in range(2):
+        h, h_sign, out = half[p::2, p::2], sign[p::2], mat[p::2, p::2]
+        for s in range(0, h.shape[0], 8):
+            e = min(s + 8, h.shape[0])
+            block = np.dot(h[s:e, :e] * h_sign[:e], h[s:, :e].T)
+            out[s:e, s:] = block
+            out[s:, s:e] = block.T
+    mat *= sign
+    return _read_only(mat)
 
 
 # A column of the basis recurrence is scaled down by 2^-400 once an entry
@@ -491,39 +520,6 @@ def _rotated(mat: np.ndarray, theta) -> np.ndarray:
     return _read_only(out)
 
 
-# Side of the square output blocks of _triangular_product.  At N = 256
-# (median of 25 calls, one core) blocks of 8 / 16 / 32 / 64 took
-# 5.6 / 4.4 / 4.9 / 6.3 ms for S, against 34.0 ms for the dense product:
-# smaller blocks skip more zeros and make more calls into numpy.
-_BLOCK = 16
-
-
-def _triangular_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """np.dot(left, right), bit for bit, for S's long-double factors: lower-triangular
-    `left` and upper-triangular `right` whose entries vanish unless row - column is even.
-
-    numpy's long-double dot sums out[i, j] = sum_k left[i, k] right[k, j]
-    term by term in increasing k, starting from +0.  Every term with
-    k > min(i, j), or with k of the other parity, is a product of finite
-    entries and an exact zero, and adding it changes no bit of a sum that
-    starts from +0, so this skips them: it forms each _BLOCK x _BLOCK output
-    block (I, J) of each parity sublattice from its first min(end I, end J)
-    terms and leaves the entries between sublattices +0.  That is about
-    N^3 / 12 multiply-adds, against N^3.
-    """
-    out = np.zeros(left.shape, dtype=np.longdouble)
-    for p in range(2):
-        lo, ro, oo = left[p::2, p::2], right[p::2, p::2], out[p::2, p::2]
-        size = oo.shape[0]
-        for i in range(0, size, _BLOCK):
-            i_end = min(i + _BLOCK, size)
-            for j in range(0, size, _BLOCK):
-                j_end = min(j + _BLOCK, size)
-                k = min(i_end, j_end)
-                oo[i:i_end, j:j_end] = np.dot(lo[i:i_end, :k], ro[:k, j:j_end])
-    return out
-
-
 def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
     """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector, for
     D's factors (left, right, h) as _displacement_factors returns them: the column's D
@@ -569,18 +565,21 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
     with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
     (cosh r)^{-(m + 1/2)}.  One product, built at the real r and rotated
-    by phi/2; its factors refuse sinh^2 r > N.  Only left @ right cancels
-    (its factor entries reach 1.5e11 on the right and 3e32 on the left at
-    r = 1.2, 1.5e37 at r = 3), so only it is formed in long double, as the
-    triangular product, bit-identical to the dense one, and cached at
-    (r, N) alone by _squeeze_matrix; each call rotates it anew into a
-    read-only matrix, whose column n displaced_squeezed_number takes.
+    by phi/2; its factors refuse sinh^2 r > N.  The right factor is the
+    left one's signed transpose and the middle diagonal splits between
+    them, so one series gives the whole product (_squeeze_factors).  Only
+    that product cancels (the series' entries reach 1.6e11 at r = 0.3,
+    6.4e17 at r = 1 and 6.9e16 at r = 1.2), so only it is formed in long
+    double, its upper triangle from the terms that can be nonzero,
+    bit-identical to the dense product, and cached at (r, N) alone by
+    _squeeze_matrix; each call rotates it anew into a read-only matrix,
+    whose column n displaced_squeezed_number takes.
 
     Only the leading columns hold.  Rounding in the long-double factor
     product grows down the columns until the matrix is far from unitary:
     at N = 256 the first column with an entry above 1.01 in modulus is
-    205 at r = 0.3, 116 at r = 0.7 and 102 at r = 1, and
-    unitarity_defect() reads 3.6e8, 1.6e35 and 1.6e36.  No entry depends on
+    200 at r = 0.3, 116 at r = 0.7 and 102 at r = 1, and
+    unitarity_defect() reads 3.2e8, 9e34 and 2.6e36.  No entry depends on
     N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
     is the oracle's truncation; an N / 4 block just reads more columns.
     """
@@ -596,7 +595,7 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     squeeze_bch, then n's checks, before n indexes the column; the
     column's mean photon number |alpha|^2 + (n + 1/2) cosh 2r - 1/2
     exceeds N under either guard.  S is squeeze_bch's own product,
-    O(N^3 / 12) and formed once per (r, N) by _squeeze_matrix's cache; D
+    O(N^3 / 24) and formed once per (r, N) by _squeeze_matrix's cache; D
     is 2^h < 2 sqrt(N) pairs of matrix-vector products, O(2^h N^2) instead
     of O(h N^3).  Cached: the coefficients are read-only.
 

@@ -221,8 +221,8 @@ class TestCacheRule:
     def test_verify_states_form_one_squeeze_product(self, monkeypatch):
         # S's product depends on r alone, and all four presets have r = ln 2
         products = []
-        product = fock._triangular_product
-        monkeypatch.setattr(fock, "_triangular_product", lambda *args: products.append(1) or product(*args))
+        factors = fock._squeeze_factors  # one call per S product
+        monkeypatch.setattr(fock, "_squeeze_factors", lambda *args: products.append(1) or factors(*args))
         fock._squeeze_matrix.cache_clear()
         fock.displaced_squeezed_number.cache_clear()
         for index in (1, 2, 3, 4):

@@ -12,11 +12,12 @@ import subprocess
 import sys
 import time
 from collections import OrderedDict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import squeezelab
@@ -531,6 +532,23 @@ class TestSqueezeBch:
             series = squeezed_number_coeffs(n, sq, N).coeffs
             assert np.max(np.abs(matrix[:64, n] - series[:64])) <= 1e-14, n
 
+    @given(N=st.integers(1, 300), reach=st.floats(0.0, 1.0), phi=st.floats(-10.0, 10.0))
+    @settings(max_examples=30, deadline=None)
+    def test_one_series_build_properties(self, N, reach, phi):
+        # r anywhere up to the sinh^2 r <= N guard: the signed-transpose identity holds
+        # exactly, the build is the leading block of the build at 2N bit for bit, and its
+        # leading columns hold to the bound of the test above
+        r = reach * math.asinh(math.sqrt(N))
+        assume(math.sinh(r) ** 2 <= N)
+        mat = fock._squeeze_matrix(r, N)
+        assert np.array_equal(mat.T, mat * transpose_signs(N))
+        assert_same_bits(fock._squeeze_matrix(r, 2 * N)[: N + 1, : N + 1], mat)
+        sq = make_squeeze(r, phi)
+        matrix = squeeze_bch(sq, N).matrix
+        for n in range(min(N, 16) + 1):
+            series = squeezed_number_coeffs(n, sq, N).coeffs
+            assert np.max(np.abs(matrix[:64, n] - series[:64])) <= 1e-14, n
+
     def test_columns_unit_norm(self):
         op = squeeze_bch(make_squeeze(LN2, 1.1), 128)
         for n in (0, 1, 5):
@@ -538,10 +556,9 @@ class TestSqueezeBch:
 
 
 def dense_rotated_power(factors, theta):
-    """The dense factor route: np.dot of the long-double factors, the
-    float64 squarings, then the complex128 phases of the float theta."""
-    left, right = factors[:2]
-    halvings = factors[2] if len(factors) == 3 else 0  # D's (left, right, h); S's (left, right)
+    """The dense factor route for D's (left, right, h): np.dot of the long-double
+    factors, the float64 squarings, then the complex128 phases of the float theta."""
+    left, right, halvings = factors
     mat = np.dot(left, right).astype(float)
     for _ in range(halvings):
         mat = mat @ mat
@@ -578,23 +595,37 @@ BIT_TRUNCATIONS = (1, 2, 3, 16, 63, 64, 256)
 BIT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.7, 5.66 * cmath.exp(0.4j), 6.0)
 
 
-def structured_triangle(rng, size, step, lower):
-    """Random long-double triangle, zero where row - column is not a
-    multiple of step, with magnitudes over 60 decades and some exact zeros."""
-    values = rng.standard_normal((size, size)).astype(np.longdouble)
-    values *= np.longdouble(10.0) ** rng.integers(-30, 31, (size, size))
-    values[rng.random((size, size)) < 0.1] = 0.0
-    rows, cols = np.indices((size, size))
-    keep = (rows >= cols if lower else rows <= cols) & ((rows - cols) % step == 0)
-    return np.where(keep, values, np.longdouble(0.0))
+def decimal_squeeze_block(r, size):
+    """S(r)[m, n] for m, n < size: the normal-ordered series of squeezed_number_coeffs at phi = 0,
+    summed in 40-digit decimal arithmetic and rounded once to float64."""
+    out = np.zeros((size, size))
+    with localcontext() as context:
+        context.prec = 40
+        grow = Decimal(r).exp()
+        cosh, d = (grow + 1 / grow) / 2, (grow - 1 / grow) / (grow + 1 / grow) / 2
+        fact = [Decimal(math.factorial(i)) for i in range(size)]
+        for n in range(size):
+            for m in range(n % 2, size, 2):
+                total = Decimal(0)
+                for j in range(max(0, (n - m) // 2), n // 2 + 1):
+                    k = (m - n) // 2 + j
+                    total += (-d) ** j * cosh ** (2 * j) / (fact[n - 2 * j] * fact[j]) * d**k * fact[m].sqrt() / fact[k]
+                out[m, n] = float(fact[n].sqrt() / cosh**n / cosh.sqrt() * total)
+    return out
+
+
+def transpose_signs(truncation):
+    """(-1)^(i // 2 + k // 2) at (i, k): (-1)^((i - k) / 2) wherever i - k is even."""
+    sign = (-1.0) ** (np.arange(truncation + 1) // 2)
+    return np.outer(sign, sign)
 
 
 class TestTriangularProduct:
-    """S's build skips only exact-zero terms of its factor product, and the
-    factors' diagonals are written through a strided view, so S equals the
-    dense product of the fancy-indexed factors bit for bit.  D's matrix is
-    built from the eigenbasis instead, and is held to the dense product of
-    the factors the column applies, to a tolerance."""
+    """S's build skips only exact-zero terms of its one-series product
+    half diag(sign) half^T diag(sign), and the series' diagonals are written
+    through a strided view, so S equals the dense product bit for bit.  D's
+    matrix is built from the eigenbasis instead, and is held to the dense
+    product of the factors the column applies, to a tolerance."""
 
     @pytest.mark.parametrize("alpha, N", [(a, N) for N in BIT_TRUNCATIONS for a in BIT_ALPHAS if abs(a) ** 2 <= N])
     def test_displacement_matches_dense_product(self, alpha, N):
@@ -613,16 +644,26 @@ class TestTriangularProduct:
             with pytest.raises(GuardViolation, match="sinh"):
                 squeeze_bch(sq, N)
             return
-        want = dense_rotated_power(fock._squeeze_factors(sq.r, N), sq.phi / 2)
-        assert_same_bits(squeeze_bch(sq, N).matrix, want)
+        half, sign = fock._squeeze_factors(sq.r, N)
+        mat = np.dot(half * sign, half.T).astype(float) * sign  # (half diag(sign) half^T) diag(sign)
+        phase = np.exp(1j * sq.phi / 2 * np.arange(N + 1))
+        assert_same_bits(squeeze_bch(sq, N).matrix, phase[:, None] * mat * phase.conj())
 
-    @given(size=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_random_triangles(self, size, seed):
-        rng = np.random.default_rng(seed)
-        left = structured_triangle(rng, size, 2, lower=True)
-        right = structured_triangle(rng, size, 2, lower=False)
-        assert_same_bits(fock._triangular_product(left, right), np.dot(left, right))
+    @pytest.mark.parametrize("r", [0.3, LN2, 1.0, 1.2])
+    def test_leading_block_matches_decimal_sum(self, r):
+        # the 64-block at N = 256 against the series in 40 digits: the two-factor product this
+        # build replaced was 1.5e-14, 7.2e-12, 1.54e-11 and 3.3e-12 off at these r; this one
+        # reads 6.8e-15, 1.4e-12, 7.7e-12 and 5.7e-12
+        block = fock._squeeze_matrix(r, 256)[:64, :64]
+        assert np.max(np.abs(block - decimal_squeeze_block(r, 64))) <= 1.6e-11
+
+    @pytest.mark.parametrize("N", BIT_TRUNCATIONS + (700,))
+    @pytest.mark.parametrize("r", [0.0, 0.3, LN2, 1.2, 3.0])
+    def test_transpose_is_the_signed_matrix(self, r, N):
+        # S(r)^T = S(-r) = R(pi/2) S(r) R(pi/2)^dag: S[k, i] = (-1)^((i - k) / 2) S[i, k], exactly
+        if math.sinh(r) ** 2 <= N:
+            mat = fock._squeeze_matrix(r, N)
+            assert np.array_equal(mat.T, mat * transpose_signs(N))
 
     @pytest.mark.parametrize("magnitude, N", [(a, N) for N in (1, 2, 17, 512) for a in (0.0, 0.3, 1.0, 2.5, 5.9)
                                               if a * a <= N])
@@ -672,7 +713,7 @@ COLUMN_KEYS = [(n, figure_spec(i).disp.alpha, figure_spec(i).sq, 256) for i in (
 
 
 class TestFactorPairs:
-    """D's factor builder returns (left, right, h) and S's (left, right); D's
+    """D's factor builder returns (left, right, h) and S's (half, sign); D's
     right factor is its left one reflected, equal to a second series at -b."""
 
     def test_shape_fields(self):
@@ -707,8 +748,8 @@ class TestFactorPairs:
         # the column builds S through squeeze_bch, whose product _squeeze_matrix keeps at (r, N)
         sq = make_squeeze(0.45, -0.8)
         products = []
-        product = fock._triangular_product
-        monkeypatch.setattr(fock, "_triangular_product", lambda *args: products.append(1) or product(*args))
+        factors = fock._squeeze_factors  # one call per S product
+        monkeypatch.setattr(fock, "_squeeze_factors", lambda *args: products.append(1) or factors(*args))
         fock._squeeze_matrix.cache_clear()
         fock.displaced_squeezed_number.cache_clear()
         fock.displaced_squeezed_number(3, 1.0 - 0.5j, sq, 64)
