@@ -11,24 +11,28 @@ diagonal phase change, and reuses the eigenbasis of the last chain of
 each size while the new chain, scaled to unit size, is within 4 eps of it
 (see matrix_exponential); any other generator gets one dense eigh.
 
-S's matrix is the normal-ordered product of its exponential factors.
-S(r)^T = S(-r) = R(pi/2) S(r) R(pi/2)^dag makes the right factor the left
-one's signed transpose, so one long-double series H, triangular and
-parity-definite, gives S = H diag(sign) H^T diag(sign); the product forms
-only the terms of its upper triangle that can be nonzero, about N^3 / 24
-multiply-adds, bit-identical to the dense N^3 product.  D's matrix is
-D(b)^(2^h) with b = |alpha| / 2^h <= 1: D(b)'s leading N + 1 block comes
-from one cached eigenbasis of the real generator J_1 = a + a_dag on
-2N + 17 levels, in float64, and is squared h times in float64; at N = 256
-a D build takes 1.1 to 3.3 ms.  S has one product: the column
-D(alpha) S(z)|n> takes column n of S's matrix and applies D's normal-ordered factors to it, 2^h
-times at the same b, so its D and the matrix are the same operator
-[P_N D(b) P_N]^(2^h), and a column more than 1e-8 past norm 1 is
-refused.  The column keeps D's long-double factors for now: the
-benchmark's traced `verify` has no span for interpreter start-up, so a
-faster column would show there as unattributed time past that run's
-gate.  Long double stays only where terms cancel; the phase rotation
-runs in double.
+D and S share one normal-ordered factor form: for real c and step s,
+exp(c a_dag^s) diag(q^2) exp(-c a^s) = X diag(sign) X^T diag(sign) with
+one long-double series X = exp(c a_dag^s) diag(q) and sign_m =
+(-1)^(m // s) (_exp_ladder_series), since diag(sign) a^s diag(sign) =
+-a^s.  So neither operator stores a right factor.  S's matrix is that
+form at s = 2; the product forms only the terms of its upper triangle
+that can be nonzero, about N^3 / 24 multiply-adds, bit-identical to the
+dense N^3 product.  D's matrix is D(b)^(2^h) with b = |alpha| / 2^h <= 1:
+D(b)'s leading N + 1 block comes from one cached eigenbasis of the real
+generator J_1 = a + a_dag on 2N + 17 levels, in float64, and is squared h
+times in float64; at N = 256 a D build takes 1.1 to 3.3 ms.  S has one
+product: the column D(alpha) S(z)|n> takes column n of S's matrix and
+applies D's factor form (s = 1) to it, 2^h times at the same b, so its D
+and the matrix are the same operator [P_N D(b) P_N]^(2^h), and a column
+more than 1e-8 past norm 1 is refused.  The column keeps D's long-double
+factors for two measured reasons.  Every float64 D stage tried moves
+criterion 4's uncertainty product from 1.14e-13 to 3.4e-13 .. 4.1e-12
+relative to the closed form, and D's matrix in its place drops 5 (state,
+t) pairs 1.02e-12 below 1/4, past the moment guard.  And the benchmark's
+traced `verify` has no span for interpreter start-up, so a faster column
+shows there as unattributed time past that run's gate.  Long double
+stays only where terms cancel; the phase rotation runs in double.
 States are mapped back to position space through the oscillator
 eigenfunctions.
 
@@ -144,9 +148,9 @@ class FockOperator:
 
 
 # The largest N for which 64 (N+1)^2 bytes fit in 1 GiB.  A column build
-# (displaced_squeezed_number) peaks at 56 (N+1)^2 bytes of arrays
-# (tracemalloc, N = 1023): D's two long-double factors (_displacement_factors,
-# cached, 32), S's one long-double series (_squeeze_factors, 16, freed once
+# (displaced_squeezed_number) peaks at 40.3 (N+1)^2 bytes of arrays
+# (tracemalloc, N = 1023): D's one long-double series (_displacement_factors,
+# cached, 16), S's one long-double series (_squeeze_factors, 16, freed once
 # S's float64 matrix is formed) and that matrix (8).  At this N, D's basis
 # (_position_basis) takes 38 s on one core, 32 s of it the SVD of its dense
 # 4104 x 4103 block, and keeps 134.5 MB of rows; the process peaks at
@@ -286,17 +290,23 @@ def _chain_exponential(m: np.ndarray, step: int) -> np.ndarray:
 _LONG_DOUBLE = np.finfo(np.longdouble)
 
 
-def _exp_ladder_series(c: float, step: int, truncation: int, scale) -> np.ndarray:
-    """exp(c a_dag^step) @ diag(scale) for real c in extended precision, step 1 or 2.
+def _exp_ladder_series(c: float, step: int, truncation: int, scale):
+    """(X, sign): X = exp(c a_dag^step) @ diag(scale) for real c in extended precision, step 1 or 2,
+    and sign_m = (-1)^(m // step), both read-only, so that
+    exp(c a_dag^step) diag(scale^2) exp(-c a^step) = X diag(sign) X^T diag(sign).
 
-    The series terminates exactly in the truncated space (a_dag is
-    nilpotent), so entries are generated diagonal-by-diagonal from the
-    recurrence entry(k + step j, k) = entry(k + step (j-1), k) * c / j
-    * sqrt((k + step j)! / (k + step (j-1))!).  Pure multiplications keep
-    the relative error near the longdouble epsilon; the later factor
-    contraction is what needs the headroom: this refuses a long double
-    narrower than x87 extended precision (a 63-bit stored mantissa), which
-    numpy gives on x86-64 Linux and not under MSVC or on macOS arm64.
+    X^T is diag(scale) exp(c a^step), and each entry (k, k + step) of a^step
+    joins levels whose m // step differ by one, so diag(sign) a^step
+    diag(sign) = -a^step: the signs turn X^T into the right factor and
+    commute with the diagonals.  The series terminates exactly in the
+    truncated space (a_dag is nilpotent), so entries are generated
+    diagonal-by-diagonal from the recurrence entry(k + step j, k) =
+    entry(k + step (j-1), k) * c / j * sqrt((k + step j)! / (k + step (j-1))!).
+    Pure multiplications keep the relative error near the longdouble
+    epsilon; the later factor contraction is what needs the headroom: this
+    refuses a long double narrower than x87 extended precision (a 63-bit
+    stored mantissa), which numpy gives on x86-64 Linux and not under MSVC
+    or on macOS arm64.
     """
     if _LONG_DOUBLE.nmant < 63:
         raise GuardViolation(f"np.finfo(np.longdouble).nmant = {_LONG_DOUBLE.nmant} is below 63, x87 extended "
@@ -312,7 +322,10 @@ def _exp_ladder_series(c: float, step: int, truncation: int, scale) -> np.ndarra
     for j in range(1, truncation // step + 1):
         diag = diag[: n1 - step * j] * (cl / j) * roots[step * j :]
         flat[step * j * n1 :: n1 + 1] = diag  # the diagonal entry(k + step j, k)
-    return out
+    sign = np.ones(n1)  # not (-1.0) ** (m // step): a ufunc verify runs nowhere else adds 64 KB to its RSS
+    for k in range(step):
+        sign[step + k :: 2 * step] = -1.0
+    return _read_only(out), _read_only(sign)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -346,30 +359,23 @@ def _displacement_step(magnitude: float, truncation: int):
 
 @lru_cache(maxsize=1, typed=True)
 def _displacement_factors(magnitude: float, truncation: int):
-    """Real (left, right, h) with D(magnitude) = (left @ right)^(2^h), for the column.
+    """Real (left, sign, h) with D(magnitude) = (left diag(sign) left^T diag(sign))^(2^h), for the column.
 
     The raw two-factor product cancels catastrophically once |alpha| sqrt(N)
     is large, so the factors are built at b = |alpha| / 2^h <= 1 and the
-    exact D(alpha)^2 = D(2 alpha) restores |alpha|.
-
-    left is exp(b a_dag) e^{-b^2/4} and right is exp(-b a) e^{-b^2/4}, made
-    as left reflected: a copy with its odd diagonals negated, transposed, so
-    right[k, j] = (-1)^(j - k) left[j, k] bit for bit.
+    exact D(alpha)^2 = D(2 alpha) restores |alpha|.  left is exp(b a_dag)
+    e^{-b^2/4} and sign_m = (-1)^m, so diag(sign) left^T diag(sign) is the
+    right factor exp(-b a) e^{-b^2/4} (_exp_ladder_series), never stored.
     """
     b, halvings = _displacement_step(magnitude, truncation)
-    left = _exp_ladder_series(b, 1, truncation, np.exp(np.longdouble(-b**2 / 4.0)))
-    right = left.copy()
-    for j in range(1, truncation + 1, 2):  # the diagonal row - column = j
-        right.reshape(-1)[j * (truncation + 1) :: truncation + 2] *= -1
-    return _read_only(left), _read_only(right.T), halvings
+    return (*_exp_ladder_series(b, 1, truncation, np.exp(np.longdouble(-b**2 / 4.0))), halvings)
 
 
 def _squeeze_factors(r: float, truncation: int):
     """Real (half, sign) with S(r) = half diag(sign) half^T diag(sign), formed by _squeeze_matrix alone.
 
-    half is exp(d a_dag^2) (cosh r)^{-(a_dag a + 1/2) / 2} and sign_m = (-1)^(m // 2).  S's right
-    factor exp(-d a^2) is the transpose of exp(-d a_dag^2), whose entry (m, k) is sign_m sign_k times
-    exp(d a_dag^2)'s, and the middle diagonal commutes with diag(sign), so half of it goes to each side.
+    half is exp(d a_dag^2) (cosh r)^{-(a_dag a + 1/2) / 2} and sign_m = (-1)^(m // 2), the one
+    series of _exp_ladder_series at step 2, with half of the middle diagonal on each side.
     Entry (i, k) sums the same terms at every N; at N = 300 it matches squeezed_number_coeffs to
     6.1e-17 on columns n <= 16, rows < 64, even at r = 3.5, so sinh^2 r <= N guards truncation only.
     Squaring S(r/2), as D doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
@@ -380,9 +386,7 @@ def _squeeze_factors(r: float, truncation: int):
           "at least sinh^2 r, so none fits in the N + 1 levels")
     m = np.arange(truncation + 1, dtype=np.longdouble)
     root_mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)) / 2)
-    sign = np.ones(truncation + 1)  # not (-1.0) ** (m // 2): a ufunc verify runs nowhere else adds 64 KB to its RSS
-    sign[2::4] = sign[3::4] = -1.0
-    return _read_only(_exp_ladder_series(0.5 * math.tanh(r), 2, truncation, root_mid)), sign
+    return _exp_ladder_series(0.5 * math.tanh(r), 2, truncation, root_mid)
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -521,16 +525,19 @@ def _rotated(mat: np.ndarray, theta) -> np.ndarray:
 
 
 def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
-    """R(theta) (left @ right)^(2^h) R(theta)^dag applied to a clongdouble vector, for
-    D's factors (left, right, h) as _displacement_factors returns them: the column's D
-    stage (S has no factor stage; its one product is squeeze_bch's).  The factors act
-    in long double (in float64: 4.5e-9 off at the sweep pool's edge)."""
-    left, right, halvings = factors
+    """R(theta) (left diag(sign) left^T diag(sign))^(2^h) R(theta)^dag applied to a clongdouble
+    vector, for D's factors (left, sign, h) as _displacement_factors returns them: the column's
+    D stage (S has no factor stage; its one product is squeeze_bch's).  A sign flip is exact, so
+    each pass has the bits of applying the right factor diag(sign) left^T diag(sign) stored,
+    then left.  The factors act in long double: in float64 they are 4.5e-9 off at the sweep pool's
+    edge, and every float64 D stage tried moves criterion 4's uncertainty product (ROADMAP item 2)."""
+    left, sign, halvings = factors
     phase = _phases(theta, coeffs.size)
     # (re, im) as two real columns, so the real factors apply to both at once
     pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
+    sign = sign[:, None]
     for _ in range(2**halvings):
-        pair = np.dot(left, np.dot(right, pair))
+        pair = np.dot(left, sign * np.dot(left.T, sign * pair))
     return pair.view(np.clongdouble)[:, 0] * phase
 
 

@@ -409,7 +409,7 @@ class TestDisplacementBasis:
     @pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
     def test_small_truncation_matches_factor_product(self, b, N):
         # the whole block; a basis of N + 1 + 12 levels at N = 8 is 1.8e-12 off here
-        left, right, _ = fock._displacement_factors(b, N)
+        left, right, _ = displacement_factor_pair(b, N)
         want = np.dot(left, right).astype(float)
         assert np.max(np.abs(displacement_bch(b, N).matrix - want)) <= 2e-15
 
@@ -555,6 +555,12 @@ class TestSqueezeBch:
             assert FockState(op.matrix[:, n]).norm_sq == pytest.approx(1.0, abs=1e-8)
 
 
+def displacement_factor_pair(magnitude, N):
+    """D's (left, right, h), right built as diag(sign) left^T diag(sign) from the builder's (left, sign, h)."""
+    left, sign, halvings = fock._displacement_factors(magnitude, N)
+    return left, sign[:, None] * left.T * sign, halvings
+
+
 def dense_rotated_power(factors, theta):
     """The dense factor route for D's (left, right, h): np.dot of the long-double
     factors, the float64 squarings, then the complex128 phases of the float theta."""
@@ -631,7 +637,7 @@ class TestTriangularProduct:
     def test_displacement_matches_dense_product(self, alpha, N):
         # the leading N/4 block: measured worst 1.36e-14, at alpha = 1, N = 256, where the
         # long-double factor product is itself 1.33e-14 off the exact sum and the basis 6e-16
-        want = dense_rotated_power(fock._displacement_factors(abs(alpha), N), cmath.phase(alpha))
+        want = dense_rotated_power(displacement_factor_pair(abs(alpha), N), cmath.phase(alpha))
         q = max(1, N // 4)
         assert np.max(np.abs(displacement_bch(alpha, N).matrix[:q, :q] - want[:q, :q])) <= 2e-14
 
@@ -673,7 +679,7 @@ class TestTriangularProduct:
         # (past them the long-double product cancels: 2.1e-11 on the 128-block at
         # b = 1, N = 512).
         b, _ = fock._displacement_step(magnitude, N)
-        left, right, _ = fock._displacement_factors(magnitude, N)
+        left, right, _ = displacement_factor_pair(magnitude, N)
         q = min(N, 32) + 1
         assert np.max(np.abs(fock._displacement_block(b, N)[:q, :q] - np.dot(left, right)[:q, :q])) <= 2e-15
 
@@ -683,27 +689,38 @@ class TestTriangularProduct:
     def test_ladder_series_matches_loop(self, truncation, step, c, per_column, seed):
         rng = np.random.default_rng(seed)
         scale = rng.random(truncation + 1).astype(np.longdouble) if per_column else np.longdouble(rng.random())
-        assert_same_bits(fock._exp_ladder_series(c, step, truncation, scale),
+        assert_same_bits(fock._exp_ladder_series(c, step, truncation, scale)[0],
                          exp_ladder_series_loop(c, step, truncation, scale))
 
     @pytest.mark.parametrize("step", [1, 2])
     def test_ladder_series_matches_loop_at_full_size(self, step):
         mid = np.exp(-(np.arange(257, dtype=np.longdouble) + 0.5) * np.log(np.longdouble(math.cosh(1.2))))
         for scale in (np.longdouble(0.8), mid):
-            assert_same_bits(fock._exp_ladder_series(-0.45, step, 256, scale),
+            assert_same_bits(fock._exp_ladder_series(-0.45, step, 256, scale)[0],
                              exp_ladder_series_loop(-0.45, step, 256, scale))
 
 
 def two_series_displacement_factors(magnitude, N):
     """D's factors as two ladder series, at b and at -b, the reference for the
-    reflected right factor; the fields after (left, right) are the builder's."""
+    right factor diag(sign) left^T diag(sign); h is the builder's."""
     b = magnitude
     while b > 1.0:
         b /= 2.0
     scale = np.exp(np.longdouble(-b**2 / 4.0))
-    left = fock._exp_ladder_series(b, 1, N, scale)
-    right = fock._exp_ladder_series(-b, 1, N, scale).T
-    return (left, right) + fock._displacement_factors(magnitude, N)[2:]
+    left = fock._exp_ladder_series(b, 1, N, scale)[0]
+    right = fock._exp_ladder_series(-b, 1, N, scale)[0].T
+    return left, right, fock._displacement_factors(magnitude, N)[2]
+
+
+def two_series_apply(factors, theta, coeffs):
+    """R(theta) (left @ right)^(2^h) R(theta)^dag on a clongdouble vector, with right stored:
+    the reference that _rotated_apply's signed passes left @ (sign (left^T @ (sign pair))) must match."""
+    left, right, halvings = factors
+    phase = np.exp(1j * theta * np.arange(coeffs.size))
+    pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
+    for _ in range(2**halvings):
+        pair = np.dot(left, np.dot(right, pair))
+    return pair.view(np.clongdouble)[:, 0] * phase
 
 
 # D(alpha) S(z)|n> keys: the four presets at n <= 3 (verify's columns), and BIT_ALPHAS keys
@@ -713,20 +730,32 @@ COLUMN_KEYS = [(n, figure_spec(i).disp.alpha, figure_spec(i).sq, 256) for i in (
 
 
 class TestFactorPairs:
-    """D's factor builder returns (left, right, h) and S's (half, sign); D's
-    right factor is its left one reflected, equal to a second series at -b."""
+    """D's factor builder returns (left, sign, h) and S's (half, sign), one series
+    each; D's right factor diag(sign) left^T diag(sign) equals a second series at -b."""
 
     def test_shape_fields(self):
         assert fock._displacement_factors(0.5, 8)[2] == 0
         assert fock._displacement_factors(2.7, 16)[2] == 2
+        assert len(fock._displacement_factors(2.7, 16)) == 3
         assert len(fock._squeeze_factors(0.3, 8)) == 2
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 17, 256])
+    def test_signs_are_minus_one_to_the_level_over_step(self, N):
+        m = np.arange(N + 1)
+        for step, (_, sign, *_) in ((1, fock._displacement_factors(0.7, N)), (2, fock._squeeze_factors(0.3, N))):
+            assert sign.dtype == np.float64 and not sign.flags.writeable
+            assert_same_bits(sign, (-1.0) ** (m // step))
 
     @pytest.mark.parametrize("N", [1, 2, 17, 256])
     @pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.0])
     def test_reflected_right_factor_is_the_minus_b_series(self, b, N):
-        _, right, *_ = fock._displacement_factors(b, N)
-        assert_same_bits(right, two_series_displacement_factors(b, N)[1])
-        assert right.T.flags.c_contiguous  # np.dot in _rotated_apply reads it in the series' order
+        # bit for bit on the upper triangle the series fills; below it both are zeros, signed
+        # zeros here (a sign flip of +0), which np.dot's sums from +0 never pass on
+        left, sign, _ = fock._displacement_factors(b, N)
+        right, want = sign[:, None] * left.T * sign, two_series_displacement_factors(b, N)[1]
+        assert np.array_equal(right, want)
+        assert_same_bits(np.triu(right), np.triu(want))
+        assert not left.flags.writeable and left.flags.c_contiguous  # np.dot reads left.T in the series' order
 
     def test_one_series_per_displacement_build(self, monkeypatch):
         calls = []
@@ -739,9 +768,9 @@ class TestFactorPairs:
 
     @pytest.mark.parametrize("n, alpha, sq, N", COLUMN_KEYS)
     def test_column_matches_two_series_factors(self, n, alpha, sq, N):
-        # S's stage is column n of S's one product; D's is the two-series factor pair
+        # S's stage is column n of S's one product; D's is left @ (right @ pair) with the -b series stored
         coeffs = squeeze_bch(sq, N).matrix[:, n].astype(np.clongdouble)
-        coeffs = fock._rotated_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
+        coeffs = two_series_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
         assert_same_bits(fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, coeffs.astype(complex))
 
     def test_column_leaves_its_squeeze_build_cached(self, monkeypatch):

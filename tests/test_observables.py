@@ -1,5 +1,6 @@
 """Moments and uncertainty-product tests: closed form against the ladder algebra."""
 
+import itertools
 import math
 import re
 
@@ -250,6 +251,20 @@ class TestClosedVersusNumeric:
                 assert numeric.mean_p == pytest.approx(closed.mean_p, abs=1e-7)
                 assert numeric.var_x == pytest.approx(closed.var_x, abs=1e-7)
                 assert numeric.var_p == pytest.approx(closed.var_p, abs=1e-7)
+
+    def test_product_relative_precision_on_criterion_4(self):
+        # criterion 4's states and times (tests/test_acceptance.py), whose own check is 1e-7
+        # absolute: the long-double D column reads 1.14e-13 relative; float64 D stages tried
+        # in its place read 3.4e-13 (D(b) at |alpha|, no halving) to 4.1e-12 (D's matrix)
+        worst = 0.0
+        for (x0, p0), n, r, phi in itertools.product(DISPLACEMENTS[:2], (0, 1, 2), (0.0, LN2),
+                                                     (0.0, math.pi / 2, math.pi)):
+            sp = spec(n=n, x0=x0, p0=p0, r=r, phi=phi)
+            state = operator_coeffs(sp)
+            for t in (0.0, math.pi / 4, math.pi / 2, math.pi):
+                closed = moments_closed(sp, t).product
+                worst = max(worst, abs(moments_numeric(state, t).product - closed) / closed)
+        assert worst <= 5e-13
 
     @pytest.mark.parametrize("x0,p0", DISPLACEMENTS)
     def test_product_displacement_independent(self, x0, p0):
