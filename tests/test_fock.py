@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import OrderedDict
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -82,6 +83,37 @@ def random_tree_generator(rng, size):
     return gen
 
 
+def band_generator(rng, size, step):
+    """Anti-Hermitian generator with complex weights on the off-diagonals +-step and nowhere else."""
+    weights = rng.uniform(0.1, 3, size - step) * np.exp(1j * rng.uniform(-np.pi, np.pi, size - step))
+    gen = np.diag(weights, -step)
+    return gen - gen.conj().T
+
+
+def absent_edge_generator():
+    gen = displacement_generator(2.0 - 1.0j, 16)
+    gen[9, 8] = gen[8, 9] = 0.0
+    return gen
+
+
+# (build, step) of generators that take the chain route: bands of steps 1 to 5, D with an absent edge, D and S at N = 256
+CHAIN_GENERATORS = [
+    *((lambda step=step: band_generator(np.random.default_rng(40 + step), 41, step), step) for step in range(1, 6)),
+    (absent_edge_generator, 1),
+    (lambda: displacement_generator(4.0 + 4.0j, 256), 1),
+    (lambda: squeeze_generator(make_squeeze(1.2, 1.0), 256), 2),
+]
+CHAIN_IDS = [*(f"band{step}" for step in range(1, 6)), "absent_edge", "D(4+4i)", "S(1.2, phi=1)"]
+
+
+def with_hermitian_band_noise(gen, step, size):
+    """gen plus a Hermitian matrix with entries of modulus `size` where gen's off-diagonals +-step are nonzero."""
+    lower = np.diagonal(gen, -step)
+    noise = np.diag(size * np.exp(1j * np.random.default_rng(step).uniform(-np.pi, np.pi, lower.size)) * (lower != 0),
+                    -step)
+    return gen + noise + noise.conj().T
+
+
 @st.composite
 def sparse_generators(draw):
     """(kind, G): an anti-Hermitian G whose off-diagonal graph is of the drawn kind, on shuffled labels.
@@ -109,6 +141,30 @@ def sparse_generators(draw):
         gen[label[j], label[i]] = weight
         gen[label[i], label[j]] = -np.conj(weight)
     return kind, gen
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The steps of _chain_exponential's calls, the sizes of eigh's and the guard's (value, limit) pairs."""
+    calls = {"chain": [], "eigh": [], "guard": []}
+    chain_exponential, eigh, guard = fock._chain_exponential, np.linalg.eigh, fock.guard
+
+    def chained(m, step):
+        calls["chain"].append(step)
+        return chain_exponential(m, step)
+
+    def decomposed(block):
+        calls["eigh"].append(block.shape[0])
+        return eigh(block)
+
+    def guarded(what, value, limit, cause=""):
+        calls["guard"].append((value, limit))
+        return guard(what, value, limit, cause)
+
+    monkeypatch.setattr(fock, "_chain_exponential", chained)
+    monkeypatch.setattr(np.linalg, "eigh", decomposed)
+    monkeypatch.setattr(fock, "guard", guarded)
+    return calls
 
 
 class TestLadder:
@@ -234,6 +290,78 @@ class TestMatrixExponential:
         with pytest.raises(GuardViolation, match="not anti-Hermitian"):
             matrix_exponential(FockOperator(gen))
 
+    @pytest.mark.parametrize("noise", [0.0, 1e-14])
+    @pytest.mark.parametrize("build, step", CHAIN_GENERATORS, ids=CHAIN_IDS)
+    def test_chain_guard_reads_the_two_bands(self, routes, build, step, noise):
+        # every entry off the bands is exactly 0 in G and in G + G^dag, so the band maxima are the same floats
+        gen = with_hermitian_band_noise(build(), step, noise)
+        matrix_exponential(FockOperator(gen))
+        assert routes["chain"] == [step]
+        assert routes["guard"] == [(np.max(np.abs(gen + gen.conj().T)), 1e-12 * np.max(np.abs(gen)))]
+        assert (routes["guard"][0][0] > 0) == (noise > 0)
+
+    @pytest.mark.parametrize("build, step", CHAIN_GENERATORS, ids=CHAIN_IDS)
+    def test_chain_guard_refuses_hermitian_band_noise(self, build, step):
+        gen = with_hermitian_band_noise(build(), step, 1e-9)
+        value, limit = np.max(np.abs(gen + gen.conj().T)), 1e-12 * np.max(np.abs(gen))
+        with pytest.raises(GuardViolation) as refused:
+            matrix_exponential(FockOperator(gen))
+        assert str(refused.value) == (f"||G + G^dag||_max = {value:.4g} exceeds {limit:g}: "
+                                      "the generator is not anti-Hermitian to 1e-12 ||G||_max")
+
+    @pytest.mark.parametrize("where", ["diagonal", "corner", "lower band", "upper band"])
+    @pytest.mark.parametrize("build, step", CHAIN_GENERATORS, ids=CHAIN_IDS)
+    def test_nan_is_refused_on_either_route(self, routes, build, step, where):
+        gen = build()
+        gen[{"diagonal": (1, 1), "corner": (-1, 0), "lower band": (step, 0), "upper band": (0, step)}[where]] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_exponential(FockOperator(gen))
+        assert routes["guard"] == []
+
+    @pytest.mark.parametrize("extra", ["imaginary diagonal entry", "hermitian pair"])
+    @pytest.mark.parametrize("build, step", CHAIN_GENERATORS, ids=CHAIN_IDS)
+    def test_entry_off_the_bands_takes_the_dense_route(self, routes, monkeypatch, build, step, extra):
+        monkeypatch.setattr(fock, "_CHAIN_BASES", OrderedDict())
+        gen = build()
+        matrix_exponential(FockOperator(gen))  # fills the chain cache
+        before = dict(fock._CHAIN_BASES)
+        del routes["chain"][:], routes["eigh"][:]
+        if extra == "hermitian pair":  # 2e-14 of asymmetry, which the guard admits
+            gen[0, step + 1] = gen[step + 1, 0] = 1e-14
+        else:
+            gen[1, 1] = 0.25j
+        out = matrix_exponential(FockOperator(gen))
+        assert routes["chain"] == []
+        assert routes["eigh"] == [gen.shape[0]]
+        assert list(fock._CHAIN_BASES) == list(before)
+        assert all(fock._CHAIN_BASES[size] is entry for size, entry in before.items())
+        assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
+    def test_upper_band_alone_is_refused(self, routes, step):
+        gen = np.triu(band_generator(np.random.default_rng(step), 41, step))
+        with pytest.raises(GuardViolation, match="not anti-Hermitian"):
+            matrix_exponential(FockOperator(gen))
+        assert routes["guard"] == [(np.max(np.abs(gen)), 1e-12 * np.max(np.abs(gen)))]
+
+    @pytest.mark.parametrize("build", [
+        lambda: displacement_generator(4.0 + 4.0j, 256),
+        lambda: squeeze_generator(make_squeeze(1.2, 1.0), 256),
+    ], ids=["D(4+4i)", "S(1.2, phi=1)"])
+    def test_chain_route_memory_peak(self, build):
+        # with the chain bases cached, one call peaks at 1.46 (D) and 1.24 (S) times the result's bytes;
+        # the full-matrix guard it replaces peaked at 2.5 times
+        op = FockOperator(build())
+        matrix_exponential(op)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = matrix_exponential(op)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * out.matrix.nbytes
+
     def test_package_never_loads_scipy(self):
         # scipy costs ~0.5 s per process and is a test-only dependency
         code = (
@@ -270,13 +398,6 @@ def three_cycle_generator():
     return gen
 
 
-def band_generator(rng, size, step):
-    """Anti-Hermitian generator with complex weights on the off-diagonals +-step and nowhere else."""
-    weights = rng.uniform(0.1, 3, size - step) * np.exp(1j * rng.uniform(-np.pi, np.pi, size - step))
-    gen = np.diag(weights, -step)
-    return gen - gen.conj().T
-
-
 class TestChainBasisReuse:
     """matrix_exponential takes a D or S generator one chain at a time,
     reuses the eigenpairs of the last unit chain of each size when the new
@@ -288,18 +409,7 @@ class TestChainBasisReuse:
     def empty_cache(self, monkeypatch):
         monkeypatch.setattr(fock, "_CHAIN_BASES", OrderedDict())
 
-    @pytest.fixture
-    def eigh_sizes(self, monkeypatch):
-        sizes, eigh = [], np.linalg.eigh
-
-        def counted(block):
-            sizes.append(block.shape[0])
-            return eigh(block)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        return sizes
-
-    def test_alternating_generators_match_dense_route(self, eigh_sizes):
+    def test_alternating_generators_match_dense_route(self, routes):
         N, rng = 256, np.random.default_rng(11)
         nudged = displacement_generator(1.0 - 2.0j, N)
         nudged[100, 99] *= 1 + 1e-12
@@ -320,10 +430,10 @@ class TestChainBasisReuse:
             (displacement_generator(1e-3, N), [], False),
         ]
         for step, (gen, fresh, dense) in enumerate(sequence):
-            del eigh_sizes[:]
+            del routes["eigh"][:]
             before = dict(fock._CHAIN_BASES)
             out = matrix_exponential(FockOperator(gen))
-            assert eigh_sizes == fresh
+            assert routes["eigh"] == fresh
             if dense:
                 assert list(fock._CHAIN_BASES) == list(before)
                 assert all(fock._CHAIN_BASES[size] is entry for size, entry in before.items())
@@ -341,8 +451,7 @@ class TestChainBasisReuse:
         assert sorted(fock._CHAIN_BASES) == sorted({len(range(c, size, step)) for c in range(step)})
 
     def test_absent_edge_splits_the_chain(self):
-        gen = displacement_generator(2.0 - 1.0j, 16)
-        gen[9, 8] = gen[8, 9] = 0.0
+        gen = absent_edge_generator()
         out = matrix_exponential(FockOperator(gen))
         assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
         assert np.max(np.abs(out.matrix[:9, 9:])) == 0.0
