@@ -1,7 +1,8 @@
 """Cross-formalism verification.
 
-The operator route (normal-ordered displacement and squeeze factors
-applied to a number basis vector, evolved by pure phases, synthesized
+The operator route (column n of the squeeze operator's product, with
+the displacement's normal-ordered factors applied to it, by
+`fock.displaced_squeezed_number`; evolved by pure phases, synthesized
 through the oscillator eigenfunctions by `fock.synthesize`, which owns
 the eigenfunction table) and the closed-form wavefunction route must
 produce the same complex amplitudes on the x samples of DEFAULT_GRID.

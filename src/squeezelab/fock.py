@@ -24,17 +24,22 @@ dense N^3 product.  D's matrix is D(b)^(2^h) with b = |alpha| / 2^h <= 1:
 D(b)'s leading N + 1 block comes from one cached eigenbasis of the real
 generator J_1 = a + a_dag on 2N + 17 levels, in float64, and is squared h
 times in float64; at N = 256 a D build takes 1.1 to 3.3 ms.  S has one
-product: the column D(alpha) S(z)|n> takes column n of S's matrix and
-applies D's factor form (s = 1) to it, 2^h times at the same b, so its D
-and the matrix are the same operator [P_N D(b) P_N]^(2^h), and a column
-more than 1e-8 past norm 1 is refused.  The column keeps D's long-double
-factors for two measured reasons.  Every float64 D stage tried moves
-criterion 4's uncertainty product from 1.14e-13 to 3.4e-13 .. 4.1e-12
-relative to the closed form, and D's matrix in its place drops 5 (state,
-t) pairs 1.02e-12 below 1/4, past the moment guard.  And the benchmark's
-traced `verify` has no span for interpreter start-up, so a faster column
-shows there as unattributed time past that run's gate.  Long double
-stays only where terms cancel; the phase rotation runs in double.
+product, the real S(r) of _squeeze_matrix: squeeze_bch rotates all of it
+by phi/2, and the column D(alpha) S(z)|n> rotates only its column n, to
+the same bits, then applies D's factor form (s = 1) to it, 2^h times at
+the same b, so its D and the matrix are the same operator
+[P_N D(b) P_N]^(2^h), and a column more than 1e-8 past norm 1 is refused.
+No library route calls the public builders displacement_bch,
+squeeze_bch, matrix_exponential or ladder_matrices: they are what the
+tests, the benchmark and users read the constructions through.  The
+column keeps D's long-double factors for two measured reasons.  Every
+float64 D stage tried moves criterion 4's uncertainty product from
+1.14e-13 to 3.4e-13 .. 4.1e-12 relative to the closed form, and D's
+matrix in its place drops 5 (state, t) pairs 1.02e-12 below 1/4, past
+the moment guard.  And the benchmark's traced `verify` has no span for
+interpreter start-up, so a faster column shows there as unattributed
+time past that run's gate.  Long double stays only where terms cancel;
+the phase rotations run in double.
 States are mapped back to position space through the oscillator
 eigenfunctions.
 
@@ -59,11 +64,13 @@ and synthesizes every report through one eigenfunction table, and the
 benchmark's sweep builds each D and S once per state, all at one N; a
 second entry would save no build on either and costs memory.  S is
 cached once, as its real product at (r, N) (_squeeze_matrix): phi enters
-only through the 0.24 ms rotation R(phi/2), so `verify`'s four presets,
-all at r = ln 2, form one product, and squeeze_bch and S's factors keep
-nothing of their own.  The D basis keeps only the rows D's block reads.
-The oracle's chain bases hold one entry per chain size, at most three:
-the sweep asks for 257, 129 and 128 on every state.
+only through the rotation R(phi/2), of the whole matrix in squeeze_bch
+(0.24 ms at N = 256) and of one column in the column, so `verify`'s four
+presets, all at r = ln 2, form one product and one D series between
+them, and squeeze_bch and S's factors keep nothing of their own.  The D
+basis keeps only the rows D's block reads.  The oracle's chain bases
+hold one entry per chain size, at most three: the sweep asks for 257,
+129 and 128 on every state.
 
 The factor series refuse a long double narrower than x87 extended
 precision (np.finfo(np.longdouble).nmant < 63): the products cancel past
@@ -167,8 +174,8 @@ def check_truncation(N) -> None:
     bool is refused, as in check_quantum_number; a numpy integer passes.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or not 1 <= N <= MAX_TRUNCATION:
-        raise ValueError(f"truncation N must be an integer from 1 to {MAX_TRUNCATION}, the largest whose factor "
-                         f"matrices fit in 1 GiB, got {N!r}")
+        raise ValueError(f"truncation N must be an integer from 1 to {MAX_TRUNCATION}, the largest whose column "
+                         f"build fits in 1 GiB, got {N!r}")
 
 
 def number_state(n: int, truncation: int) -> FockState:
@@ -348,7 +355,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors and the
 # spectral block below are real, and every product is a real matrix
 # product.  S's factors make S's matrix, the one S product, whose column
-# n the column takes; D's factors are applied by the column alone.
+# n the column rotates; D's factors are applied by the column alone.
 
 
 def _displacement_step(magnitude: float, truncation: int):
@@ -516,8 +523,8 @@ def _displacement_block(b: float, truncation: int) -> np.ndarray:
 
 
 def _phases(theta, size: int) -> np.ndarray:
-    """Diagonal of R(theta) = diag(e^{i m theta}), m < size, in the precision of theta:
-    complex128 for the builders' float angles, long double for the series' angles."""
+    """Diagonal of R(theta) = diag(e^{i m theta}), m < size, in the precision of theta: complex128
+    for the float angles of the builders and the column, long double for the series' angles."""
     return np.exp(1j * theta * np.arange(size))
 
 
@@ -532,23 +539,6 @@ def _rotated(mat: np.ndarray, theta) -> np.ndarray:
     out = phase[:, None] * mat
     out *= phase.conj()
     return _read_only(out)
-
-
-def _rotated_apply(factors, theta, coeffs: np.ndarray) -> np.ndarray:
-    """R(theta) (left diag(sign) left^T diag(sign))^(2^h) R(theta)^dag applied to a clongdouble
-    vector, for D's factors (left, sign, h) as _displacement_factors returns them: the column's
-    D stage (S has no factor stage; its one product is squeeze_bch's).  A sign flip is exact, so
-    each pass has the bits of applying the right factor diag(sign) left^T diag(sign) stored,
-    then left.  The factors act in long double: in float64 they are 4.5e-9 off at the sweep pool's
-    edge, and every float64 D stage tried moves criterion 4's uncertainty product (ROADMAP item 2)."""
-    left, sign, halvings = factors
-    phase = _phases(theta, coeffs.size)
-    # (re, im) as two real columns, so the real factors apply to both at once
-    pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
-    sign = sign[:, None]
-    for _ in range(2**halvings):
-        pair = np.dot(left, sign * np.dot(left.T, sign * pair))
-    return pair.view(np.clongdouble)[:, 0] * phase
 
 
 @lru_cache(maxsize=1, typed=True)
@@ -589,8 +579,9 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     6.4e17 at r = 1 and 6.9e16 at r = 1.2), so only it is formed in long
     double, its upper triangle from the terms that can be nonzero,
     bit-identical to the dense product, and cached at (r, N) alone by
-    _squeeze_matrix; each call rotates it anew into a read-only matrix,
-    whose column n displaced_squeezed_number takes.
+    _squeeze_matrix; each call rotates it anew into a read-only matrix.
+    displaced_squeezed_number reads the same product and rotates only its
+    column n, which has the bits of this matrix's column n.
 
     Only the leading columns hold.  Rounding in the long-double factor
     product grows down the columns until the matrix is far from unitary:
@@ -605,26 +596,37 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
 
 @lru_cache(maxsize=1, typed=True)
 def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncation: int) -> FockState:
-    """D(alpha) S(z)|n>: column n of squeeze_bch, with displacement_bch's
-    normal-ordered factors applied to it, never multiplied into a matrix.
+    """D(alpha) S(z)|n>: column n of S's product, rotated by phi/2, with D's
+    factor form applied to it 2^h times, never multiplied into a matrix.
 
-    alpha's finiteness check and D's guard run first, then S's through
-    squeeze_bch, then n's checks, before n indexes the column; the
-    column's mean photon number |alpha|^2 + (n + 1/2) cosh 2r - 1/2
-    exceeds N under either guard.  S is squeeze_bch's own product,
-    O(N^3 / 24) and formed once per (r, N) by _squeeze_matrix's cache; D
-    is 2^h < 2 sqrt(N) pairs of matrix-vector products, O(2^h N^2) instead
-    of O(h N^3).  Cached: the coefficients are read-only.
+    alpha's finiteness check and D's guard run first (_displacement_factors),
+    then S's (_squeeze_matrix), then n's checks, before n indexes the column;
+    the column's mean photon number |alpha|^2 + (n + 1/2) cosh 2r - 1/2
+    exceeds N under either guard.  S is the real product squeeze_bch
+    rotates, O(N^3 / 24) and formed once per (r, N) by _squeeze_matrix's
+    cache; only its column n is rotated, with the bits of squeeze_bch's
+    column n.  D is 2^h < 2 sqrt(N) pairs of matrix-vector products,
+    O(2^h N^2) instead of O(h N^3), each the right factor diag(sign) left^T
+    diag(sign) then left, in long double: a sign flip is exact, and in
+    float64 the factors are 4.5e-9 off at the sweep pool's edge.  Cached:
+    the coefficients are read-only.
 
     The exact truncated column has norm <= 1, so ||c||_2 - 1 <= ||c - c_exact||_2
     and a column whose norm exceeds 1 by more than 1e-8 raises GuardViolation
     (at n = 500, alpha = 6+8i, r = 0.5, N = 1024 it is 3e51).
     """
     alpha = complex(*_finite("displacement alpha", alpha.real, alpha.imag))
-    d_factors = _displacement_factors(abs(alpha), truncation)
-    s_matrix = squeeze_bch(sq, truncation).matrix  # positional: the benchmark's tracer keys builds by (sq, N)
+    left, sign, halvings = _displacement_factors(abs(alpha), truncation)
+    s_matrix = _squeeze_matrix(sq.r, truncation)
     number_state(n, truncation)  # n's checks, before n indexes a column
-    coeffs = _rotated_apply(d_factors, cmath.phase(alpha), s_matrix[:, n].astype(np.clongdouble)).astype(complex)
+    s_phase, d_phase = _phases(sq.phi / 2, truncation + 1), _phases(cmath.phase(alpha), truncation + 1)
+    column = (s_phase * s_matrix[:, n]) * s_phase[n].conjugate()  # column n of R(phi/2) S(r) R(phi/2)^dag
+    # (re, im) as two real columns, so the real factors apply to both at once
+    pair = (column.astype(np.clongdouble) * d_phase.conj()).view(np.longdouble).reshape(-1, 2)
+    sign = sign[:, None]
+    for _ in range(2**halvings):
+        pair = np.dot(left, sign * np.dot(left.T, sign * pair))
+    coeffs = (pair.view(np.clongdouble)[:, 0] * d_phase).astype(complex)
     guard(f"D(alpha) S(z)|n> at n = {n}, N = {truncation}: ||c||_2 - 1", float(np.linalg.norm(coeffs)) - 1.0, 1e-8,
           "the exact truncated column has norm at most 1")
     return FockState(_read_only(coeffs))

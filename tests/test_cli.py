@@ -323,21 +323,21 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "squeezelab: configuration error: truncation N must be an integer from 1 to 4095, the largest whose factor "
-            f"matrices fit in 1 GiB, got {value}\n"
+            "squeezelab: configuration error: truncation N must be an integer from 1 to 4095, the largest whose column "
+            f"build fits in 1 GiB, got {value}\n"
         )
 
     @pytest.mark.parametrize("value", ["4096", "100000000000"])
     def test_truncation_above_memory_bound_is_config_error(self, capsys, value):
-        # 64 (N+1)^2 bytes of long-double factor matrices fit in 1 GiB up to N = 4095
+        # a column build's budget of 64 (N+1)^2 bytes fits in 1 GiB up to N = 4095
         began = time.perf_counter()
         assert run(["verify", "--preset", "1", "--N", value, "--out", "-"]) == EXIT_CONFIG
         assert time.perf_counter() - began < 1.0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "squeezelab: configuration error: truncation N must be an integer from 1 to 4095, the largest whose factor "
-            f"matrices fit in 1 GiB, got {value}\n"
+            "squeezelab: configuration error: truncation N must be an integer from 1 to 4095, the largest whose column "
+            f"build fits in 1 GiB, got {value}\n"
         )
 
     def test_default_truncation_is_the_library_default(self):

@@ -24,6 +24,7 @@ from squeezelab import (
     figure_spec,
     make_displacement,
     make_squeeze,
+    moments_numeric,
     oscillator_eigenfunctions,
     psi_squeezed_number,
     squeeze_bch,
@@ -159,6 +160,22 @@ class TestOperatorState:
             matrix_route(sp, truncation)
         assert str(column_error.value) == str(matrix_error.value)
 
+    def test_calls_no_referee_builder(self, monkeypatch):
+        # the mirror of the oracle's test: the construction under test reads only the private
+        # products, never the public builders the tests hold it to
+        def refuse(*args):
+            raise AssertionError("the construction route called a referee builder")
+
+        for name in ("squeeze_bch", "displacement_bch", "matrix_exponential", "ladder_matrices", "_rotated"):
+            monkeypatch.setattr(fock, name, refuse)
+        fock.displaced_squeezed_number.cache_clear()
+        for index in (1, 2, 3, 4):
+            for n in range(4):
+                sp = replace(figure_spec(index), n=n)
+                for t in (0.0, math.pi / 4):
+                    assert compare_formalisms(sp, t, truncation=256, tolerance=1e-7).passed
+                    moments_numeric(operator_state(sp, 256), t)
+
 
 SWEEP_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "sweep_pool.json")
 
@@ -246,10 +263,15 @@ class TestCacheRule:
         monkeypatch.setattr(squeezelab.equivalence, "synthesize", counted_synthesize)
         fock._eigenfunction_table.cache_clear()
         fock.displaced_squeezed_number.cache_clear()
+        fock._squeeze_matrix.cache_clear()
+        fock._displacement_factors.cache_clear()
         assert main(["verify", "--preset", "all", "--out", os.devnull]) == EXIT_OK
         assert syntheses == [256] * 48  # 4 presets x 4 orders x 3 times
         assert tables == [256]  # all 48 on one (N, grid)
         assert fock.displaced_squeezed_number.cache_info().misses == 16  # 4 presets x 4 orders
+        # the 16 columns read one S product (r = ln 2) and one D series (|alpha| = 4 sqrt(2))
+        assert fock._squeeze_matrix.cache_info().misses == 1
+        assert fock._displacement_factors.cache_info().misses == 1
         table = fock._eigenfunction_table(256, DEFAULT_GRID.x_values().tobytes())
         assert not table.flags.writeable
 

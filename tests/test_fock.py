@@ -823,7 +823,7 @@ def two_series_displacement_factors(magnitude, N):
 
 def two_series_apply(factors, theta, coeffs):
     """R(theta) (left @ right)^(2^h) R(theta)^dag on a clongdouble vector, with right stored:
-    the reference that _rotated_apply's signed passes left @ (sign (left^T @ (sign pair))) must match."""
+    the reference that the column's signed passes left @ (sign (left^T @ (sign pair))) must match."""
     left, right, halvings = factors
     phase = np.exp(1j * theta * np.arange(coeffs.size))
     pair = (coeffs * phase.conj()).view(np.longdouble).reshape(-1, 2)
@@ -877,13 +877,14 @@ class TestFactorPairs:
 
     @pytest.mark.parametrize("n, alpha, sq, N", COLUMN_KEYS)
     def test_column_matches_two_series_factors(self, n, alpha, sq, N):
-        # S's stage is column n of S's one product; D's is left @ (right @ pair) with the -b series stored
+        # S's stage is column n of S's one product, rotated with squeeze_bch's bits; D's is
+        # left @ (right @ pair) with the -b series stored
         coeffs = squeeze_bch(sq, N).matrix[:, n].astype(np.clongdouble)
         coeffs = two_series_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
         assert_same_bits(fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, coeffs.astype(complex))
 
     def test_column_leaves_its_squeeze_build_cached(self, monkeypatch):
-        # the column builds S through squeeze_bch, whose product _squeeze_matrix keeps at (r, N)
+        # the column reads S's product from _squeeze_matrix, which keeps it at (r, N) for squeeze_bch too
         sq = make_squeeze(0.45, -0.8)
         products = []
         factors = fock._squeeze_factors  # one call per S product
@@ -1109,7 +1110,7 @@ class TestTruncationOwner:
         call = TRUNCATION_ENTRY_POINTS[entry]
         if after_int:
             call(16)  # a cache keyed by N == 16 or True == 1 must not answer for a refused N
-        message = ("truncation N must be an integer from 1 to 4095, the largest whose factor matrices fit in 1 GiB, "
+        message = ("truncation N must be an integer from 1 to 4095, the largest whose column build fits in 1 GiB, "
                    f"got {N!r}")
         began = time.perf_counter()
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
