@@ -414,7 +414,3 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"squeezelab: numerical error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import errno
+import gc
 import hashlib
 import inspect
 import io
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squeezelab
+import squeezelab.__main__ as entry
 from squeezelab import (
     GridSpec,
     StateSpec,
@@ -1072,3 +1074,40 @@ class TestEmitterAgainstReference:
         surface = rng.choice([0.0, -0.0, 1.0, 5e-324, *rng.standard_normal(50)], size=(nt, nx))
         columns = [np.linspace(0.0, 2.0 * math.pi, nt)[:, None], np.linspace(-16.0, 16.0, nx), surface]
         assert emitted_table(fmt, ["t", "x", "rho"], columns) == reference_table(fmt, ["t", "x", "rho"], columns)
+
+
+# One command line for each kind of exit; --out is appended in a temporary directory.
+EXIT_CASES = [
+    (["state", "--nx", "3"], EXIT_OK),
+    (["verify", "--preset", "9"], EXIT_CONFIG),
+    (["state", "--x0", "1e308", "--nx", "3"], EXIT_GUARD),
+    (["verify", "--preset", "1", "--N", "32"], EXIT_VERIFY),
+]
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, expected", EXIT_CASES)
+    def test_run_returns_main_code_and_freezes_once_after_main(self, tmp_path, monkeypatch, argv, expected):
+        events = []
+
+        def traced_main():
+            code = main()
+            events.append("main")
+            return code
+
+        monkeypatch.setattr(sys, "argv", ["squeezelab", *argv, "--out", str(tmp_path / "out")])
+        monkeypatch.setattr(entry, "main", traced_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        assert entry.run() == expected
+        assert events == ["main", "freeze"]
+
+    @pytest.mark.parametrize("argv, expected", EXIT_CASES)
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path, argv, expected):
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        assert main([*argv, "--out", str(tmp_path / "out")]) == expected
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_console_script_is_the_process_entry(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            assert '\n[project.scripts]\nsqueezelab = "squeezelab.__main__:run"\n\n' in fh.read()
