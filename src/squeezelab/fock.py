@@ -22,8 +22,9 @@ form at s = 2; the product forms only the terms of its upper triangle
 that can be nonzero, about N^3 / 24 multiply-adds, bit-identical to the
 dense N^3 product.  D's matrix is D(b)^(2^h) with b = |alpha| / 2^h <= 1:
 D(b)'s leading N + 1 block comes from one cached eigenbasis of the real
-generator J_1 = a + a_dag on 2N + 17 levels, in float64, and is squared h
-times in float64; at N = 256 a D build takes 1.1 to 3.3 ms.  S has one
+generator J_1 = a + a_dag on 2N + 17 levels, in float64, as its three
+parity blocks, which are squared h times in float64 and assembled once;
+at N = 256 a D build takes 0.86 to 2.2 ms (h = 0 to 3).  S has one
 product, the real S(r) of _squeeze_matrix: squeeze_bch rotates all of it
 by phi/2, and the column D(alpha) S(z)|n> rotates only its column n, to
 the same bits, then applies D's factor form (s = 1) to it, 2^h times at
@@ -214,9 +215,9 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     G + G^dag is exactly 0, so max |G| and max |G + G^dag| are the same
     floats as over the whole matrix.  Any other generator gets the guard
     over the whole matrix and one dense complex eigh.  At N = 256, with one
-    BLAS thread and the chain bases cached, D costs about 1.3 ms and S
-    about 0.7 ms (medians over the benchmark's sweep pool; 2.3 and 1.7 ms
-    on the same machine with the guard over the whole matrix).
+    BLAS thread and the chain bases cached, D costs about 0.9 ms and S
+    about 0.7 ms (medians over the benchmark's sweep pool), against 1.2 to
+    1.9 and 0.75 to 1.2 ms with the whole eigenbasis of each chain.
 
     Nothing of the construction under test is called: the oracle works on
     the N + 1 levels it is given, takes its vectors from LAPACK and does no
@@ -242,22 +243,35 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
 
 
 # The last unit chain of each size, as its off-diagonal, with its read-only
-# eigenvalues and the even and odd rows of its eigenvectors; at most three
-# sizes, the sweep's 257 (D) and 129 and 128 (S) at N = 256.
+# eigenvalues x >= 0 and the even and odd rows of their weighted eigenvectors
+# (_chain_basis); at most three sizes, the sweep's 257 (D) and 129 and 128
+# (S) at N = 256.
 _CHAIN_BASES = OrderedDict()
 _CHAIN_BASES_SIZES = 3
 
 
 def _chain_basis(unit: np.ndarray):
     """(x, V_even, V_odd) of the tridiagonal with zero diagonal and off-diagonal `unit`, from
-    _CHAIN_BASES when the cached unit chain of its size is within 4 eps in the max row-sum norm."""
+    _CHAIN_BASES when the cached unit chain of its size is within 4 eps in the max row-sum norm.
+
+    The chain is bipartite, so its spectrum is symmetric: (v_e, v_o) at x
+    is (v_e, -v_o) at -x.  Only x >= 0 is kept, each x > 0 weighted sqrt(2)
+    for its mirror, and the zero modes, one per odd-length path between
+    absent edges (counted from `unit`, since eigh's zeros are only zero to
+    rounding), weighted 1 at x = 0 exactly.
+    """
     size = unit.size + 1
     cached = _CHAIN_BASES.get(size)
     if cached is not None:
         gap = np.abs(unit - cached[0])  # row j sums gap[j - 1] + gap[j]; the last row's gap[-1] is no larger
         if np.max(gap + np.append(0.0, gap[:-1]), initial=0.0) <= 4 * np.finfo(float).eps:
             return cached[1:]
+    zeros = np.count_nonzero(np.diff(np.concatenate(([-1], np.flatnonzero(unit == 0), [size - 1]))) % 2)
     x, v = np.linalg.eigh(np.diag(unit, 1) + np.diag(unit, -1))
+    negative = (size - zeros) // 2  # eigh's x ascend
+    x, v = x[negative:], v[:, negative:]
+    x[:zeros] = 0.0
+    v[:, zeros:] *= math.sqrt(2.0)
     _CHAIN_BASES.pop(size, None)
     _CHAIN_BASES[size] = tuple(_read_only(a) for a in (unit, x, v[0::2].copy(), v[1::2].copy()))
     while len(_CHAIN_BASES) > _CHAIN_BASES_SIZES:
@@ -279,7 +293,11 @@ def _chain_exponential(m: np.ndarray, step: int) -> np.ndarray:
     result by at most 4 eps s (8.5e-14 at s = 96).  J is bipartite (even
     against odd chain positions), so cos(J) links only one colour and
     sin(J) only both: e^{-iJ} is the three products (V_e cos w) V_e^T,
-    (V_o cos w) V_o^T and (V_e sin w) V_o^T of V's colour rows.
+    (V_o cos w) V_o^T and (V_e sin w) V_o^T of V's colour rows.  cos is
+    even and sin odd, and V_o changes sign with w, so each product is twice
+    its sum over w > 0 plus the zero modes' share of the cos blocks: the
+    basis keeps that half of the spectrum, and each product's inner
+    dimension is about half the chain's length instead of all of it.
     """
     out = np.zeros(m.shape, dtype=complex)
     phase = np.empty(m.shape[0], dtype=complex)
@@ -484,7 +502,13 @@ def _position_basis(truncation: int):
     `even` holds levels 0, 2, .. <= N and `odd` levels 1, 3, .. <= N, each
     level m signed (-1)^(m // 2) and each +-x_k pair weighted sqrt(2); x
     ends with the zero node, whose odd rows are exactly 0.  Only these rows
-    are kept: (N + 1) (N + 9) floats, 0.55 MB at N = 256.
+    are kept: (N + 1) (N + 9) floats, 0.55 MB at N = 256.  Entries below
+    2^-511 are set to 0, so no product of two entries is subnormal: those
+    products send BLAS to its slow path, and D's block took 0.92, 13.5 and
+    about 100 ms at N = 256, 512 and 1024 with them, against 0.63, 4.1 and
+    29 ms without (one BLAS thread).  The block kept its bits at every b of
+    the sweep pool at N = 256, and its values at the b sampled at N = 512
+    and 1024, where a few of its exact zeros changed sign.
     """
     levels = 2 * truncation + 17
     roots = np.sqrt(np.arange(float(levels)))
@@ -499,27 +523,38 @@ def _position_basis(truncation: int):
     rows /= np.sqrt(norm_sq)
     rows[:, :-1] *= math.sqrt(2.0)
     rows *= ((-1.0) ** (np.arange(truncation + 1) // 2))[:, None]
+    rows[np.abs(rows) < math.sqrt(np.finfo(float).tiny)] = 0.0  # 2^-511: no product of two entries is subnormal
     return _read_only(x), _read_only(rows[0::2].copy()), _read_only(rows[1::2].copy())
 
 
-def _displacement_block(b: float, truncation: int) -> np.ndarray:
-    """D(b)'s leading N + 1 block, real b, from _position_basis, as a float64 matrix.
+def _displacement_blocks(b: float, truncation: int):
+    """(ee, oo, eo): the parity blocks of D(b)'s leading N + 1 block, real b, from _position_basis.
 
     With P = diag(i^m), D(b) = P^dag exp(i b J_1) P, so entry (j, k) is
     i^(k - j) (cos(b J_1) + i sin(b J_1))[j, k]: cos(b J_1) links levels of
     one parity and sin(b J_1) levels of opposite parity.  So the block is
-    three half-size products, one per parity pair; (odd, even) is minus the
-    transpose of (even, odd).
+    three half-size products: (even, even), (odd, odd) and (even, odd); the
+    (odd, even) block is -eo^T.
     """
     x, even, odd = _position_basis(truncation)
     cos, sin = np.cos(b * x), np.sin(b * x)
-    out = np.empty((truncation + 1, truncation + 1))
-    out[0::2, 0::2] = (even * cos) @ even.T
-    out[1::2, 1::2] = (odd * cos) @ odd.T
-    cross = (even * sin) @ odd.T
-    out[0::2, 1::2] = -cross
-    out[1::2, 0::2] = cross.T
+    return (even * cos) @ even.T, (odd * cos) @ odd.T, (even * -sin) @ odd.T
+
+
+def _assembled(ee: np.ndarray, oo: np.ndarray, eo: np.ndarray, dtype) -> np.ndarray:
+    """The matrix of dtype whose real part has the parity blocks ee, oo, eo and -eo^T."""
+    out = np.zeros((ee.shape[0] + oo.shape[0],) * 2, dtype=dtype)
+    real = out.real
+    real[0::2, 0::2] = ee
+    real[1::2, 1::2] = oo
+    real[0::2, 1::2] = eo
+    np.negative(eo.T, out=real[1::2, 0::2])
     return out
+
+
+def _displacement_block(b: float, truncation: int) -> np.ndarray:
+    """D(b)'s leading N + 1 block, real b, as a float64 matrix."""
+    return _assembled(*_displacement_blocks(b, truncation), float)
 
 
 def _phases(theta, size: int) -> np.ndarray:
@@ -528,15 +563,15 @@ def _phases(theta, size: int) -> np.ndarray:
     return np.exp(1j * theta * np.arange(size))
 
 
-def _rotated(mat: np.ndarray, theta) -> np.ndarray:
-    """R(theta) mat R(theta)^dag for a real float64 mat, as a read-only complex128 matrix.
+def _rotated(out: np.ndarray, theta) -> np.ndarray:
+    """R(theta) out R(theta)^dag, in place on a complex128 out whose imaginary part is 0, marked read-only.
 
-    The float theta gives complex128 phases: a rotation sums nothing.  The
-    column phases go on in place, one complex temporary fewer: 0.24 ms at
-    N = 256, with the bits of forming both products anew.
+    The float theta gives complex128 phases: a rotation sums nothing.  Both
+    phase vectors multiply into out, so no complex temporary is formed, with
+    the bits of phase[:, None] * out.real * phase.conj(): 0.24 ms at N = 256.
     """
-    phase = _phases(theta, mat.shape[0])
-    out = phase[:, None] * mat
+    phase = _phases(theta, out.shape[0])
+    out *= phase[:, None]
     out *= phase.conj()
     return _read_only(out)
 
@@ -546,8 +581,12 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     """Displacement operator D(alpha) on the truncated basis, in float64.
 
     D(b)'s leading N + 1 block at b = |alpha| / 2^h <= 1 comes from the
-    cached eigenbasis of the generator (_position_basis), is squared h times
-    (D(b)^2 = D(2b)) and rotated by the phase of alpha.  That is
+    cached eigenbasis of the generator (_position_basis) as its parity
+    blocks ee, oo and eo (the fourth is -eo^T), is squared h times
+    (D(b)^2 = D(2b)) and rotated by the phase of alpha.  Each squaring
+    forms the three blocks alone, ee ee^T - eo eo^T, oo oo^T - eo^T eo and
+    ee eo + eo oo, about half the flops of the full product; the blocks
+    are assembled once, into the complex result the rotation fills.  That is
     [P_N D(b) P_N]^(2^h), the operator the column displaced_squeezed_number
     applies through the normal-ordered factors
     e^{-|b|^2/2} exp(b a_dag) exp(-b a), whose product is P_N D(b) P_N
@@ -560,10 +599,10 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     b, halvings = _displacement_step(abs(alpha), truncation)
     if b == 0.0:
         return FockOperator(_read_only(np.eye(truncation + 1, dtype=complex)))
-    mat = _displacement_block(b, truncation)
-    for _ in range(halvings):
-        mat = mat @ mat
-    return FockOperator(_rotated(mat, cmath.phase(alpha)))
+    ee, oo, eo = _displacement_blocks(b, truncation)
+    for _ in range(halvings):  # each X @ X.T and X.T @ X runs as one symmetric rank-k update
+        ee, oo, eo = ee @ ee.T - eo @ eo.T, oo @ oo.T - eo.T @ eo, ee @ eo + eo @ oo
+    return FockOperator(_rotated(_assembled(ee, oo, eo, complex), cmath.phase(alpha)))
 
 
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
@@ -591,7 +630,7 @@ def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
     N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
     is the oracle's truncation; an N / 4 block just reads more columns.
     """
-    return FockOperator(_rotated(_squeeze_matrix(sq.r, truncation), sq.phi / 2))
+    return FockOperator(_rotated(_squeeze_matrix(sq.r, truncation).astype(complex), sq.phi / 2))
 
 
 @lru_cache(maxsize=1, typed=True)

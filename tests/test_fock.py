@@ -90,20 +90,23 @@ def band_generator(rng, size, step):
     return gen - gen.conj().T
 
 
-def absent_edge_generator():
-    gen = displacement_generator(2.0 - 1.0j, 16)
+def absent_edge_generator(truncation=16):
+    """D's generator with the edge between levels 8 and 9 removed: paths of 9 and truncation - 8 levels."""
+    gen = displacement_generator(2.0 - 1.0j, truncation)
     gen[9, 8] = gen[8, 9] = 0.0
     return gen
 
 
-# (build, step) of generators that take the chain route: bands of steps 1 to 5, D with an absent edge, D and S at N = 256
+# (build, step) of generators that take the chain route: bands of steps 1 to 5, D with an absent edge (paths of
+# 9 + 8 levels, and of 9 + 7, both odd), D and S at N = 256
 CHAIN_GENERATORS = [
     *((lambda step=step: band_generator(np.random.default_rng(40 + step), 41, step), step) for step in range(1, 6)),
     (absent_edge_generator, 1),
+    (lambda: absent_edge_generator(15), 1),
     (lambda: displacement_generator(4.0 + 4.0j, 256), 1),
     (lambda: squeeze_generator(make_squeeze(1.2, 1.0), 256), 2),
 ]
-CHAIN_IDS = [*(f"band{step}" for step in range(1, 6)), "absent_edge", "D(4+4i)", "S(1.2, phi=1)"]
+CHAIN_IDS = [*(f"band{step}" for step in range(1, 6)), "absent_edge", "two_odd_paths", "D(4+4i)", "S(1.2, phi=1)"]
 
 
 def with_hermitian_band_noise(gen, step, size):
@@ -349,7 +352,7 @@ class TestMatrixExponential:
         lambda: squeeze_generator(make_squeeze(1.2, 1.0), 256),
     ], ids=["D(4+4i)", "S(1.2, phi=1)"])
     def test_chain_route_memory_peak(self, build):
-        # with the chain bases cached, one call peaks at 1.46 (D) and 1.24 (S) times the result's bytes;
+        # with the chain bases cached, one call peaks at 1.34 (D) and 1.24 (S) times the result's bytes;
         # the full-matrix guard it replaces peaked at 2.5 times
         op = FockOperator(build())
         matrix_exponential(op)
@@ -456,6 +459,19 @@ class TestChainBasisReuse:
         assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
         assert np.max(np.abs(out.matrix[:9, 9:])) == 0.0
 
+    @pytest.mark.parametrize("truncation, zeros", [(16, 1), (15, 2)])
+    def test_zero_modes_are_counted_by_path(self, truncation, zeros):
+        # paths of 9 + 8 levels have one zero mode, 9 + 7 two; keeping size // 2 + size % 2
+        # eigenpairs instead drops one of the two, and the result is 0.41 off
+        gen = absent_edge_generator(truncation)
+        out = matrix_exponential(FockOperator(gen))
+        assert np.max(np.abs(out.matrix - dense_exponential(gen))) <= 1e-13
+        assert out.unitarity_defect() <= 1e-14
+        size = truncation + 1
+        x, even, odd = fock._CHAIN_BASES[size][1:]
+        assert x.shape == ((size + zeros) // 2,) and even.shape[1] == odd.shape[1] == x.size
+        assert np.all(x >= 0) and np.count_nonzero(x == 0) == zeros
+
     def test_at_most_three_sizes(self):
         for N in range(1, 9):
             gen = displacement_generator(1.0 + 0.5j * N, N)
@@ -541,6 +557,12 @@ class TestDisplacementBasis:
         assert x.shape == (N + 9,) and even.shape == (N // 2 + 1, N + 9) and odd.shape == ((N + 1) // 2, N + 9)
         assert not (x.flags.writeable or even.flags.writeable or odd.flags.writeable)
         assert x[-1] == 0.0 and np.all(odd[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("N", [256, 512])
+    def test_basis_holds_no_subnormal_products(self, N):
+        # the product of two entries below 2^-511 is subnormal and sends BLAS to its slow path
+        for rows in fock._position_basis(N)[1:]:
+            assert np.min(np.abs(rows[rows != 0])) >= 2.0**-511
 
     def test_large_truncation_gives_the_coherent_column(self):
         # the recurrence rescales its columns past 2^400 here
