@@ -216,8 +216,8 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     floats as over the whole matrix.  Any other generator gets the guard
     over the whole matrix and one dense complex eigh.  At N = 256, with one
     BLAS thread and the chain bases cached, D costs about 0.9 ms and S
-    about 0.7 ms (medians over the benchmark's sweep pool), against 1.2 to
-    1.9 and 0.75 to 1.2 ms with the whole eigenbasis of each chain.
+    about 0.7 ms (medians over the benchmark's sweep pool), against 1.1 to
+    1.2 and 0.74 to 0.80 ms with the whole eigenbasis of each chain.
 
     Nothing of the construction under test is called: the oracle works on
     the N + 1 levels it is given, takes its vectors from LAPACK and does no
@@ -242,12 +242,18 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     return FockOperator((v * np.exp(-1j * w)) @ v.conj().T)
 
 
-# The last unit chain of each size, as its off-diagonal, with its read-only
-# eigenvalues x >= 0 and the even and odd rows of their weighted eigenvectors
-# (_chain_basis); at most three sizes, the sweep's 257 (D) and 129 and 128
-# (S) at N = 256.
+# The last unit chain of each size, as its off-diagonal, with the read-only
+# eigenvalues it keeps (all x > 0 and those within _MIRROR_CUT of 0) and the
+# even and odd rows of their weighted eigenvectors (_chain_basis); at most
+# three sizes, the sweep's 257 (D) and 129 and 128 (S) at N = 256, which
+# keep 145, 81 and 80 eigenpairs.
 _CHAIN_BASES = OrderedDict()
 _CHAIN_BASES_SIZES = 3
+# The half-width of a +-x pair of a unit chain past which only x is kept (_chain_basis).  eigh's vectors
+# solve a nearby chain that is not bipartite, and they mix x with -x by about its backward error over 2x.
+# Over 60 random band generators of 8 to 200 levels the chain route's worst unitarity defect read 1.0e-14
+# at 0.2 and 0.3, 1.8e-14 at 0.15 and 8.8e-10 at 0 (6.9e-15 with every pair kept whole).
+_MIRROR_CUT = 0.2
 
 
 def _chain_basis(unit: np.ndarray):
@@ -255,10 +261,15 @@ def _chain_basis(unit: np.ndarray):
     _CHAIN_BASES when the cached unit chain of its size is within 4 eps in the max row-sum norm.
 
     The chain is bipartite, so its spectrum is symmetric: (v_e, v_o) at x
-    is (v_e, -v_o) at -x.  Only x >= 0 is kept, each x > 0 weighted sqrt(2)
-    for its mirror, and the zero modes, one per odd-length path between
-    absent edges (counted from `unit`, since eigh's zeros are only zero to
-    rounding), weighted 1 at x = 0 exactly.
+    is (v_e, -v_o) at -x, and eigh's ascending x pair up as x_k and
+    x_(size-1-k).  A pair whose half-width exceeds _MIRROR_CUT keeps only
+    its upper vector, weighted sqrt(2) for its mirror.  Every other
+    eigenpair is kept as it is, at weight 1 and its own x: below the cut
+    eigh's vectors may mix x with -x, so the mirror of one of them is no
+    eigenvector.  That covers the zero modes, one per odd-length path
+    between absent edges, and the +-delta pairs a weak edge splits them
+    into, which eigh returns mixed: folding those instead is 6e-8 off at an
+    edge of 1e-9 and not unitary at 1e-30.
     """
     size = unit.size + 1
     cached = _CHAIN_BASES.get(size)
@@ -266,12 +277,10 @@ def _chain_basis(unit: np.ndarray):
         gap = np.abs(unit - cached[0])  # row j sums gap[j - 1] + gap[j]; the last row's gap[-1] is no larger
         if np.max(gap + np.append(0.0, gap[:-1]), initial=0.0) <= 4 * np.finfo(float).eps:
             return cached[1:]
-    zeros = np.count_nonzero(np.diff(np.concatenate(([-1], np.flatnonzero(unit == 0), [size - 1]))) % 2)
     x, v = np.linalg.eigh(np.diag(unit, 1) + np.diag(unit, -1))
-    negative = (size - zeros) // 2  # eigh's x ascend
-    x, v = x[negative:], v[:, negative:]
-    x[:zeros] = 0.0
-    v[:, zeros:] *= math.sqrt(2.0)
+    far = np.count_nonzero(x[::-1][:size // 2] - x[:size // 2] > 2 * _MIRROR_CUT)  # the outermost pairs
+    x, v = x[far:], v[:, far:]
+    v[:, size - 2 * far:] *= math.sqrt(2.0)
     _CHAIN_BASES.pop(size, None)
     _CHAIN_BASES[size] = tuple(_read_only(a) for a in (unit, x, v[0::2].copy(), v[1::2].copy()))
     while len(_CHAIN_BASES) > _CHAIN_BASES_SIZES:
@@ -294,9 +303,9 @@ def _chain_exponential(m: np.ndarray, step: int) -> np.ndarray:
     against odd chain positions), so cos(J) links only one colour and
     sin(J) only both: e^{-iJ} is the three products (V_e cos w) V_e^T,
     (V_o cos w) V_o^T and (V_e sin w) V_o^T of V's colour rows.  cos is
-    even and sin odd, and V_o changes sign with w, so each product is twice
-    its sum over w > 0 plus the zero modes' share of the cos blocks: the
-    basis keeps that half of the spectrum, and each product's inner
+    even and sin odd, and V_o changes sign with w, so a +-w pair adds twice
+    its w > 0 term to each product: the basis keeps that half of the
+    spectrum, with the pairs near 0 whole, and each product's inner
     dimension is about half the chain's length instead of all of it.
     """
     out = np.zeros(m.shape, dtype=complex)
@@ -541,20 +550,15 @@ def _displacement_blocks(b: float, truncation: int):
     return (even * cos) @ even.T, (odd * cos) @ odd.T, (even * -sin) @ odd.T
 
 
-def _assembled(ee: np.ndarray, oo: np.ndarray, eo: np.ndarray, dtype) -> np.ndarray:
-    """The matrix of dtype whose real part has the parity blocks ee, oo, eo and -eo^T."""
-    out = np.zeros((ee.shape[0] + oo.shape[0],) * 2, dtype=dtype)
+def _assembled(ee: np.ndarray, oo: np.ndarray, eo: np.ndarray) -> np.ndarray:
+    """The complex matrix whose real part has the parity blocks ee, oo, eo and -eo^T and whose imaginary part is 0."""
+    out = np.zeros((ee.shape[0] + oo.shape[0],) * 2, dtype=complex)
     real = out.real
     real[0::2, 0::2] = ee
     real[1::2, 1::2] = oo
     real[0::2, 1::2] = eo
     np.negative(eo.T, out=real[1::2, 0::2])
     return out
-
-
-def _displacement_block(b: float, truncation: int) -> np.ndarray:
-    """D(b)'s leading N + 1 block, real b, as a float64 matrix."""
-    return _assembled(*_displacement_blocks(b, truncation), float)
 
 
 def _phases(theta, size: int) -> np.ndarray:
@@ -602,7 +606,7 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     ee, oo, eo = _displacement_blocks(b, truncation)
     for _ in range(halvings):  # each X @ X.T and X.T @ X runs as one symmetric rank-k update
         ee, oo, eo = ee @ ee.T - eo @ eo.T, oo @ oo.T - eo.T @ eo, ee @ eo + eo @ oo
-    return FockOperator(_rotated(_assembled(ee, oo, eo, complex), cmath.phase(alpha)))
+    return FockOperator(_rotated(_assembled(ee, oo, eo), cmath.phase(alpha)))
 
 
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
