@@ -13,34 +13,38 @@ each size while the new chain, scaled to unit size, is within 4 eps of it
 generator's nonzero pattern and its two bands, never a full-size complex
 temporary.  Any other generator gets one dense eigh.
 
-D and S share one normal-ordered factor form: for real c and step s,
-exp(c a_dag^s) diag(q^2) exp(-c a^s) = X diag(sign) X^T diag(sign) with
-one long-double series X = exp(c a_dag^s) diag(q) and sign_m =
-(-1)^(m // s) (_exp_ladder_series), since diag(sign) a^s diag(sign) =
--a^s.  So neither operator stores a right factor.  S's matrix is that
-form at s = 2; the product forms only the terms of its upper triangle
-that can be nonzero, about N^3 / 24 multiply-adds, bit-identical to the
-dense N^3 product.  D's matrix is D(b)^(2^h) with b = |alpha| / 2^h <= 1:
-D(b)'s leading N + 1 block comes from one cached eigenbasis of the real
-generator J_1 = a + a_dag on 2N + 17 levels, in float64, as its three
-parity blocks, which are squared h times in float64 and assembled once;
-at N = 256 a D build takes 0.86 to 2.2 ms (h = 0 to 3).  S has one
-product, the real S(r) of _squeeze_matrix: squeeze_bch rotates all of it
-by phi/2, and the column D(alpha) S(z)|n> rotates only its column n, to
-the same bits, then applies D's factor form (s = 1) to it, 2^h times at
-the same b, so its D and the matrix are the same operator
-[P_N D(b) P_N]^(2^h), and a column more than 1e-8 past norm 1 is refused.
-No library route calls the public builders displacement_bch,
-squeeze_bch, matrix_exponential or ladder_matrices: they are what the
-tests, the benchmark and users read the constructions through.  The
-column keeps D's long-double factors for two measured reasons.  Every
-float64 D stage tried moves criterion 4's uncertainty product from
-1.14e-13 to 3.4e-13 .. 4.1e-12 relative to the closed form, and D's
-matrix in its place drops 5 (state, t) pairs 1.02e-12 below 1/4, past
-the moment guard.  And the benchmark's traced `verify` has no span for
-interpreter start-up, so a faster column shows there as unattributed
-time past that run's gate.  Long double stays only where terms cancel;
-the phase rotations run in double.
+D and S are built from one float64 chain basis.  Each is exp(t K) of a
+real generator K whose nonzeros join level m to m + s (D: s = 1, J_1 =
+a + a_dag; S: s = 2, one chain per parity), and such a chain is the
+tridiagonal J of _chain_rows in disguise: its eigenvectors come from the
+three-term recurrence at nodes taken from one SVD of J's even-to-odd
+block, and exp(t K) is three half-size products of their colour rows
+(_parity_blocks).  D's matrix is D(b)^(2^h) with b = |alpha| / 2^h <= 1:
+D(b)'s leading N + 1 block comes from the basis of J_1 on 2N + 17 levels
+(_position_basis) as its three parity blocks, which are squared h times
+and assembled once; at N = 256 a D build takes 0.86 to 2.2 ms (h = 0 to
+3).  S's matrix is built at r itself from the bases of its two parity
+chains on levels <= 2N + 2 (_squeeze_basis), each colour's rows
+orthonormalized by one Newton-Schulz step; it takes about 0.5 ms at
+N = 256 once the basis (about 8 ms, once per N) is cached.  squeeze_bch
+rotates all of S(r) by phi/2, and the column D(alpha) S(z)|n> rotates
+only its column n, to the same bits, then applies D's normal-ordered
+factor form exp(b a_dag) exp(-b a) e^{-b^2/2} = X diag(sign) X^T
+diag(sign), with one long-double series X = exp(b a_dag) e^{-b^2/4} and
+sign_m = (-1)^m (_exp_ladder_series), 2^h times at the same b, so its D
+and the matrix are the same operator [P_N D(b) P_N]^(2^h), and a column
+more than 1e-8 past norm 1 is refused.  No library route calls the
+public builders displacement_bch, squeeze_bch, matrix_exponential or
+ladder_matrices: they are what the tests, the benchmark and users read
+the constructions through.  The column keeps D's long-double factors for
+two measured reasons.  Every float64 D stage tried moves criterion 4's
+uncertainty product from 1.14e-13 to 3.4e-13 .. 4.1e-12 relative to the
+closed form, and D's matrix in its place drops 5 (state, t) pairs
+1.02e-12 below 1/4, past the moment guard.  And the benchmark's traced
+`verify` has no span for interpreter start-up, so a faster column shows
+there as unattributed time past that run's gate.  D's column passes are
+the only long double on an operator route; the phase rotations run in
+double.
 States are mapped back to position space through the oscillator
 eigenfunctions.
 
@@ -48,11 +52,11 @@ Truncation to the basis {|0>, ..., |N>} is never hidden.  One rule owns
 N: check_truncation admits an integer (not a bool) from 1 to
 MAX_TRUNCATION = 4095, the largest N whose column build fits in 1 GiB
 (see MAX_TRUNCATION), and number_state, ladder_matrices, D's step and
-the D and S factor builders run it before they allocate, so every entry
+D's factors and S's matrix run it before they allocate, so every entry
 point that takes N refuses the same values; the caches keyed by a
 caller's N are typed, so 16.0 or True never hits an entry that 16
 filled.  D's matrix and column share one guard, |alpha|^2 > N, and S's
-factors refuse sinh^2 r > N: their columns' least mean photon number,
+matrix refuses sinh^2 r > N: their columns' least mean photon number,
 where a state on levels 0..N has mean at most N.  States report their
 leakage 1 - sum |c_m|^2 (its float64 floor, 1e-16 of weight, is 1e-8 of
 amplitude: pool state 307 reads 0.00e+00 and fails compare_t0 at
@@ -64,18 +68,20 @@ workload asks for the same key again, and returns read-only arrays.
 and synthesizes every report through one eigenfunction table, and the
 benchmark's sweep builds each D and S once per state, all at one N; a
 second entry would save no build on either and costs memory.  S is
-cached once, as its real product at (r, N) (_squeeze_matrix): phi enters
+cached once, as its real matrix at (r, N) (_squeeze_matrix): phi enters
 only through the rotation R(phi/2), of the whole matrix in squeeze_bch
 (0.24 ms at N = 256) and of one column in the column, so `verify`'s four
-presets, all at r = ln 2, form one product and one D series between
-them, and squeeze_bch and S's factors keep nothing of their own.  The D
-basis keeps only the rows D's block reads.  The oracle's chain bases
-hold one entry per chain size, at most three: the sweep asks for 257,
-129 and 128 on every state.
+presets, all at r = ln 2, form one S matrix and one D series between
+them, and squeeze_bch keeps nothing of its own.  S's basis
+(_squeeze_basis) depends on N alone and D's (_position_basis) keeps only
+the rows D's block reads; both are their own caches, apart from the
+oracle's, so the oracle never referees with the basis under test.  The
+oracle's chain bases hold one entry per chain size, at most three: the
+sweep asks for 257, 129 and 128 on every state.
 
-The factor series refuse a long double narrower than x87 extended
-precision (np.finfo(np.longdouble).nmant < 63): the products cancel past
-what float64 holds.  D's matrix needs none.
+D's factor series refuses a long double narrower than x87 extended
+precision (np.finfo(np.longdouble).nmant < 63): the column's passes
+cancel past what float64 holds.  D's and S's matrices need none.
 """
 
 import cmath
@@ -147,24 +153,25 @@ class FockOperator:
     def unitarity_defect(self) -> float:
         """max-entry norm of U^dag U - I.
 
-        Truncating an operator to N + 1 levels makes this nonzero.  For
-        squeeze_bch it is rounding in the long-double factor product
-        instead, and it is huge: at N = 256 it reads 3.2e8 at r = 0.3,
-        9e34 at r = 0.7 and 2.6e36 at r = 1, from the trailing columns,
-        while the leading columns hold.  So it is no health figure for S.
+        Truncating an operator to N + 1 levels makes this nonzero: the
+        trailing columns lose weight past level N.  squeeze_bch at r = 0.3,
+        N = 256 reads 0.59 (0.70 at r = 0.7), every column with norm at
+        most 1 + 2.2e-16; so it measures the truncation, not S's rounding.
         """
         n = self.matrix.shape[0]
         return float(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(n))))
 
 
-# The largest N for which 64 (N+1)^2 bytes fit in 1 GiB.  A column build
-# (displaced_squeezed_number) peaks at 40.3 (N+1)^2 bytes of arrays
-# (tracemalloc, N = 1023): D's one long-double series (_displacement_factors,
-# cached, 16), S's one long-double series (_squeeze_factors, 16, freed once
-# S's float64 matrix is formed) and that matrix (8).  At this N, D's basis
-# (_position_basis) takes 38 s on one core, 32 s of it the SVD of its dense
-# 4104 x 4103 block, and keeps 134.5 MB of rows; the process peaks at
-# 415 MB RSS while it is built.
+# The largest N for which 64 (N+1)^2 bytes fit in 1 GiB.  A cold column
+# build (displaced_squeezed_number) peaks at 35.2 (N+1)^2 bytes of arrays
+# and takes 0.43 s (tracemalloc, one core, N = 1023; 40.2 and 0.29 s with
+# S's long-double series product before it): D's one long-double series
+# (_displacement_factors, cached, 16), S's float64 matrix (8) and S's chain
+# bases (_squeeze_basis, cached, about 4) with their build's temporaries.
+# At this N, S's build takes 10.1 s and peaks at 300 MB RSS (14.8 s and
+# 414 MB before), and D's basis (_position_basis) takes 38 s, 32 s of it
+# the SVD of its dense 4104 x 4103 block, and keeps 134.5 MB of rows; the
+# process peaks at 415 MB RSS while it is built.
 MAX_TRUNCATION = math.isqrt(2**30 // 64) - 1
 
 
@@ -334,18 +341,15 @@ def _chain_exponential(m: np.ndarray, step: int) -> np.ndarray:
 _LONG_DOUBLE = np.finfo(np.longdouble)
 
 
-def _exp_ladder_series(c: float, step: int, truncation: int, scale):
-    """(X, sign): X = exp(c a_dag^step) @ diag(scale) for real c in extended precision, step 1 or 2,
-    and sign_m = (-1)^(m // step), both read-only, so that
-    exp(c a_dag^step) diag(scale^2) exp(-c a^step) = X diag(sign) X^T diag(sign).
+def _exp_ladder_series(c: float, truncation: int, scale):
+    """(X, sign): X = exp(c a_dag) @ diag(scale) for real c in extended precision and sign_m = (-1)^m,
+    both read-only, so that exp(c a_dag) diag(scale^2) exp(-c a) = X diag(sign) X^T diag(sign).
 
-    X^T is diag(scale) exp(c a^step), and each entry (k, k + step) of a^step
-    joins levels whose m // step differ by one, so diag(sign) a^step
-    diag(sign) = -a^step: the signs turn X^T into the right factor and
-    commute with the diagonals.  The series terminates exactly in the
-    truncated space (a_dag is nilpotent), so entries are generated
-    diagonal-by-diagonal from the recurrence entry(k + step j, k) =
-    entry(k + step (j-1), k) * c / j * sqrt((k + step j)! / (k + step (j-1))!).
+    X^T is diag(scale) exp(c a), and diag(sign) a diag(sign) = -a: the
+    signs turn X^T into the right factor and commute with the diagonals.
+    The series terminates exactly in the truncated space (a_dag is
+    nilpotent), so entries are generated diagonal-by-diagonal from the
+    recurrence entry(k + j, k) = entry(k + j - 1, k) * c / j * sqrt(k + j).
     Pure multiplications keep the relative error near the longdouble
     epsilon; the later factor contraction is what needs the headroom: this
     refuses a long double narrower than x87 extended precision (a 63-bit
@@ -358,18 +362,12 @@ def _exp_ladder_series(c: float, step: int, truncation: int, scale):
     n1 = truncation + 1
     out = np.zeros((n1, n1), dtype=np.longdouble)
     diag = np.full(n1, scale, dtype=np.longdouble)
-    np.fill_diagonal(out, diag)
-    cl = np.longdouble(c)
-    top = np.arange(n1, dtype=np.longdouble)
-    roots = np.sqrt(top if step == 1 else top * (top - 1))  # exact integers under the sqrt
-    flat = out.reshape(-1)
-    for j in range(1, truncation // step + 1):
-        diag = diag[: n1 - step * j] * (cl / j) * roots[step * j :]
-        flat[step * j * n1 :: n1 + 1] = diag  # the diagonal entry(k + step j, k)
-    sign = np.ones(n1)  # not (-1.0) ** (m // step): a ufunc verify runs nowhere else adds 64 KB to its RSS
-    for k in range(step):
-        sign[step + k :: 2 * step] = -1.0
-    return _read_only(out), _read_only(sign)
+    out.flat[:: n1 + 1] = diag
+    roots = np.sqrt(np.arange(n1, dtype=np.longdouble))
+    for j in range(1, n1):
+        diag = diag[: n1 - j] * (np.longdouble(c) / j) * roots[j:]
+        out.flat[j * n1 :: n1 + 1] = diag  # the diagonal entry(k + j, k)
+    return _read_only(out), _read_only(np.resize([1.0, -1.0], n1))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -379,10 +377,10 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 # The gate phase enters only through R(theta) = diag(e^{i m theta}):
 # D(|alpha| e^{i theta}) = R(theta) D(|alpha|) R(theta)^dag and
-# S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So the factors and the
-# spectral block below are real, and every product is a real matrix
-# product.  S's factors make S's matrix, the one S product, whose column
-# n the column rotates; D's factors are applied by the column alone.
+# S(r e^{i phi}) = R(phi/2) S(r) R(phi/2)^dag.  So D's factors and the
+# chain blocks below are real, and every product is a real matrix product.
+# The chain bases make D's and S's matrices; the column rotates S's column
+# n and applies D's factors, which nothing else reads.
 
 
 def _displacement_step(magnitude: float, truncation: int):
@@ -412,53 +410,7 @@ def _displacement_factors(magnitude: float, truncation: int):
     right factor exp(-b a) e^{-b^2/4} (_exp_ladder_series), never stored.
     """
     b, halvings = _displacement_step(magnitude, truncation)
-    return (*_exp_ladder_series(b, 1, truncation, np.exp(np.longdouble(-b**2 / 4.0))), halvings)
-
-
-def _squeeze_factors(r: float, truncation: int):
-    """Real (half, sign) with S(r) = half diag(sign) half^T diag(sign), formed by _squeeze_matrix alone.
-
-    half is exp(d a_dag^2) (cosh r)^{-(a_dag a + 1/2) / 2} and sign_m = (-1)^(m // 2), the one
-    series of _exp_ladder_series at step 2, with half of the middle diagonal on each side.
-    Entry (i, k) sums the same terms at every N; at N = 300 it matches squeezed_number_coeffs to
-    6.1e-17 on columns n <= 16, rows < 64, even at r = 3.5, so sinh^2 r <= N guards truncation only.
-    Squaring S(r/2), as D doubles, would carry the far-from-unitary edge rows into that block (9e-8 at r = 2).
-    """
-    check_truncation(truncation)
-    cosh_r, sinh_r = cosh_sinh(r, r)
-    guard("sinh^2 r", sinh_r * sinh_r, truncation, f"at r = {r:g} every column of S(z) has mean photon number "
-          "at least sinh^2 r, so none fits in the N + 1 levels")
-    m = np.arange(truncation + 1, dtype=np.longdouble)
-    root_mid = np.exp(-(m + 0.5) * np.log(np.longdouble(cosh_r)) / 2)
-    return _exp_ladder_series(0.5 * math.tanh(r), 2, truncation, root_mid)
-
-
-@lru_cache(maxsize=1, typed=True)
-def _squeeze_matrix(r: float, truncation: int) -> np.ndarray:
-    """S(r) as a real read-only float64 matrix: cached for `verify`, whose four presets all ask for r = ln 2.
-
-    half links only levels of one parity and is lower-triangular on each parity sublattice, so
-    P = half diag(sign) half^T is formed there one block of rows [s, e) at a time, against every
-    column >= s, from the first e terms.  The terms it skips are exact zeros, and numpy's
-    long-double dot sums the rest term by term in increasing k from +0, so an entry is the same
-    at every N.  Term k of P[i, j] is sign_k half[i, k] half[j, k], the same bits as P[j, i]'s,
-    so each block is exactly symmetric and its transpose fills the lower triangle: about N^3 / 24
-    multiply-adds, and S[k, i] = (-1)^((i - k) / 2) S[i, k] exactly.  Each block is rounded to
-    float64 as it is stored.  Blocks of 8 rows skip more zeros than 16 and cost fewer calls into
-    numpy than 4: at N = 256, one BLAS thread, blocks of 4 / 8 / 16 / 32 rows took
-    1.8 / 1.75 / 1.86 / 2.2 ms (medians of 25 builds).
-    """
-    half, sign = _squeeze_factors(r, truncation)
-    mat = np.zeros(half.shape)
-    for p in range(2):
-        h, h_sign, out = half[p::2, p::2], sign[p::2], mat[p::2, p::2]
-        for s in range(0, h.shape[0], 8):
-            e = min(s + 8, h.shape[0])
-            block = np.dot(h[s:e, :e] * h_sign[:e], h[s:, :e].T)
-            out[s:e, s:] = block
-            out[s:, s:e] = block.T
-    mat *= sign
-    return _read_only(mat)
+    return (*_exp_ladder_series(b, truncation, np.exp(np.longdouble(-b**2 / 4.0))), halvings)
 
 
 # A column of the basis recurrence is scaled down by 2^-400 once an entry
@@ -466,14 +418,15 @@ def _squeeze_matrix(r: float, truncation: int) -> np.ndarray:
 _RESCALE = 2.0**400
 
 
-def _node_recurrence(x: np.ndarray, levels: int, keep: int):
-    """(rows, norm_sq, last, beyond) of sqrt(m + 1) v_{m+1} = x v_m - sqrt(m) v_{m-1} from v_0 = 1, v_{-1} = 0,
-    for each node in x: rows v_0 .. v_{keep-1}, norm_sq the sum of v_m^2 over m < levels, last v_{levels-1}
+def _node_recurrence(x: np.ndarray, edges: np.ndarray, keep: int):
+    """(rows, norm_sq, last, beyond) of e_m v_{m+1} = x v_m - e_{m-1} v_{m-1} from v_0 = 1, v_{-1} = 0, for
+    each node in x, on a chain of levels = edges.size levels with off-diagonal e_0 .. e_{levels-2} and e_{levels-1}
+    the edge past its end: rows v_0 .. v_{keep-1}, norm_sq the sum of v_m^2 over m < levels, last v_{levels-1}
     and beyond v_levels, every column scaled alike."""
-    roots = np.sqrt(np.arange(float(levels + 1)))
+    roots = np.concatenate(([0.0], edges))  # roots[m] = e_{m-1}
     rows = np.empty((keep, x.size))
     prev, row, norm_sq = np.zeros(x.size), np.ones(x.size), np.zeros(x.size)
-    for m in range(levels):
+    for m in range(edges.size):
         if m < keep:
             rows[m] = row
         norm_sq += row * row
@@ -487,19 +440,66 @@ def _node_recurrence(x: np.ndarray, levels: int, keep: int):
     return rows, norm_sq, prev, row
 
 
+def _chain_rows(edges: np.ndarray, keep: int, orthonormal: bool = False):
+    """Rows 0 .. keep - 1 of the eigenvectors of the chain J with zero diagonal and off-diagonal
+    edges[:-1], as read-only (x, even, odd); edges[-1] is the edge past the chain's end.
+
+    J links even levels only to odd ones, so its eigenvalues are the pairs
+    +-x_k, where x_k are the singular values of its even-to-odd bidiagonal
+    block, and 0 when the chain has an odd number of levels (Golub & Welsch,
+    Math. Comp. 23 (1969) 221).  The eigenvector at a node x is the
+    recurrence vector v of _node_recurrence normalized over all levels; it
+    meets J v = x v in every row but the last, which is off by
+    edges[-1] v_levels.  So each node is first moved to its vector's
+    Rayleigh quotient, x - edges[-1] v_levels v_{levels-1} / |v|^2.
+
+    `even` holds levels 0, 2, .. < keep and `odd` levels 1, 3, .., each
+    level m signed (-1)^(m // 2) and each +-x_k pair weighted sqrt(2); x
+    ends with the zero node, if any, whose odd rows are exactly 0.  Entries
+    below 2^-511 are set to 0, so no product of two entries is subnormal:
+    those products send BLAS to its slow path (see _position_basis).
+
+    Each colour's rows are orthonormal in exact arithmetic (they are rows of
+    an orthogonal matrix, folded).  With `orthonormal`, a pair's weight is
+    divided into |v|^2 before its one square root, since sqrt(2)^2 is
+    2 (1 + 1.4e-16) in float64, and each colour R then takes one
+    Newton-Schulz step, R + (I - R R^T) R / 2, which squares its distance
+    from orthonormal rows.  D's basis does neither, so its bits stay.
+    """
+    levels = edges.size
+    pairs = levels // 2
+    block = np.zeros(((levels + 1) // 2, pairs))
+    block.flat[:: pairs + 1] = edges[0 : levels - 1 : 2]  # J[2k, 2k + 1]
+    block.flat[pairs :: pairs + 1] = edges[1 : levels - 1 : 2]  # J[2k + 2, 2k + 1]
+    x = np.append(np.linalg.svd(block, compute_uv=False), [0.0] * (levels % 2))  # an odd chain's zero node
+    _, norm_sq, last, beyond = _node_recurrence(x, edges, 0)
+    x -= edges[-1] * beyond * last / norm_sq
+    rows, norm_sq, _, _ = _node_recurrence(x, edges, keep)
+    if orthonormal:
+        norm_sq[:pairs] /= 2.0
+    rows /= np.sqrt(norm_sq)
+    if not orthonormal:
+        rows[:, :pairs] *= math.sqrt(2.0)
+    rows *= np.resize([1.0, 1.0, -1.0, -1.0], keep)[:, None]
+    colours = [_flushed(rows[p::2].copy()) for p in (0, 1)]
+    if orthonormal:
+        colours = [_flushed(r + 0.5 * ((np.eye(r.shape[0]) - r @ r.T) @ r)) for r in colours]
+    return _read_only(x), _read_only(colours[0]), _read_only(colours[1])
+
+
+def _flushed(rows: np.ndarray) -> np.ndarray:
+    """rows with entries below 2^-511 set to 0, so that no product of two entries is subnormal."""
+    rows[np.abs(rows) < math.sqrt(np.finfo(float).tiny)] = 0.0
+    return rows
+
+
 @lru_cache(maxsize=1, typed=True)
 def _position_basis(truncation: int):
     """Rows 0 .. N of the eigenvectors of J_1 = a + a_dag on 2N + 17 levels, as read-only (x, even, odd).
 
     J_1 is sqrt(2) x truncated: tridiagonal, off-diagonal sqrt(m + 1), zero
-    diagonal.  So it links even levels only to odd ones, and its eigenvalues
-    are 0 and the pairs +-x_k, where x_k are the singular values of its
-    even-to-odd block (sqrt(2) times the Gauss-Hermite nodes; Golub & Welsch,
-    Math. Comp. 23 (1969) 221).  The eigenvector at a node x is the
-    recurrence vector v of _node_recurrence normalized over all levels; it
-    meets J_1 v = x v in every row but the last, which is off by
-    sqrt(levels) v_levels.  So each node is first moved to its vector's
-    Rayleigh quotient, x - sqrt(levels) v_levels v_{levels-1} / |v|^2.
+    diagonal, so _chain_rows applies, and its nodes are sqrt(2) times the
+    Gauss-Hermite nodes.
 
     Measured at b <= 1: D(b)'s block is within 7.2e-16 of the factor
     product at N <= 32, and within 1.9e-15 of the exact sum at N = 256,
@@ -508,57 +508,77 @@ def _position_basis(truncation: int):
     N = 1, 16 at N = 16, 19 at N = 32, 27 at N = 128 and 34 at N = 256;
     the N + 16 past N here cover every N.
 
-    `even` holds levels 0, 2, .. <= N and `odd` levels 1, 3, .. <= N, each
-    level m signed (-1)^(m // 2) and each +-x_k pair weighted sqrt(2); x
-    ends with the zero node, whose odd rows are exactly 0.  Only these rows
-    are kept: (N + 1) (N + 9) floats, 0.55 MB at N = 256.  Entries below
-    2^-511 are set to 0, so no product of two entries is subnormal: those
-    products send BLAS to its slow path, and D's block took 0.92, 13.5 and
-    about 100 ms at N = 256, 512 and 1024 with them, against 0.63, 4.1 and
-    29 ms without (one BLAS thread).  The block kept its bits at every b of
-    the sweep pool at N = 256, and its values at the b sampled at N = 512
-    and 1024, where a few of its exact zeros changed sign.
+    Only rows 0 .. N are kept: (N + 1) (N + 9) floats, 0.55 MB at N = 256.
+    Without the flush of entries below 2^-511, D's block took 0.92, 13.5
+    and about 100 ms at N = 256, 512 and 1024, against 0.63, 4.1 and 29 ms
+    with it (one BLAS thread).  The block kept its bits at every b of the
+    sweep pool at N = 256, and its values at the b sampled at N = 512 and
+    1024, where a few of its exact zeros changed sign.
     """
-    levels = 2 * truncation + 17
-    roots = np.sqrt(np.arange(float(levels)))
-    block = np.zeros(((levels + 1) // 2, levels // 2))
-    odd = np.arange(levels // 2)
-    block[odd, odd] = roots[1::2]  # J_1[2k, 2k + 1] = sqrt(2k + 1)
-    block[odd + 1, odd] = roots[2::2]  # J_1[2k + 2, 2k + 1] = sqrt(2k + 2)
-    x = np.append(np.linalg.svd(block, compute_uv=False), 0.0)
-    _, norm_sq, last, beyond = _node_recurrence(x, levels, 0)
-    x -= math.sqrt(levels) * beyond * last / norm_sq
-    rows, norm_sq, _, _ = _node_recurrence(x, levels, truncation + 1)
-    rows /= np.sqrt(norm_sq)
-    rows[:, :-1] *= math.sqrt(2.0)
-    rows *= ((-1.0) ** (np.arange(truncation + 1) // 2))[:, None]
-    rows[np.abs(rows) < math.sqrt(np.finfo(float).tiny)] = 0.0  # 2^-511: no product of two entries is subnormal
-    return _read_only(x), _read_only(rows[0::2].copy()), _read_only(rows[1::2].copy())
+    return _chain_rows(np.sqrt(np.arange(1.0, 2 * truncation + 18)), truncation + 1)
 
 
-def _displacement_blocks(b: float, truncation: int):
-    """(ee, oo, eo): the parity blocks of D(b)'s leading N + 1 block, real b, from _position_basis.
+@lru_cache(maxsize=1, typed=True)
+def _squeeze_basis(truncation: int):
+    """(even chain, odd chain): orthonormal _chain_rows of S's parity chains on levels 0 .. 2N + 2, rows <= N.
 
-    With P = diag(i^m), D(b) = P^dag exp(i b J_1) P, so entry (j, k) is
-    i^(k - j) (cos(b J_1) + i sin(b J_1))[j, k]: cos(b J_1) links levels of
-    one parity and sin(b J_1) levels of opposite parity.  So the block is
-    three half-size products: (even, even), (odd, odd) and (even, odd); the
-    (odd, even) block is -eo^T.
+    S(r) = exp(r K) with K = (a_dag^2 - a^2) / 2 real, so each parity p is
+    one chain of levels p, p + 2, .., whose edge from level m to m + 2 is
+    (1/2) sqrt((m + 1) (m + 2)); in chain positions it has D's form, with
+    J_1 replaced by that chain.  The basis is its own cache, not the
+    oracle's: the oracle would referee itself, and its cache is keyed by
+    chain size, where S's even chain on levels 0 .. 512 has 257 levels, as
+    D's oracle chain at N = 256 does.  The orthonormal steps are what S's
+    column norms need: without them criterion 4's uncertainty product reads
+    9.1e-13 relative (its test's bound is 5e-13), with them 1.24e-13.
     """
-    x, even, odd = _position_basis(truncation)
-    cos, sin = np.cos(b * x), np.sin(b * x)
+    edges = 0.5 * np.sqrt(np.arange(1.0, 2 * truncation + 4) * np.arange(2.0, 2 * truncation + 5))  # m = 0 .. 2N + 2
+    return tuple(_chain_rows(edges[p::2], (truncation - p) // 2 + 1, orthonormal=True) for p in (0, 1))
+
+
+def _parity_blocks(basis, t: float):
+    """(ee, oo, eo): the parity blocks of exp(t K) for the real chain generator K = P^dag (i J) P,
+    P = diag(i^m), from J's basis (x, even, odd) of _chain_rows.
+
+    Entry (j, k) of exp(t K) is i^(k - j) (cos(t J) + i sin(t J))[j, k]:
+    cos(t J) links levels of one parity and sin(t J) levels of opposite
+    parity.  So the block is three half-size products: (even, even),
+    (odd, odd) and (even, odd); the (odd, even) block is -eo^T.
+    """
+    x, even, odd = basis
+    cos, sin = np.cos(t * x), np.sin(t * x)
     return (even * cos) @ even.T, (odd * cos) @ odd.T, (even * -sin) @ odd.T
 
 
-def _assembled(ee: np.ndarray, oo: np.ndarray, eo: np.ndarray) -> np.ndarray:
-    """The complex matrix whose real part has the parity blocks ee, oo, eo and -eo^T and whose imaginary part is 0."""
-    out = np.zeros((ee.shape[0] + oo.shape[0],) * 2, dtype=complex)
+def _assembled(ee: np.ndarray, oo: np.ndarray, eo: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, real or complex, with the parity blocks ee, oo, eo and -eo^T written into its real part."""
     real = out.real
     real[0::2, 0::2] = ee
     real[1::2, 1::2] = oo
     real[0::2, 1::2] = eo
     np.negative(eo.T, out=real[1::2, 0::2])
     return out
+
+
+@lru_cache(maxsize=1, typed=True)
+def _squeeze_matrix(r: float, truncation: int) -> np.ndarray:
+    """S(r) as a real read-only float64 matrix: cached for `verify`, whose four presets all ask for r = ln 2.
+
+    Each parity sublattice is exp(r K) of one chain, built from _squeeze_basis by
+    _parity_blocks; each same-colour block keeps its upper triangle and mirrors it, so
+    S[k, i] = (-1)^((i - k) / 2) S[i, k] holds exactly.  r = 0 gives the exact identity.
+    """
+    check_truncation(truncation)
+    _, sinh_r = cosh_sinh(r, r)
+    guard("sinh^2 r", sinh_r * sinh_r, truncation, f"at r = {r:g} every column of S(z) has mean photon number "
+          "at least sinh^2 r, so none fits in the N + 1 levels")
+    if r == 0.0:
+        return _read_only(np.eye(truncation + 1))
+    mat = np.zeros((truncation + 1, truncation + 1))
+    for p, basis in enumerate(_squeeze_basis(truncation)):
+        ee, oo, eo = _parity_blocks(basis, r)
+        _assembled(*(np.triu(c) + np.triu(c, 1).T for c in (ee, oo)), eo, mat[p::2, p::2])
+    return _read_only(mat)
 
 
 def _phases(theta, size: int) -> np.ndarray:
@@ -603,36 +623,33 @@ def displacement_bch(alpha: complex, truncation: int) -> FockOperator:
     b, halvings = _displacement_step(abs(alpha), truncation)
     if b == 0.0:
         return FockOperator(_read_only(np.eye(truncation + 1, dtype=complex)))
-    ee, oo, eo = _displacement_blocks(b, truncation)
+    ee, oo, eo = _parity_blocks(_position_basis(truncation), b)
     for _ in range(halvings):  # each X @ X.T and X.T @ X runs as one symmetric rank-k update
         ee, oo, eo = ee @ ee.T - eo @ eo.T, oo @ oo.T - eo.T @ eo, ee @ eo + eo @ oo
-    return FockOperator(_rotated(_assembled(ee, oo, eo), cmath.phase(alpha)))
+    out = np.zeros((truncation + 1, truncation + 1), dtype=complex)
+    return FockOperator(_rotated(_assembled(ee, oo, eo, out), cmath.phase(alpha)))
 
 
 def squeeze_bch(sq: SqueezeParam, truncation: int) -> FockOperator:
-    """Squeeze operator from its normal-ordered factorization.
+    """Squeeze operator S(z) = exp((z a_dag^2 - conj(z) a^2) / 2) on the truncated basis, in float64.
 
-    S(z) = exp(d a_dag a_dag) (1/cosh r)^{1/2 + a_dag a} exp(-conj(d) a a)
-    with d = (1/2) e^{i phi} tanh r; the middle factor is the diagonal
-    (cosh r)^{-(m + 1/2)}.  One product, built at the real r and rotated
-    by phi/2; its factors refuse sinh^2 r > N.  The right factor is the
-    left one's signed transpose and the middle diagonal splits between
-    them, so one series gives the whole product (_squeeze_factors).  Only
-    that product cancels (the series' entries reach 1.6e11 at r = 0.3,
-    6.4e17 at r = 1 and 6.9e16 at r = 1.2), so only it is formed in long
-    double, its upper triangle from the terms that can be nonzero,
-    bit-identical to the dense product, and cached at (r, N) alone by
-    _squeeze_matrix; each call rotates it anew into a read-only matrix.
-    displaced_squeezed_number reads the same product and rotates only its
-    column n, which has the bits of this matrix's column n.
+    S(r) is built at the real r, as exp(r K) of its two parity chains on
+    levels <= 2N + 2 (_squeeze_matrix, from the chain bases of
+    _squeeze_basis), cached at (r, N) alone and rotated by phi/2 anew on
+    each call into a read-only matrix; it refuses sinh^2 r > N.
+    displaced_squeezed_number reads the same matrix and rotates only its
+    column n, which has the bits of this matrix's column n.  The name stays
+    from the normal-ordered factorization exp(d a_dag^2) (cosh r)^{-(a_dag
+    a + 1/2)} exp(-conj(d) a^2), d = e^{i phi} tanh(r) / 2, whose series
+    squeezed_number_coeffs sums as the referee.
 
-    Only the leading columns hold.  Rounding in the long-double factor
-    product grows down the columns until the matrix is far from unitary:
-    at N = 256 the first column with an entry above 1.01 in modulus is
-    200 at r = 0.3, 116 at r = 0.7 and 102 at r = 1, and
-    unitarity_defect() reads 3.2e8, 9e34 and 2.6e36.  No entry depends on
-    N, so the 64-block's 1.75e-6 gap to the N = 256 eigh oracle at r = 1.175
-    is the oracle's truncation; an N / 4 block just reads more columns.
+    Every column has norm at most 1 (1 + 2.2e-16 at N = 256, r = 0.3 to
+    1); the weight a column's state puts past level N is its leakage, and
+    unitarity_defect() reads that truncation.  Columns whose tail past N is
+    below 1e-8 are within 1e-14 of the series (4.6e-16 at r <= 2,
+    N = 256); the others are off by less than their tail.  The 64-block's
+    1.75e-6 gap to the N = 256 eigh oracle at r = 1.175 is the oracle's
+    truncation: the N = 512 oracle is within 5.9e-15 of it.
     """
     return FockOperator(_rotated(_squeeze_matrix(sq.r, truncation).astype(complex), sq.phi / 2))
 
@@ -645,18 +662,20 @@ def displaced_squeezed_number(n: int, alpha: complex, sq: SqueezeParam, truncati
     alpha's finiteness check and D's guard run first (_displacement_factors),
     then S's (_squeeze_matrix), then n's checks, before n indexes the column;
     the column's mean photon number |alpha|^2 + (n + 1/2) cosh 2r - 1/2
-    exceeds N under either guard.  S is the real product squeeze_bch
-    rotates, O(N^3 / 24) and formed once per (r, N) by _squeeze_matrix's
-    cache; only its column n is rotated, with the bits of squeeze_bch's
-    column n.  D is 2^h < 2 sqrt(N) pairs of matrix-vector products,
+    exceeds N under either guard.  S is the real matrix squeeze_bch
+    rotates, formed once per (r, N) by _squeeze_matrix's cache; only its
+    column n is rotated, with the bits of squeeze_bch's column n.  D is
+    2^h < 2 sqrt(N) pairs of matrix-vector products,
     O(2^h N^2) instead of O(h N^3), each the right factor diag(sign) left^T
     diag(sign) then left, in long double: a sign flip is exact, and in
     float64 the factors are 4.5e-9 off at the sweep pool's edge.  Cached:
     the coefficients are read-only.
 
     The exact truncated column has norm <= 1, so ||c||_2 - 1 <= ||c - c_exact||_2
-    and a column whose norm exceeds 1 by more than 1e-8 raises GuardViolation
-    (at n = 500, alpha = 6+8i, r = 0.5, N = 1024 it is 3e51).
+    and a column whose norm exceeds 1 by more than 1e-8 raises GuardViolation:
+    at n = 0, alpha = 30, z = 0, N = 1024 D's passes take it to 8.6e6.  S's
+    columns stay within 1 + 1e-15: n = 500, alpha = 6+8i, r = 0.5 at that N
+    does not fit, and reads leakage 0.466.
     """
     alpha = complex(*_finite("displacement alpha", alpha.real, alpha.imag))
     left, sign, halvings = _displacement_factors(abs(alpha), truncation)

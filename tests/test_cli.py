@@ -305,15 +305,15 @@ class TestVerifyCommand:
         assert len(reports) == 12 and any(not r["passed"] for r in reports)
 
     def test_column_norm_guard_exits_three(self, tmp_path, capsys, monkeypatch):
-        # verify's preset and orders pointed at n = 500, alpha = 6+8i, r = 0.5, whose
-        # N = 1024 column has norm 3e51
-        spec = StateSpec(0, make_displacement(6 * math.sqrt(2), 8 * math.sqrt(2)), make_squeeze(0.5, 0.0))
+        # verify's preset and orders pointed at n = 0, alpha = 30, z = 0, whose N = 1024
+        # column D's long-double passes take 8.6e6 past norm 1
+        spec = StateSpec(0, make_displacement(30 * math.sqrt(2), 0.0), make_squeeze(0.0, 0.0))
         monkeypatch.setattr(cli, "figure_spec", lambda index: spec)
-        monkeypatch.setattr(cli, "VERIFY_ORDERS", (500,))
+        monkeypatch.setattr(cli, "VERIFY_ORDERS", (0,))
         out = tmp_path / "reports.json"
         assert run(["verify", "--preset", "1", "--N", "1024", "--out", str(out)]) == EXIT_GUARD
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "n = 500, N = 1024: ||c||_2 - 1 = " in err and "exceeds 1e-08" in err
+        assert err.count("\n") == 1 and "n = 0, N = 1024: ||c||_2 - 1 = " in err and "exceeds 1e-08" in err
         assert not out.exists()
 
     def test_bad_preset_is_config_error(self):

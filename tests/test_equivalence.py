@@ -153,7 +153,7 @@ class TestOperatorState:
         ],
     )
     def test_guards_match_matrix_route(self, sp, truncation, matrix_route):
-        # both routes reach the one guard in the shared factor builders
+        # both routes reach the one guard in D's step or S's matrix
         with pytest.raises(GuardViolation) as column_error:
             operator_state(sp, truncation)
         with pytest.raises(GuardViolation) as matrix_error:
@@ -230,22 +230,19 @@ class TestCacheRule:
             return [f for f in defined if hasattr(f, "cache_parameters")]
 
         assert sorted(f.__name__ for f in caches(fock)) == [
-            "_displacement_factors", "_eigenfunction_table", "_position_basis", "_squeeze_matrix",
+            "_displacement_factors", "_eigenfunction_table", "_position_basis", "_squeeze_basis", "_squeeze_matrix",
             "displaced_squeezed_number", "displacement_bch"]
         assert all(f.cache_parameters()["maxsize"] == 1 for f in caches(fock))
         assert caches(squeezelab.equivalence) == []
 
-    def test_verify_states_form_one_squeeze_product(self, monkeypatch):
-        # S's product depends on r alone, and all four presets have r = ln 2
-        products = []
-        factors = fock._squeeze_factors  # one call per S product
-        monkeypatch.setattr(fock, "_squeeze_factors", lambda *args: products.append(1) or factors(*args))
-        fock._squeeze_matrix.cache_clear()
-        fock.displaced_squeezed_number.cache_clear()
+    def test_verify_states_form_one_squeeze_product(self):
+        # S's matrix depends on r alone, and all four presets have r = ln 2; its basis on N alone
+        for cache in (fock._squeeze_basis, fock._squeeze_matrix, fock.displaced_squeezed_number):
+            cache.cache_clear()
         for index in (1, 2, 3, 4):
             for n in range(4):
                 compare_formalisms(replace(figure_spec(index), n=n), 0.0, truncation=256, tolerance=1e-8)
-        assert len(products) == 1
+        assert fock._squeeze_matrix.cache_info().misses == fock._squeeze_basis.cache_info().misses == 1
 
     def test_verify_builds_one_table_and_sixteen_columns(self, monkeypatch):
         tables = []
@@ -264,13 +261,14 @@ class TestCacheRule:
         fock._eigenfunction_table.cache_clear()
         fock.displaced_squeezed_number.cache_clear()
         fock._squeeze_matrix.cache_clear()
+        fock._squeeze_basis.cache_clear()
         fock._displacement_factors.cache_clear()
         assert main(["verify", "--preset", "all", "--out", os.devnull]) == EXIT_OK
         assert syntheses == [256] * 48  # 4 presets x 4 orders x 3 times
         assert tables == [256]  # all 48 on one (N, grid)
         assert fock.displaced_squeezed_number.cache_info().misses == 16  # 4 presets x 4 orders
-        # the 16 columns read one S product (r = ln 2) and one D series (|alpha| = 4 sqrt(2))
-        assert fock._squeeze_matrix.cache_info().misses == 1
+        # the 16 columns read one S matrix (r = ln 2), from one S basis, and one D series (|alpha| = 4 sqrt(2))
+        assert fock._squeeze_matrix.cache_info().misses == fock._squeeze_basis.cache_info().misses == 1
         assert fock._displacement_factors.cache_info().misses == 1
         table = fock._eigenfunction_table(256, DEFAULT_GRID.x_values().tobytes())
         assert not table.flags.writeable

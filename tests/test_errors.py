@@ -63,8 +63,8 @@ REFUSALS = [
      "||G + G^dag||_max", "1e-12"),
     (lambda: displacement_bch(9.0, 64), "|alpha|^2", "64"),
     (lambda: squeeze_bch(make_squeeze(3.5, 0.0), 256), "sinh^2 r", "256"),
-    (lambda: fock.displaced_squeezed_number(200, 6 + 8j, make_squeeze(0.5, 0.0), 256),
-     "D(alpha) S(z)|n> at n = 200, N = 256: ||c||_2 - 1", "1e-08"),
+    (lambda: fock.displaced_squeezed_number(0, 30.0, make_squeeze(0.0, 0.0), 1024),
+     "D(alpha) S(z)|n> at n = 0, N = 1024: ||c||_2 - 1", "1e-08"),
     (lambda: displaced_number_coeffs(32, 5 + 3j, 64),
      "D(alpha)|n> at |alpha| = 5.83, n = 32, N = 64: series rounding-error bound", "1e-08"),
     (lambda: moments_numeric(displaced_number_coeffs(0, 4.0, 32), 0.0), "|truncation leakage|", "1e-10"),

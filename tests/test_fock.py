@@ -504,7 +504,7 @@ class TestChainBasisReuse:
         def refuse(*args):
             raise AssertionError("the oracle called the construction it referees")
 
-        for name in ("_position_basis", "_displacement_blocks", "_squeeze_matrix"):
+        for name in ("_chain_rows", "_position_basis", "_squeeze_basis", "_parity_blocks", "_squeeze_matrix"):
             monkeypatch.setattr(fock, name, refuse)
         for gen in (displacement_generator(4.0 + 4.0j, 64), squeeze_generator(make_squeeze(1.2, 1.0), 64)):
             out = matrix_exponential(FockOperator(gen))
@@ -649,15 +649,13 @@ class TestSqueezeBch:
     def test_r_past_the_float_range_is_a_guard(self):
         # math.cosh overflows past r = 710.5
         with pytest.raises(GuardViolation, match="r = 711"):
-            fock._squeeze_factors(711.0, 16)
+            fock._squeeze_matrix(711.0, 16)
 
     @pytest.mark.parametrize("r, phi", [(0.3, 0.0), (0.7, 0.4), (1.18, -2.0), (3.0, 1.0)])
     def test_leading_block_does_not_depend_on_truncation(self, r, phi):
-        # entry (i, k) of the factor product sums the terms m <= min(i, k) at every N
-        sq = make_squeeze(r, phi)
-        block = squeeze_bch(sq, 128).matrix[:64, :64].copy()
-        for N in (256, 512):
-            assert_same_bits(squeeze_bch(sq, N).matrix[:64, :64], block)
+        # S is built on levels <= 2N + 2, so its leading block depends on N only through the
+        # columns' tails: at N = 128, 256 and 512 it holds the series to the tail rule
+        assert_columns_within_tail(make_squeeze(r, phi), (128, 256, 512), range(17))
 
     def test_oracle_truncation_is_what_is_off(self):
         # sweep-pool state 13 (r = 1.175) fails oracle_S at N = 256: the
@@ -670,36 +668,52 @@ class TestSqueezeBch:
     @pytest.mark.parametrize("phi", [0.0, 1.0])
     @pytest.mark.parametrize("r", [1.5, 2.0, 2.5, 3.0])
     def test_leading_columns_match_series_up_to_the_guard(self, r, phi):
-        # the series does not depend on N; a build that halves r and squares
-        # back is 5e-12 off here at r = 1.5 and 7e19 at r = 3
-        N = 256
-        sq = make_squeeze(r, phi)
-        matrix = squeeze_bch(sq, N).matrix
-        for n in range(17):
-            series = squeezed_number_coeffs(n, sq, N).coeffs
-            assert np.max(np.abs(matrix[:64, n] - series[:64])) <= 1e-14, n
+        # at N = 256 every column's tail is above 1e-8 here (8.8e-7 .. 0.9), yet the gap is at
+        # most 4.6e-16 at r <= 2; at r = 2.5 and 3 it is 3.2e-4 and 0.24, at most 0.41 of the tail
+        assert_columns_within_tail(make_squeeze(r, phi), (256,), range(17))
 
     @given(N=st.integers(1, 300), reach=st.floats(0.0, 1.0), phi=st.floats(-10.0, 10.0))
     @settings(max_examples=30, deadline=None)
-    def test_one_series_build_properties(self, N, reach, phi):
+    def test_chain_build_properties(self, N, reach, phi):
         # r anywhere up to the sinh^2 r <= N guard: the signed-transpose identity holds
-        # exactly, the build is the leading block of the build at 2N bit for bit, and its
-        # leading columns hold to the bound of the test above
+        # exactly, and the leading columns hold the series to the tail rule (a scan of
+        # N = 1 .. 300 read a gap of at most 0.82 of the tail)
         r = reach * math.asinh(math.sqrt(N))
         assume(math.sinh(r) ** 2 <= N)
         mat = fock._squeeze_matrix(r, N)
         assert np.array_equal(mat.T, mat * transpose_signs(N))
-        assert_same_bits(fock._squeeze_matrix(r, 2 * N)[: N + 1, : N + 1], mat)
-        sq = make_squeeze(r, phi)
-        matrix = squeeze_bch(sq, N).matrix
-        for n in range(min(N, 16) + 1):
-            series = squeezed_number_coeffs(n, sq, N).coeffs
-            assert np.max(np.abs(matrix[:64, n] - series[:64])) <= 1e-14, n
+        assert_columns_within_tail(make_squeeze(r, phi), (N,), range(min(N, 16) + 1))
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_large_n_column_matches_the_decimal_series(self, n):
+        # the paper's large-n regime, S(0.5)|n> at N = 700, against the series in 60 digits (at
+        # 40 the n = 200 sum is itself 2.65e-13 off): 2.5e-16 and 3.4e-16; the long-double
+        # series product before this build was 1.07e-6 off at n = 100 and refused n = 200
+        # (||c||_2 - 1 = 2.85e8)
+        column = fock.displaced_squeezed_number(n, 0.0, make_squeeze(0.5, 0.0), 700).coeffs
+        assert np.max(np.abs(column - decimal_squeeze_column(0.5, n, 700, 60))) <= 1e-13
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 16])
+    def test_zero_r_is_the_exact_identity(self, N):
+        assert_same_bits(fock._squeeze_matrix(0.0, N), np.eye(N + 1))
 
     def test_columns_unit_norm(self):
         op = squeeze_bch(make_squeeze(LN2, 1.1), 128)
         for n in (0, 1, 5):
             assert FockState(op.matrix[:, n]).norm_sq == pytest.approx(1.0, abs=1e-8)
+
+
+def assert_columns_within_tail(sq, truncations, columns):
+    """Rows 0 .. 63 of squeeze_bch's columns at each N against the series, which does not depend on N:
+    within 1e-14 where the column's tail beyond N (from the series at N = 3000) is below 1e-8, and
+    below that tail elsewhere."""
+    wide = {n: squeezed_number_coeffs(n, sq, 3000).coeffs for n in columns}
+    for N in truncations:
+        matrix = squeeze_bch(sq, N).matrix
+        for n, series in wide.items():
+            tail = np.linalg.norm(series[N + 1 :])
+            gap = np.max(np.abs(matrix[:64, n] - series[: min(N + 1, 64)]))
+            assert gap <= 1e-14 if tail < 1e-8 else gap < tail, (n, N, gap, tail)
 
 
 def displacement_factor_pair(magnitude, N):
@@ -727,19 +741,17 @@ def assert_same_bits(got, want):
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
-def exp_ladder_series_loop(c, step, truncation, scale):
+def exp_ladder_series_loop(c, truncation, scale):
     """_exp_ladder_series as one fancy-indexed diagonal per pass."""
     n1 = truncation + 1
     out = np.zeros((n1, n1), dtype=np.longdouble)
     diag = np.full(n1, scale, dtype=np.longdouble)
     np.fill_diagonal(out, diag)
     cl = np.longdouble(c)
-    for j in range(1, truncation // step + 1):
-        k = np.arange(n1 - step * j)
-        top = k + step * j
-        ratio = top if step == 1 else top * (top - 1)
-        diag = diag[: n1 - step * j] * (cl / j) * np.sqrt(ratio.astype(np.longdouble))
-        out[top, k] = diag
+    for j in range(1, n1):
+        k = np.arange(n1 - j)
+        diag = diag[: n1 - j] * (cl / j) * np.sqrt((k + j).astype(np.longdouble))
+        out[k + j, k] = diag
     return out
 
 
@@ -748,23 +760,27 @@ BIT_TRUNCATIONS = (1, 2, 3, 16, 63, 64, 256)
 BIT_ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.7, 5.66 * cmath.exp(0.4j), 6.0)
 
 
-def decimal_squeeze_block(r, size):
-    """S(r)[m, n] for m, n < size: the normal-ordered series of squeezed_number_coeffs at phi = 0,
-    summed in 40-digit decimal arithmetic and rounded once to float64."""
-    out = np.zeros((size, size))
+def decimal_squeeze_column(r, n, truncation, digits):
+    """S(r)[m, n] for m <= N: the normal-ordered series of squeezed_number_coeffs at phi = 0,
+    summed in decimal arithmetic of `digits` digits and rounded once to float64."""
+    out = np.zeros(truncation + 1)
     with localcontext() as context:
-        context.prec = 40
+        context.prec = digits
         grow = Decimal(r).exp()
         cosh, d = (grow + 1 / grow) / 2, (grow - 1 / grow) / (grow + 1 / grow) / 2
-        fact = [Decimal(math.factorial(i)) for i in range(size)]
-        for n in range(size):
-            for m in range(n % 2, size, 2):
-                total = Decimal(0)
-                for j in range(max(0, (n - m) // 2), n // 2 + 1):
-                    k = (m - n) // 2 + j
-                    total += (-d) ** j * cosh ** (2 * j) / (fact[n - 2 * j] * fact[j]) * d**k * fact[m].sqrt() / fact[k]
-                out[m, n] = float(fact[n].sqrt() / cosh**n / cosh.sqrt() * total)
+        fact = [Decimal(math.factorial(i)) for i in range(truncation + 1)]
+        for m in range(n % 2, truncation + 1, 2):
+            total = Decimal(0)
+            for j in range(max(0, (n - m) // 2), n // 2 + 1):
+                k = (m - n) // 2 + j
+                total += (-d) ** j * cosh ** (2 * j) / (fact[n - 2 * j] * fact[j]) * d**k * fact[m].sqrt() / fact[k]
+            out[m] = float(fact[n].sqrt() / cosh**n / cosh.sqrt() * total)
     return out
+
+
+def decimal_squeeze_block(r, size):
+    """S(r)[m, n] for m, n < size, from the series in 40 digits."""
+    return np.column_stack([decimal_squeeze_column(r, n, size - 1, 40) for n in range(size)])
 
 
 def transpose_signs(truncation):
@@ -774,11 +790,11 @@ def transpose_signs(truncation):
 
 
 class TestTriangularProduct:
-    """S's build skips only exact-zero terms of its one-series product
-    half diag(sign) half^T diag(sign), and the series' diagonals are written
-    through a strided view, so S equals the dense product bit for bit.  D's
-    matrix is built from the eigenbasis instead, and is held to the dense
-    product of the factors the column applies, to a tolerance."""
+    """S's matrix is exp(r K) of its generator on levels <= 2N + 2, built from
+    the chains' recurrence bases, and is held to one dense eigh of that
+    generator.  D's matrix is built from the eigenbasis too, and is held to
+    the dense product of the factors the column applies; the factors'
+    diagonals are written through a strided view, bit for bit."""
 
     @pytest.mark.parametrize("alpha, N", [(a, N) for N in BIT_TRUNCATIONS for a in BIT_ALPHAS if abs(a) ** 2 <= N])
     def test_displacement_matches_dense_product(self, alpha, N):
@@ -792,23 +808,24 @@ class TestTriangularProduct:
     @pytest.mark.parametrize("phi", [0.0, 2.0])
     @pytest.mark.parametrize("r", [0.0, 0.3, LN2, 1.2, 3.0])
     def test_squeeze_matches_dense_product(self, r, phi, N):
+        # the dense exponential of the same generator, its leading N + 1 block: measured worst
+        # 4.2e-14, at r = 3, N = 256, about eps ||r K|| of the dense eigh's own rounding
         sq = make_squeeze(r, phi)  # r = 0 drops phi
         if math.sinh(r) ** 2 > N:  # r = 1.2 at N <= 2, r = 3 at N <= 64: no column fits
             with pytest.raises(GuardViolation, match="sinh"):
                 squeeze_bch(sq, N)
             return
-        half, sign = fock._squeeze_factors(sq.r, N)
-        mat = np.dot(half * sign, half.T).astype(float) * sign  # (half diag(sign) half^T) diag(sign)
-        phase = np.exp(1j * sq.phi / 2 * np.arange(N + 1))
-        assert_same_bits(squeeze_bch(sq, N).matrix, phase[:, None] * mat * phase.conj())
+        want = dense_exponential(squeeze_generator(sq, 2 * N + 2))[: N + 1, : N + 1]
+        assert np.max(np.abs(squeeze_bch(sq, N).matrix - want)) <= 1e-13
 
     @pytest.mark.parametrize("r", [0.3, LN2, 1.0, 1.2])
     def test_leading_block_matches_decimal_sum(self, r):
-        # the 64-block at N = 256 against the series in 40 digits: the two-factor product this
-        # build replaced was 1.5e-14, 7.2e-12, 1.54e-11 and 3.3e-12 off at these r; this one
-        # reads 6.8e-15, 1.4e-12, 7.7e-12 and 5.7e-12
+        # the 64-block at N = 256 against the series in 40 digits: the long-double series
+        # products this build replaced were 1.5e-14 .. 1.54e-11 off at these r (two factors)
+        # and 6.8e-15, 1.4e-12, 7.7e-12 and 5.7e-12 (one); this one reads 3.8e-16, 6.8e-16,
+        # 4.6e-16 and 9.3e-16
         block = fock._squeeze_matrix(r, 256)[:64, :64]
-        assert np.max(np.abs(block - decimal_squeeze_block(r, 64))) <= 1.6e-11
+        assert np.max(np.abs(block - decimal_squeeze_block(r, 64))) <= 2e-15
 
     @pytest.mark.parametrize("N", BIT_TRUNCATIONS + (700,))
     @pytest.mark.parametrize("r", [0.0, 0.3, LN2, 1.2, 3.0])
@@ -828,24 +845,23 @@ class TestTriangularProduct:
         b, _ = fock._displacement_step(magnitude, N)
         left, right, _ = displacement_factor_pair(magnitude, N)
         q = min(N, 32) + 1
-        block = fock._assembled(*fock._displacement_blocks(b, N)).real
+        block = fock._assembled(*fock._parity_blocks(fock._position_basis(N), b), np.zeros((N + 1, N + 1)))
         assert np.max(np.abs(block[:q, :q] - np.dot(left, right)[:q, :q])) <= 2e-15
 
-    @given(truncation=st.integers(1, 80), step=st.sampled_from([1, 2]), c=st.floats(-2.0, 2.0),
-           per_column=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @given(truncation=st.integers(1, 80), c=st.floats(-2.0, 2.0), per_column=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_ladder_series_matches_loop(self, truncation, step, c, per_column, seed):
+    def test_ladder_series_matches_loop(self, truncation, c, per_column, seed):
         rng = np.random.default_rng(seed)
         scale = rng.random(truncation + 1).astype(np.longdouble) if per_column else np.longdouble(rng.random())
-        assert_same_bits(fock._exp_ladder_series(c, step, truncation, scale)[0],
-                         exp_ladder_series_loop(c, step, truncation, scale))
+        assert_same_bits(fock._exp_ladder_series(c, truncation, scale)[0],
+                         exp_ladder_series_loop(c, truncation, scale))
 
-    @pytest.mark.parametrize("step", [1, 2])
-    def test_ladder_series_matches_loop_at_full_size(self, step):
+    def test_ladder_series_matches_loop_at_full_size(self):
         mid = np.exp(-(np.arange(257, dtype=np.longdouble) + 0.5) * np.log(np.longdouble(math.cosh(1.2))))
         for scale in (np.longdouble(0.8), mid):
-            assert_same_bits(fock._exp_ladder_series(-0.45, step, 256, scale)[0],
-                             exp_ladder_series_loop(-0.45, step, 256, scale))
+            assert_same_bits(fock._exp_ladder_series(-0.45, 256, scale)[0],
+                             exp_ladder_series_loop(-0.45, 256, scale))
 
 
 def two_series_displacement_factors(magnitude, N):
@@ -855,8 +871,8 @@ def two_series_displacement_factors(magnitude, N):
     while b > 1.0:
         b /= 2.0
     scale = np.exp(np.longdouble(-b**2 / 4.0))
-    left = fock._exp_ladder_series(b, 1, N, scale)[0]
-    right = fock._exp_ladder_series(-b, 1, N, scale)[0].T
+    left = fock._exp_ladder_series(b, N, scale)[0]
+    right = fock._exp_ladder_series(-b, N, scale)[0].T
     return left, right, fock._displacement_factors(magnitude, N)[2]
 
 
@@ -878,21 +894,19 @@ COLUMN_KEYS = [(n, figure_spec(i).disp.alpha, figure_spec(i).sq, 256) for i in (
 
 
 class TestFactorPairs:
-    """D's factor builder returns (left, sign, h) and S's (half, sign), one series
-    each; D's right factor diag(sign) left^T diag(sign) equals a second series at -b."""
+    """D's factor builder returns (left, sign, h) from one series; its right
+    factor diag(sign) left^T diag(sign) equals a second series at -b."""
 
     def test_shape_fields(self):
         assert fock._displacement_factors(0.5, 8)[2] == 0
         assert fock._displacement_factors(2.7, 16)[2] == 2
         assert len(fock._displacement_factors(2.7, 16)) == 3
-        assert len(fock._squeeze_factors(0.3, 8)) == 2
 
     @pytest.mark.parametrize("N", [1, 2, 3, 17, 256])
     def test_signs_are_minus_one_to_the_level_over_step(self, N):
-        m = np.arange(N + 1)
-        for step, (_, sign, *_) in ((1, fock._displacement_factors(0.7, N)), (2, fock._squeeze_factors(0.3, N))):
-            assert sign.dtype == np.float64 and not sign.flags.writeable
-            assert_same_bits(sign, (-1.0) ** (m // step))
+        _, sign, _ = fock._displacement_factors(0.7, N)
+        assert sign.dtype == np.float64 and not sign.flags.writeable
+        assert_same_bits(sign, (-1.0) ** np.arange(N + 1))
 
     @pytest.mark.parametrize("N", [1, 2, 17, 256])
     @pytest.mark.parametrize("b", [0.0, 0.3, 0.7, 1.0])
@@ -916,24 +930,22 @@ class TestFactorPairs:
 
     @pytest.mark.parametrize("n, alpha, sq, N", COLUMN_KEYS)
     def test_column_matches_two_series_factors(self, n, alpha, sq, N):
-        # S's stage is column n of S's one product, rotated with squeeze_bch's bits; D's is
+        # S's stage is column n of S's matrix, rotated with squeeze_bch's bits; D's is
         # left @ (right @ pair) with the -b series stored
         coeffs = squeeze_bch(sq, N).matrix[:, n].astype(np.clongdouble)
         coeffs = two_series_apply(two_series_displacement_factors(abs(alpha), N), cmath.phase(alpha), coeffs)
         assert_same_bits(fock.displaced_squeezed_number(n, alpha, sq, N).coeffs, coeffs.astype(complex))
 
-    def test_column_leaves_its_squeeze_build_cached(self, monkeypatch):
-        # the column reads S's product from _squeeze_matrix, which keeps it at (r, N) for squeeze_bch too
+    def test_column_leaves_its_squeeze_build_cached(self):
+        # the column reads S's matrix from _squeeze_matrix, which keeps it at (r, N) for squeeze_bch too
         sq = make_squeeze(0.45, -0.8)
-        products = []
-        factors = fock._squeeze_factors  # one call per S product
-        monkeypatch.setattr(fock, "_squeeze_factors", lambda *args: products.append(1) or factors(*args))
-        fock._squeeze_matrix.cache_clear()
-        fock.displaced_squeezed_number.cache_clear()
+        for cache in (fock._squeeze_basis, fock._squeeze_matrix, fock.displaced_squeezed_number):
+            cache.cache_clear()
         fock.displaced_squeezed_number(3, 1.0 - 0.5j, sq, 64)
-        assert len(products) == 1
         squeeze_bch(sq, 64)
-        assert len(products) == 1
+        squeeze_bch(make_squeeze(0.45, 0.3), 64)
+        assert fock._squeeze_matrix.cache_info().misses == 1 and fock._squeeze_matrix.cache_info().hits == 2
+        assert fock._squeeze_basis.cache_info().misses == 1
 
     def test_squeeze_builds_are_read_only_and_equal(self):
         sq = make_squeeze(0.45, -0.8)
@@ -1199,7 +1211,7 @@ class TestTruncationGuards:
             (lambda: fock.displaced_squeezed_number(0, 0.5, SqueezeParam(0.3, float("nan")), 16),
              r"must be finite, got \(0.3, nan\)"),
             # no SqueezeParam carries a NaN r to the S bound, but the bound refuses one
-            (lambda: fock._squeeze_factors(float("nan"), 16), r"sinh\^2 r = nan exceeds 16: at r = nan"),
+            (lambda: fock._squeeze_matrix(float("nan"), 16), r"sinh\^2 r = nan exceeds 16: at r = nan"),
             (lambda: displacement_bch(complex(0.0, -math.inf), 16), r"alpha must be finite, got \(0.0, -inf\)"),
             (lambda: fock.displaced_squeezed_number(0, math.inf, make_squeeze(0.1, 0.0), 16),
              r"alpha must be finite, got \(inf, 0.0\)"),
@@ -1229,17 +1241,26 @@ class TestColumnNormGuard:
     """The exact truncated column D S|n> has norm at most 1, so
     ||c||_2 - 1 <= ||c - c_exact||_2, and a column more than 1e-8 past norm 1 is refused."""
 
-    def test_large_n_column_is_refused(self):
-        # compare_formalisms used to report a 5e49 deviation here, with no guard
-        spec = StateSpec(500, make_displacement(6 * math.sqrt(2), 8 * math.sqrt(2)), make_squeeze(0.5, 0.0))
-        with pytest.raises(GuardViolation, match=r"n = 500, N = 1024: \|\|c\|\|_2 - 1 = \S+ exceeds 1e-08"):
+    def test_wide_displacement_column_is_refused(self):
+        # |alpha|^2 = 900 <= N admits it, and D's long-double passes read ||c||_2 - 1 = 8.6e6
+        spec = StateSpec(0, make_displacement(30 * math.sqrt(2), 0.0), make_squeeze(0.0, 0.0))
+        with pytest.raises(GuardViolation, match=r"n = 0, N = 1024: \|\|c\|\|_2 - 1 = \S+ exceeds 1e-08"):
             squeezelab.compare_formalisms(spec, 0.0, truncation=1024)
 
+    def test_large_n_column_reports_its_leakage(self):
+        # the long-double S product was 3e51 past norm 1 here and refused; the state does not fit
+        # in N = 1024, and the column says so: leakage 0.466, and the report fails
+        spec = StateSpec(500, make_displacement(6 * math.sqrt(2), 8 * math.sqrt(2)), make_squeeze(0.5, 0.0))
+        state = fock.displaced_squeezed_number(500, spec.disp.alpha, spec.sq, 1024)
+        assert np.linalg.norm(state.coeffs) <= 1.0 + 1e-15 and 0.46 < state.leakage < 0.47
+        assert not squeezelab.compare_formalisms(spec, 0.0, truncation=1024).passed
+
     @pytest.mark.parametrize("n, r", [(100, 1.0), (110, 1.0), (150, 0.7), (210, 0.3)])
-    def test_trailing_squeeze_columns_are_refused(self, n, r):
-        # column n of S's product is far past norm 1 here (its rounding grows down the columns)
-        with pytest.raises(GuardViolation, match=rf"n = {n}, N = 256: \|\|c\|\|_2 - 1 = \S+ exceeds 1e-08"):
-            fock.displaced_squeezed_number(n, 0.5, make_squeeze(r, 0.0), 256)
+    def test_trailing_squeeze_columns_report_their_leakage(self, n, r):
+        # the long-double S product was far past norm 1 here and refused the columns; they do not
+        # fit in N = 256, and read leakage 0.50 to 0.64
+        state = fock.displaced_squeezed_number(n, 0.5, make_squeeze(r, 0.0), 256)
+        assert np.linalg.norm(state.coeffs) <= 1.0 + 1e-15 and 0.45 < state.leakage < 0.7
 
     @pytest.mark.parametrize("index", [1, 2, 3, 4])
     def test_presets_keep_their_margin(self, index):
@@ -1254,16 +1275,18 @@ class TestLongDoubleWidth:
         # what numpy's long double is under MSVC and on macOS arm64
         monkeypatch.setattr(fock, "_LONG_DOUBLE", np.finfo(np.float64))
         match = r"np\.finfo\(np\.longdouble\)\.nmant = 52 is below 63"
-        for build in (lambda: fock._exp_ladder_series(0.5, 1, 8, 1),
-                      lambda: squeeze_bch(make_squeeze(0.123, 0.0), 9),
+        for build in (lambda: fock._exp_ladder_series(0.5, 8, 1),
                       lambda: fock.displaced_squeezed_number(1, 0.0, make_squeeze(0.0), 9)):
             with pytest.raises(GuardViolation, match=match):
                 build()
 
     def test_displacement_matrix_needs_no_long_double(self, monkeypatch):
+        # nor does S's matrix: only D's column passes are formed in long double
         monkeypatch.setattr(fock, "_LONG_DOUBLE", np.finfo(np.float64))
         displacement_bch.cache_clear()
+        fock._squeeze_matrix.cache_clear()
         assert np.all(np.isfinite(displacement_bch(0.123, 9).matrix))
+        assert np.all(np.isfinite(squeeze_bch(make_squeeze(0.123, 0.0), 9).matrix))
 
 
 class TestSynthesize:
