@@ -11,7 +11,8 @@ diagonal phase change, and reuses the eigenbasis of the last chain of
 each size while the new chain, scaled to unit size, is within 4 eps of it
 (see matrix_exponential); its chain test and skewness guard read the
 generator's nonzero pattern and its two bands, never a full-size complex
-temporary.  Any other generator gets one dense eigh.
+temporary.  Any other generator gets one dense eigh, its vectors made
+orthonormal by one Newton-Schulz step.
 
 D and S are built from one float64 chain basis.  Each is exp(t K) of a
 real generator K whose nonzeros join level m to m + s (D: s = 1, J_1 =
@@ -221,10 +222,15 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     guard reads its two bands alone: every other entry of G and of
     G + G^dag is exactly 0, so max |G| and max |G + G^dag| are the same
     floats as over the whole matrix.  Any other generator gets the guard
-    over the whole matrix and one dense complex eigh.  At N = 256, with one
-    BLAS thread and the chain bases cached, D costs about 0.9 ms and S
-    about 0.7 ms (medians over the benchmark's sweep pool), against 1.1 to
-    1.2 and 0.74 to 0.80 ms with the whole eigenbasis of each chain.
+    over the whole matrix and one dense complex eigh, whose vectors V take
+    one Newton-Schulz step, V + V (I - V^dag V) / 2: eigh's V is
+    orthonormal only to about n eps, and the step squares that distance.
+    On a 44-level forest generator V^dag V was 5.6e-15 from I and the
+    result's unitarity defect 1.1e-14; after the step, 2.2e-16 and
+    5.6e-16.  At N = 256, with one BLAS thread and the chain bases
+    cached, D costs about 0.9 ms and S about 0.7 ms (medians over the
+    benchmark's sweep pool), against 1.1 to 1.2 and 0.74 to 0.80 ms with
+    the whole eigenbasis of each chain.
 
     Nothing of the construction under test is called: the oracle works on
     the N + 1 levels it is given, takes its vectors from LAPACK and does no
@@ -246,6 +252,7 @@ def matrix_exponential(op: FockOperator) -> FockOperator:
     if chain:
         return FockOperator(_chain_exponential(m, step))
     w, v = np.linalg.eigh(0.5j * (m - m.conj().T))
+    v += 0.5 * (v @ (np.eye(v.shape[0]) - v.conj().T @ v))
     return FockOperator((v * np.exp(-1j * w)) @ v.conj().T)
 
 
